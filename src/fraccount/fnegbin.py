@@ -6,13 +6,17 @@ at t = 0 down to p at the horizon.  A coupling weight rho mixes the running
 law with a held copy of the terminal law, exactly as in the
 space-time-fractional sibling module.  The r = 1 pmf has a closed form
 built from signed Stirling numbers and Fox-Wright sums; larger r is exposed
-through the generating function only.
+through the generating function only.  The Fox-Wright sum of Stirling order
+h does not depend on the count k, so a table keeps one row of them per
+success level and grows it lazily, one new sum per entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .errors import CancellationLoss, DomainError, InvalidProfile, UnsupportedR
@@ -21,6 +25,7 @@ from .pmftable import PmfTable
 from .specfun import (
     DEFAULT_CONFIG,
     FoxWrightSpec,
+    SeriesValue,
     SpecfunConfig,
     fox_wright,
     mittag_leffler,
@@ -221,49 +226,57 @@ def pgf_negbin(
 _CORE_ABS_GUARD = 1e-12
 
 
-def _core_pmf(level: float, alpha: float, nu: float, k: int,
-              cfg: SpecfunConfig) -> float:
-    """Single-component pmf at success level q = level, count k.
+def _core_pmf(level: float, alpha: float, nu: float,
+              cfg: SpecfunConfig) -> Iterator[float]:
+    """Single-component pmf at success level q = level, for k = 0, 1, 2, ...
 
     k = 0 is a plain Mittag-Leffler value; k >= 1 pairs signed Stirling
-    numbers with one Fox-Wright sum per Stirling order.  The prefactor is
-    assembled in log space with its sign carried separately.
+    numbers s(k, h) with the Fox-Wright sums psi_1..psi_k.  psi_h depends on
+    h, the level and the indices but not on k, so the generator keeps one
+    row of them and grows it lazily: entry k sums psi_k on first request
+    and reuses psi_1..psi_{k-1}, k sums for a K-table instead of K(K+1)/2.
+    The prefactor is assembled in log space with its sign carried
+    separately.
 
     The individual Fox-Wright sums lose relative precision as k grows (their
     terms alternate by construction), but the loss is structural and bounded:
     after the (1-q)^k/k! prefactor the assembled entry stays accurate in
     absolute terms far past k = 100 at ordinary parameters.  The per-series
     relative ceiling is therefore lifted here and replaced by an absolute
-    error budget accumulated from the series diagnostics.
+    error budget accumulated from the series diagnostics; an entry that
+    exceeds it raises CancellationLoss and ends the stream.
     """
     if level >= 1.0:
-        return 1.0 if k == 0 else 0.0
+        yield 1.0
+        while True:
+            yield 0.0
     big_l = -math.log(level)  # log(1 + A) for A = 1/q - 1
     z = -(big_l**alpha)
-    if k == 0:
-        return mittag_leffler(nu, 1.0, z, cfg).value
+    yield mittag_leffler(nu, 1.0, z, cfg).value
     loose = replace(cfg, cancellation_limit=1e300)
-    pieces = []
-    err = 0.0
-    for h in range(1, k + 1):
+    row: list[SeriesValue] = []
+    for k in itertools.count(1):
         spec = FoxWrightSpec(
             upper=((1.0, alpha), (1.0, 1.0)),
-            lower=((1.0 - h, alpha), (1.0, nu)),
+            lower=((1.0 - k, alpha), (1.0, nu)),
         )
-        psi = fox_wright(spec, z, loose)
-        w = float(stirling_first(k, h, cap=_STIRLING_DEPTH)) * big_l ** (-h)
-        pieces.append(w * psi.value)
-        err += abs(w) * psi.abs_error_estimate
-    # (1/k!) * ((-A)/(1+A))^k with A/(1+A) = 1 - level
-    log_pref = k * math.log(1.0 - level) - math.lgamma(k + 1.0)
-    pref = math.exp(log_pref)
-    err += len(pieces) * sys.float_info.epsilon * max(abs(x) for x in pieces)
-    if pref * err > _CORE_ABS_GUARD:
-        raise CancellationLoss(
-            f"pmf entry k={k} carries absolute error ~{pref * err:.2e}; "
-            "no trustworthy digits at probability scale"
-        )
-    return (-1.0) ** k * pref * math.fsum(pieces)
+        row.append(fox_wright(spec, z, loose))
+        pieces = []
+        err = 0.0
+        for h, psi in enumerate(row, start=1):
+            w = float(stirling_first(k, h, cap=_STIRLING_DEPTH)) * big_l ** (-h)
+            pieces.append(w * psi.value)
+            err += abs(w) * psi.abs_error_estimate
+        # (1/k!) * ((-A)/(1+A))^k with A/(1+A) = 1 - level
+        log_pref = k * math.log(1.0 - level) - math.lgamma(k + 1.0)
+        pref = math.exp(log_pref)
+        err += len(pieces) * sys.float_info.epsilon * max(abs(x) for x in pieces)
+        if pref * err > _CORE_ABS_GUARD:
+            raise CancellationLoss(
+                f"pmf entry k={k} carries absolute error ~{pref * err:.2e}; "
+                "no trustworthy digits at probability scale"
+            )
+        yield (-1.0) ** k * pref * math.fsum(pieces)
 
 
 def pmf_negbin_r1(
@@ -272,7 +285,9 @@ def pmf_negbin_r1(
     """Probability table for the shape-1 process at time t, k = 0..K.
 
     Only r = 1 has a manageable closed form; larger shapes go through the
-    generating function (or a convolution of shape-1 tables).
+    generating function (or a convolution of shape-1 tables).  Each branch
+    reads one lazily grown Fox-Wright row; when q(t) equals p (t = T) the
+    held branch reuses the running branch's entries.
     """
     if params.r != 1:
         raise UnsupportedR(f"closed-form pmf exists for shape 1 only, got r={params.r}")
@@ -282,13 +297,18 @@ def pmf_negbin_r1(
     rho = params.rho
     qt = params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
+    running = _core_pmf(qt, params.alpha, params.nu, cfg)
+    held = None
+    if rho > 0.0 and qt != params.p:
+        held = _core_pmf(params.p, params.alpha, params.nu, cfg)
     probs = []
     for k in range(K + 1):
-        val = (1.0 - rho) * _core_pmf(qt, params.alpha, params.nu, k, cfg)
+        core = next(running)
+        val = (1.0 - rho) * core
         if rho > 0.0:
             if k == 0:
                 val += rho * (1.0 - frac)
-            val += rho * frac * _core_pmf(params.p, params.alpha, params.nu, k, cfg)
+            val += rho * frac * (core if held is None else next(held))
         probs.append(val)
     return PmfTable.from_probs(probs)
 

@@ -217,7 +217,7 @@ def operator_O_alpha_quadrature(
     (a/b + z) f'(z).
     """
     lo = spec.lower_limit
-    if (spec.b > 0 and z <= lo) or (spec.b < 0 and z <= lo):
+    if z <= lo:
         raise DomainError(f"z={z} is not above the lower limit {lo}")
     x = spec.a + spec.b * z
     if x <= 0.0:

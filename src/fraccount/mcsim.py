@@ -125,11 +125,13 @@ def build_count_table(
     """Grow a pool-size table by doubling K until its tail mass is below the
     cutoff.
 
+    Doubling starts at a small K, so a light-tailed law is accepted before
+    its table reaches the deep entries where a series may lose its digits.
     Heavy polynomial tails are projected ahead from the observed decay rate;
     if the projected K exceeds k_max the build fails loudly rather than
     simulate a silently truncated law.
     """
-    k = 64
+    k = 16
     prev_tail = None
     while True:
         table = pmf_at(min(k, k_max))
@@ -242,10 +244,11 @@ class PathBatch:
         """N(t) for every path, as exact integers."""
         if not 0.0 <= t <= self.horizon:
             raise DomainError(f"time {t} outside [0, {self.horizon}]")
-        sizes = self.pool_sizes()
-        owner = np.repeat(np.arange(self.n_paths), sizes)
-        hit = self.times <= t
-        return np.bincount(owner[hit], minlength=self.n_paths).astype(np.int64)
+        # hits[j] counts the epochs before position j that fall by t, so a
+        # path's count is the difference of hits at its two offsets
+        hits = np.zeros(len(self.times) + 1, dtype=np.int64)
+        np.cumsum(self.times <= t, dtype=np.int64, out=hits[1:])
+        return hits[self.offsets[1:]] - hits[self.offsets[:-1]]
 
     def path(self, i: int) -> PathSample:
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from fraccount.errors import DomainError, InvalidProfile, UnsupportedR
+from fraccount import fnegbin
+from fraccount.errors import CancellationLoss, DomainError, InvalidProfile, UnsupportedR
 from fraccount.fnegbin import (
     Example31Profile,
     F_negbin,
@@ -216,6 +217,47 @@ def test_pmf_shape_two_by_convolution_matches_frozen():
         if k == 0:
             want += rho * (1.0 - f)
         assert want == pytest.approx(FR.NEGBIN_PMF_R2[k], rel=1e-5)
+
+
+def _count_fox_wright(monkeypatch):
+    calls = []
+    real = fnegbin.fox_wright
+
+    def counted(spec, z, cfg=None):
+        calls.append(z)
+        return real(spec, z, cfg)
+
+    monkeypatch.setattr(fnegbin, "fox_wright", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rho, t", [(0.0, 0.5), (0.4, 0.5), (0.4, 1.0)])
+def test_pmf_sums_each_fox_wright_once_per_level(monkeypatch, rho, t):
+    # psi_h does not depend on k, so a K-table needs at most K sums per level
+    calls = _count_fox_wright(monkeypatch)
+    pmf_negbin_r1(mk(0.8, 0.5, rho), t, 40)
+    levels = set(calls)
+    assert len(levels) == (2 if (rho > 0.0 and t < 1.0) else 1)
+    assert len(calls) <= 40 * len(levels)
+
+
+def test_pmf_prefix_is_bit_identical_across_K():
+    for rho in (0.0, 0.4):
+        short = pmf_negbin_r1(mk(0.8, 0.5, rho), 0.5, 40)
+        long = pmf_negbin_r1(mk(0.8, 0.5, rho), 0.5, 80)
+        assert long.probs[:41] == short.probs
+
+
+def test_pmf_small_success_refused_at_same_entry(monkeypatch):
+    calls = _count_fox_wright(monkeypatch)
+    params = NegBinParams(
+        p=0.05, r=1, alpha=0.8, nu=0.6, rho=0.4, T=1.0,
+        q_profile=Example31Profile(lambda_mix=0.95),
+    )
+    with pytest.raises(CancellationLoss, match=r"entry k=6 "):
+        pmf_negbin_r1(params, 0.5, 40)
+    # the rows stop growing at the failing entry: six sums per level
+    assert len(calls) <= 12
 
 
 def test_pmf_rejects_other_shapes():

@@ -7,7 +7,9 @@ import pytest
 from fraccount.errors import DomainError, TailCutoffUnreachable
 from fraccount.fnegbin import Example31Profile, NegBinParams, TableProfile, pmf_negbin_r1
 from fraccount.mcsim import (
+    DEFAULT_TAIL_CUTOFF,
     Estimate,
+    PathBatch,
     PathSample,
     build_count_table,
     empirical_cov,
@@ -107,6 +109,13 @@ class TestCountTable:
         )
         assert tbl.tail_mass <= 1e-10
 
+    def test_light_tail_built_before_deep_entries(self):
+        # the tail is below the cutoff by K=32; deeper entries lose their digits
+        params = StfpParams(alpha=1.0, nu=0.5, lam=1.0, T=1.0, rho=0.3)
+        tbl = build_count_table(lambda K: stfp_pmf(params, params.T, K))
+        assert tbl.tail_mass <= DEFAULT_TAIL_CUTOFF
+        stfp_sim_config(params, seed=1, n_paths=10)
+
     def test_cap_triggers_failure(self):
         # a flat pmf over many states cannot reach the cutoff under the cap
         def flat(K: int) -> PmfTable:
@@ -200,6 +209,22 @@ class TestEstimators:
         cfg = stfp_sim_config(classical(1.0, 0.0), seed=3, n_paths=2)
         with pytest.raises(DomainError):
             empirical_cov(simulate_paths(cfg), 0.2, 0.5)
+
+    def test_counts_at_matches_per_path_count(self):
+        batch = simulate_paths(stfp_sim_config(classical(1.0, 0.3), seed=11, n_paths=300))
+        assert (batch.pool_sizes() == 0).any()
+        hand = PathBatch(
+            horizon=1.0,
+            offsets=np.array([0, 0, 2, 2, 3, 3], dtype=np.int64),
+            times=np.array([0.0, 0.7, 1.0]),
+            common=np.zeros(5, dtype=bool),
+        )
+        for b in (batch, hand):
+            for t in (0.0, 0.3, 0.7, b.horizon):
+                got = b.counts_at(t)
+                assert got.dtype == np.int64
+                want = [b.path(i).count_at(t) for i in range(b.n_paths)]
+                assert got.tolist() == want
 
     def test_counts_at_rejects_outside_horizon(self):
         cfg = stfp_sim_config(classical(1.0, 0.0), seed=3, n_paths=10)
