@@ -23,6 +23,7 @@ from .errors import CancellationLoss, DomainError, InvalidProfile, UnsupportedR
 from .fracops import OperatorOAlphaSpec, operator_O_alpha_quadrature
 from .pmftable import PmfTable
 from .specfun import (
+    _CORE_ABS_GUARD,
     DEFAULT_CONFIG,
     FoxWrightSpec,
     SeriesValue,
@@ -222,10 +223,6 @@ def pgf_negbin(
     return out
 
 
-# largest tolerated absolute error of one assembled pmf entry
-_CORE_ABS_GUARD = 1e-12
-
-
 def _core_pmf(level: float, alpha: float, nu: float,
               cfg: SpecfunConfig) -> Iterator[float]:
     """Single-component pmf at success level q = level, for k = 0, 1, 2, ...
@@ -286,8 +283,9 @@ def pmf_negbin_r1(
 
     Only r = 1 has a manageable closed form; larger shapes go through the
     generating function (or a convolution of shape-1 tables).  Each branch
-    reads one lazily grown Fox-Wright row; when q(t) equals p (t = T) the
-    held branch reuses the running branch's entries.
+    reads one lazily grown Fox-Wright row; the held branch reuses the
+    running branch's entries when q(t) equals p (t = T) and is not
+    evaluated when its weight rho * F(t) is 0 (t = 0).
     """
     if params.r != 1:
         raise UnsupportedR(f"closed-form pmf exists for shape 1 only, got r={params.r}")
@@ -299,7 +297,7 @@ def pmf_negbin_r1(
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
     running = _core_pmf(qt, params.alpha, params.nu, cfg)
     held = None
-    if rho > 0.0 and qt != params.p:
+    if rho * frac > 0.0 and qt != params.p:
         held = _core_pmf(params.p, params.alpha, params.nu, cfg)
     probs = []
     for k in range(K + 1):

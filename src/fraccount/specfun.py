@@ -9,12 +9,19 @@ Every infinite series here is summed the same way: each term is formed in log
 space with an explicit sign, so terms never overflow before the sum settles,
 and the result is returned together with its convergence diagnostics rather
 than as a bare float.
+
+Coefficients that do not depend on a series' argument live in rows computed
+once per index set, grown lazily and kept in a small bounded cache: lgamma
+lattice rows lgamma(slope*r + offset) for the Mittag-Leffler sums, signed
+falling-factorial rows for the STFP count series.  A row holds the exact
+expression a term would form inline, so the terms and sums are the same bits.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,6 +35,9 @@ from .errors import (
 _TINY = 1e-300
 _EPS = 2.220446049250313e-16
 _EXP_MAX = 709.0  # log of the largest finite double, rounded down
+
+# largest tolerated absolute error of one assembled pmf entry
+_CORE_ABS_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,7 @@ def _sum_series(terms, cfg: SpecfunConfig, what: str) -> SeriesValue:
                 f"{what}: no convergence within {cfg.max_terms} terms "
                 f"(partial sum {total:.6g})"
             )
-        if math.isnan(term) or math.isinf(term):
+        if not math.isfinite(term):
             raise NonConvergent(f"{what}: term {used} is not finite")
         total += term
         mag = abs(term)
@@ -154,6 +164,42 @@ def gamma_ratio_signed(a: float, b: float) -> float:
     return sign * math.exp(arg)
 
 
+# ---- argument-free coefficient rows ----
+
+_ROW_CACHE_SIZE = 512
+
+_rows: dict[tuple, list[float]] = {}
+_rows_lock = threading.Lock()
+
+
+def _coef_row(key: tuple, coef: Callable[[int], float]) -> Iterator[float]:
+    """coef(0), coef(1), ... for the index set key.  Each value is computed
+    once, under the lock, into a row cached for at most _ROW_CACHE_SIZE keys
+    (the oldest row is dropped first)."""
+    row = _rows.get(key)
+    if row is None:
+        with _rows_lock:
+            if key not in _rows and len(_rows) >= _ROW_CACHE_SIZE:
+                del _rows[next(iter(_rows))]
+            row = _rows.setdefault(key, [])
+
+    def pieces(lo: int) -> Iterator[list[float]]:
+        while True:
+            hi = max(2 * lo, 32)
+            if len(row) < hi:
+                with _rows_lock:
+                    row.extend(coef(r) for r in range(len(row), hi))
+            yield row[lo:hi]
+            lo = hi
+
+    n = len(row)  # the values known now are read in place
+    return itertools.chain(itertools.islice(row, n), itertools.chain.from_iterable(pieces(n)))
+
+
+def _lgamma_row(slope: float, offset: float) -> Iterator[float]:
+    return _coef_row(("lgamma", slope, offset), lambda r: math.lgamma(slope * r + offset))
+
+
 def mittag_leffler(
     alpha: float, beta: float, x: float, cfg: SpecfunConfig | None = None
 ) -> SeriesValue:
@@ -174,8 +220,8 @@ def mittag_leffler(
     sign_x = 1.0 if x > 0.0 else -1.0
 
     def terms():
-        for r in itertools.count():
-            lg = r * log_ax - math.lgamma(alpha * r + beta)
+        for r, lg_den in enumerate(_lgamma_row(alpha, beta)):
+            lg = r * log_ax - lg_den
             if lg > _EXP_MAX:
                 yield math.inf
                 return
@@ -205,7 +251,8 @@ def gen_mittag_leffler(
     def terms():
         log_poch = 0.0  # log |(gamma)^(r)|
         sign_poch = 1.0
-        for r in itertools.count():
+        rows = zip(_lgamma_row(1.0, 1.0), _lgamma_row(alpha, beta))
+        for r, (lg_fact, lg_den) in enumerate(rows):
             if r > 0:
                 f = gamma + r - 1
                 if f == 0.0:
@@ -218,7 +265,7 @@ def gen_mittag_leffler(
             if x == 0.0 and r > 0:
                 yield 0.0
                 continue
-            lg = log_poch + r * log_ax - math.lgamma(r + 1) - math.lgamma(alpha * r + beta)
+            lg = log_poch + r * log_ax - lg_fact - lg_den
             if lg > _EXP_MAX:
                 yield math.inf
                 return

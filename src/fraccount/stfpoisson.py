@@ -11,10 +11,12 @@ as residuals rather than solved.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import CancellationLoss, DomainError
 from .fracops import (
     PowerSeriesInT,
     caputo_derivative_quadrature,
@@ -23,8 +25,11 @@ from .fracops import (
 )
 from .pmftable import PmfTable
 from .specfun import (
+    _CORE_ABS_GUARD,
     DEFAULT_CONFIG,
     SpecfunConfig,
+    _coef_row,
+    _lgamma_row,
     _sum_series,
     gamma_ratio_signed,
     gen_binom,
@@ -81,12 +86,20 @@ def F_stfp(params: StfpParams, t: float) -> float:
     return (t / params.T) ** (params.nu / params.alpha)
 
 
+def _falling_row(a: float, k: int) -> Iterator[float]:
+    # (-1)^r * Gamma(a r + 1) / Gamma(a r + 1 - k), r = 0, 1, ...
+    return _coef_row(
+        ("falling", a, k), lambda r: (-1.0) ** r * gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
+    )
+
+
 def _core_pmf(params: StfpParams, s: float, k: int, cfg: SpecfunConfig) -> float:
     """Uncoupled pmf at elapsed time s, k-th count weight.
 
     Series in r with a signed falling-factorial ratio; the ratio vanishes
     identically when alpha*r + 1 - k is a non-positive integer, so those
-    terms are skipped rather than summed as zeros.
+    terms are skipped rather than summed as zeros.  An entry whose absolute
+    error estimate exceeds _CORE_ABS_GUARD raises CancellationLoss, as in fnegbin.
     """
     if s == 0.0:
         return 1.0 if k == 0 else 0.0
@@ -96,17 +109,19 @@ def _core_pmf(params: StfpParams, s: float, k: int, cfg: SpecfunConfig) -> float
     lead = (-1.0) ** k / math.factorial(k)
 
     def terms():
-        r = 0
-        while True:
-            ratio = gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
+        for r, lg_den, ratio in zip(itertools.count(), _lgamma_row(nu, 1.0), _falling_row(a, k)):
             if ratio == 0.0:
                 yield 0.0
             else:
-                mag = math.exp(r * log_x - math.lgamma(nu * r + 1.0))
-                yield (-1.0) ** r * mag * ratio
-            r += 1
+                yield math.exp(r * log_x - lg_den) * ratio
 
     total = _sum_series(terms(), cfg, f"count series (k={k}, s={s})")
+    err = abs(lead) * total.abs_error_estimate
+    if err > _CORE_ABS_GUARD:
+        raise CancellationLoss(
+            f"pmf entry k={k} at s={s} carries absolute error ~{err:.2e}; "
+            "no trustworthy digits at probability scale"
+        )
     return lead * total.value
 
 
@@ -252,12 +267,11 @@ def governing_residual(
         lead = (-1.0) ** k / math.factorial(k)
         log_la = a * math.log(lam)
         pairs: list[tuple[float, float]] = []
-        for r in range(R + 1):
-            ratio = gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
+        for r, lg_den, ratio in zip(range(R + 1), _lgamma_row(nu, 1.0), _falling_row(a, k)):
             if ratio == 0.0:
                 continue
-            mag = math.exp(r * log_la - math.lgamma(nu * r + 1.0))
-            pairs.append(((1.0 - rho) * lead * (-1.0) ** r * mag * ratio, nu * r))
+            mag = math.exp(r * log_la - lg_den)
+            pairs.append(((1.0 - rho) * lead * mag * ratio, nu * r))
         if rho != 0.0:
             scale = rho * T ** (-nu / a)
             if k == 0:

@@ -11,17 +11,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from fraccount.cli import _verify_rows
 from fraccount.fnegbin import (
     Example31Profile,
     F_negbin,
     NegBinParams,
-    operator_residual_prop33,
     pmf_negbin_r1,
-)
-from fraccount.fracops import (
-    OperatorOAlphaSpec,
-    operator_O_alpha_on_log_powers,
-    operator_O_alpha_quadrature,
 )
 from fraccount.mcsim import (
     empirical_cov,
@@ -37,13 +32,23 @@ from fraccount.specfun import mittag_leffler, recip_gamma_signed, stirling_first
 from fraccount.stfpoisson import (
     F_stfp,
     StfpParams,
-    governing_residual,
     joint_prob_brb,
     joint_prob_kps,
     pmf,
 )
 from fraccount.weighted import WeightFn, q_kernel, weighted_pmf, weighted_process_pmf, weights_in_time
 from tests import _frozen as FR
+
+# points each verify equation is checked at: 6 index/coupling combinations x
+# 4 counts x 3 times per governing route, 2 indices x 2 couplings x 3
+# arguments for the operator identity, 3 log powers, 2 x 2 x 2 eigen points
+VERIFY_POINTS = {
+    "governing_balance_quadrature": 72,
+    "governing_balance_series": 72,
+    "log_power_closed_vs_quadrature": 3,
+    "ml_eigenfunction_identity": 8,
+    "negbin_operator_identity": 12,
+}
 
 
 def _report(num: int, label: str, failures: list, elapsed: float, budget: float | None):
@@ -132,54 +137,19 @@ def test_criterion_3_pgf_oracle_equivalence():
 
 
 def test_criterion_4_governing_equations():
+    # the grids and tolerances are the verify suite's own, defined once in the CLI
     start = time.perf_counter()
-    failures = []
-
-    combos = ((0.6, 0.5, 0.0), (0.6, 0.8, 0.4), (0.8, 0.5, 0.4),
-              (0.8, 0.8, 0.0), (1.0, 0.5, 0.4), (1.0, 0.8, 0.0))
-    for a, nu, rho in combos:
-        params = StfpParams(alpha=a, nu=nu, lam=1.0, T=1.0, rho=rho)
-        for k in range(4):
-            for t in (0.3, 0.6, 1.0):
-                r_series = governing_residual(params, t, k)
-                if r_series > 1e-6:
-                    failures.append(f"series residual ({a},{nu},{rho},k={k},t={t}): {r_series}")
-                r_quad = governing_residual(params, t, k, method="quadrature")
-                if r_quad > 1e-3:
-                    failures.append(f"quadrature residual ({a},{nu},{rho},k={k},t={t}): {r_quad}")
-
-    for index in (0.5, 0.8):
-        nb = NegBinParams(
-            p=0.5, r=1, alpha=index, nu=index, rho=0.0, T=1.0,
-            q_profile=Example31Profile(0.5),
-        )
-        for rho in (0.0, 1.0):
-            for u in (1.05, 1.2, 1.4):
-                resid = operator_residual_prop33(nb, 0.5, rho, u)
-                if resid > 1e-3:
-                    failures.append(f"operator identity (a=nu={index},rho={rho},u={u}): {resid}")
-
-    for alpha, beta, z in ((0.5, 0.9, 1.5), (0.7, 1.4, 2.0), (0.4, 0.6, 1.0)):
-        spec = OperatorOAlphaSpec(alpha=alpha, a=1.0, b=1.0)
-        closed = operator_O_alpha_on_log_powers(spec, beta, z)
-        quad = operator_O_alpha_quadrature(
-            spec, lambda tau, beta=beta: math.log(1.0 + tau) ** beta, z
-        )
-        if abs(closed - quad) > 1e-4:
-            failures.append(f"log-power operator ({alpha},{beta},{z}): {abs(closed-quad)}")
-
-    for alpha in (0.4, 0.7):
-        for gam in (0.5, 2.0):
-            spec = OperatorOAlphaSpec(alpha=alpha, a=1.0, b=1.0)
-
-            def f(tau: float, alpha=alpha, gam=gam) -> float:
-                return mittag_leffler(alpha, 1.0, -gam * math.log(1.0 + tau) ** alpha).value
-
-            for z in (0.8, 1.5):
-                resid = abs(operator_O_alpha_quadrature(spec, f, z) + gam * f(z))
-                if resid > 1e-3:
-                    failures.append(f"eigen identity ({alpha},{gam},{z}): {resid}")
-
+    rows = _verify_rows()
+    per_equation = {}
+    for equation, *_ in rows:
+        per_equation[equation] = per_equation.get(equation, 0) + 1
+    failures = [
+        f"{equation} ({point}): {residual} > {tol}"
+        for equation, point, residual, tol, status in rows
+        if not float(residual) <= float(tol) or status != "pass"
+    ]
+    if per_equation != VERIFY_POINTS:
+        failures.append(f"verify grid points per equation {per_equation} != {VERIFY_POINTS}")
     _report(4, "governing equations", failures, time.perf_counter() - start, budget=None)
 
 

@@ -260,6 +260,16 @@ def test_pmf_small_success_refused_at_same_entry(monkeypatch):
     assert len(calls) <= 12
 
 
+def test_pmf_held_branch_skipped_at_time_zero():
+    # at t = 0 the held branch has weight rho * F(0) = 0 and the law is a
+    # point mass at zero, even where the held stream alone would raise
+    params = NegBinParams(
+        p=0.05, r=1, alpha=0.8, nu=0.6, rho=0.4, T=1.0,
+        q_profile=Example31Profile(lambda_mix=0.95),
+    )
+    assert pmf_negbin_r1(params, 0.0, 40).probs == (1.0,) + (0.0,) * 40
+
+
 def test_pmf_rejects_other_shapes():
     with pytest.raises(UnsupportedR):
         pmf_negbin_r1(mk(0.8, 0.5, 0.4, r=2), 0.5, 6)

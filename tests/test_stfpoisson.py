@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fraccount.errors import DomainError
+from fraccount.errors import CancellationLoss, DomainError
 from fraccount.stfpoisson import (
     StfpParams,
     F_stfp,
@@ -112,6 +112,18 @@ def test_pmf_rho_independent_at_horizon():
     for k in range(11):
         assert tables[1][k] == pytest.approx(tables[0][k], rel=1e-12)
         assert tables[2][k] == pytest.approx(tables[0][k], rel=1e-12)
+
+
+def test_pmf_refuses_entries_without_absolute_digits():
+    # alpha = nu = 1 is Poisson(lam); at lam = 10 the alternating series
+    # carries ~1e-7 absolute error at k = 11 without tripping the relative
+    # cancellation limit, so the absolute budget must refuse it
+    with pytest.raises(CancellationLoss, match=r"absolute error"):
+        pmf(StfpParams(alpha=1.0, nu=1.0, lam=10.0, T=1.0, rho=0.3), 1.0, 64)
+    tbl = pmf(StfpParams(alpha=1.0, nu=1.0, lam=3.0, T=1.0, rho=0.3), 1.0, 40)
+    for k in range(41):
+        want = math.exp(-3.0 + k * math.log(3.0) - math.lgamma(k + 1))
+        assert abs(tbl[k] - want) <= 1e-13, k
 
 
 def test_pmf_mixture_reassembly_exact():
