@@ -59,8 +59,8 @@ K_MAX = 10**6
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 output stage; uint64 arithmetic wraps mod 2^64
-    x = x.astype(np.uint64, copy=True)
+    # splitmix64 output stage, in place on a uint64 array; arithmetic wraps
+    # mod 2^64
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -69,11 +69,26 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _unit_uniform(seed: int, path_index: np.ndarray, counter: np.ndarray) -> np.ndarray:
-    """Uniform in [0,1) as a pure function of (seed, path, counter)."""
-    key = _mix64(np.uint64(seed) + _GOLDEN * (path_index.astype(np.uint64) + np.uint64(1)))
-    word = _mix64(key + _GOLDEN * (np.asarray(counter, dtype=np.uint64) + np.uint64(1)))
-    return (word >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
+def _path_keys(seed: int, path_index: np.ndarray) -> np.ndarray:
+    """Per-path stream key: draw c of a path mixes key + _draw_offset(c)."""
+    key = path_index + np.uint64(1)
+    key *= _GOLDEN
+    key += np.uint64(seed)
+    return _mix64(key)
+
+
+def _draw_offset(counter: int) -> np.uint64:
+    """What draw `counter` adds to its path key, reduced mod 2^64."""
+    return np.uint64(int(_GOLDEN) * (counter + 1) % 2**64)
+
+
+def _unit_uniform(word: np.ndarray) -> np.ndarray:
+    """Uniform in [0,1) from a key-plus-offset word, mixed in place."""
+    word = _mix64(word)
+    word >>= np.uint64(11)
+    unit = word.astype(np.float64)
+    unit *= _U64_TO_UNIT
+    return unit
 
 
 @dataclass(frozen=True)
@@ -260,28 +275,38 @@ class PathBatch:
 
 
 def _simulate_indices(cfg: SimConfig, path_index: np.ndarray) -> PathBatch:
-    idx = np.asarray(path_index, dtype=np.uint64)
-    n = len(idx)
-    u_branch = _unit_uniform(cfg.seed, idx, np.full(n, _CTR_BRANCH))
-    common = u_branch < cfg.rho
-    u_count = _unit_uniform(cfg.seed, idx, np.full(n, _CTR_COUNT))
-    m = np.searchsorted(cfg.count_cdf, u_count, side="right")
+    key = _path_keys(cfg.seed, np.asarray(path_index, dtype=np.uint64))
+    common = _unit_uniform(key + _draw_offset(_CTR_BRANCH)) < cfg.rho
+    m = np.searchsorted(cfg.count_cdf, _unit_uniform(key + _draw_offset(_CTR_COUNT)), side="right")
     # mass beyond the table is below the construction cutoff; pin it to the top
-    m = np.minimum(m, len(cfg.count_cdf) - 1).astype(np.int64)
-
-    starts = np.concatenate(([0], np.cumsum(m)))
+    np.minimum(m, len(cfg.count_cdf) - 1, out=m)
+    starts = np.zeros(len(m) + 1, dtype=np.int64)
+    np.cumsum(m, out=starts[1:])
     total = int(starts[-1])
-    owner = np.repeat(np.arange(n), m)
-    slot = np.arange(total, dtype=np.int64) - np.repeat(starts[:-1], m)
-    counter = np.where(common[owner], _CTR_TIMES, _CTR_TIMES + slot)
-    times = cfg.f_inverse(_unit_uniform(cfg.seed, idx[owner], counter))
-    order = np.lexsort((times, owner))
-    return PathBatch(
-        horizon=cfg.horizon,
-        offsets=starts.astype(np.int64),
-        times=np.asarray(times, dtype=np.float64)[order],
-        common=common,
-    )
+
+    # epoch draw words: counter _CTR_TIMES + slot in an independent pool,
+    # _CTR_TIMES for every epoch of a common one
+    owner = np.repeat(np.arange(len(m)), m)
+    word = np.arange(total, dtype=np.uint64)
+    word -= starts[owner].view(np.uint64)
+    word *= ~common[owner]
+    word += np.uint64(_CTR_TIMES + 1)
+    word *= _GOLDEN
+    word += key[owner]
+    times = np.asarray(cfg.f_inverse(_unit_uniform(word)), dtype=np.float64)
+
+    # only independent pools of two or more epochs can be out of order (a
+    # common pool repeats one epoch); sort the pools of each size as one block
+    pools = np.flatnonzero((m >= 2) & ~common)
+    sizes = m[pools]
+    # small unsigned keys let the stable argsort run as a radix sort
+    pools = pools[np.argsort(sizes.astype(np.min_scalar_type(len(cfg.count_cdf))), kind="stable")]
+    per_size = np.bincount(sizes)
+    sizes = np.flatnonzero(per_size)
+    for v, group in zip(sizes, np.split(pools, np.cumsum(per_size[sizes])[:-1])):
+        rows = starts[group][:, None] + np.arange(v)
+        times[rows] = np.sort(times[rows], axis=1)
+    return PathBatch(horizon=cfg.horizon, offsets=starts, times=times, common=common)
 
 
 def simulate_paths(cfg: SimConfig) -> PathBatch:
@@ -340,16 +365,21 @@ def empirical_cov(batch: PathBatch, s: float, t: float) -> Estimate:
         raise DomainError("need at least 3 paths for a covariance standard error")
     x = batch.counts_at(s)
     y = batch.counts_at(t)
+    xy = x * y
     sx = int(x.sum())
     sy = int(y.sum())
-    sxy = int((x * y).sum())
+    sxy = int(xy.sum())
     value = (sxy * n - sx * sy) / (n * (n - 1))
 
+    # leave-one-out sums, formed in place so few path-sized arrays live at once
     m = n - 1
-    sxy_i = sxy - x * y
-    sx_i = sx - x
-    sy_i = sy - y
-    loo = (sxy_i * m - sx_i * sy_i) / (m * (m - 1))
+    sxy_i = np.subtract(sxy, xy, out=xy)
+    sx_i = np.subtract(sx, x, out=x)
+    sy_i = np.subtract(sy, y, out=y)
+    sxy_i *= m
+    sx_i *= sy_i
+    sxy_i -= sx_i
+    loo = sxy_i / (m * (m - 1))
     dev = loo - loo.mean()
     stderr = math.sqrt((n - 1) / n * float(np.dot(dev, dev)))
     return Estimate(value=float(value), stderr=stderr)

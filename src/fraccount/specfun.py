@@ -77,12 +77,13 @@ class SeriesValue:
     max_term_magnitude: float
 
 
-def _sum_series(terms, cfg: SpecfunConfig, what: str) -> SeriesValue:
+def _sum_series(terms, cfg: SpecfunConfig, what: str, *parts) -> SeriesValue:
     """Adaptive summation shared by all series.
 
     Stops after three consecutive terms that are strictly below
     rel_tol * |partial sum|; the strict inequality means an all-zero prefix
-    (annihilated leading terms) never triggers a premature stop.
+    (annihilated leading terms) never triggers a premature stop.  The label
+    in error messages is what.format(*parts), formatted only on failure.
     """
     total = 0.0
     max_mag = 0.0
@@ -93,11 +94,11 @@ def _sum_series(terms, cfg: SpecfunConfig, what: str) -> SeriesValue:
         used += 1
         if used > cfg.max_terms:
             raise NonConvergent(
-                f"{what}: no convergence within {cfg.max_terms} terms "
+                f"{what.format(*parts)}: no convergence within {cfg.max_terms} terms "
                 f"(partial sum {total:.6g})"
             )
         if not math.isfinite(term):
-            raise NonConvergent(f"{what}: term {used} is not finite")
+            raise NonConvergent(f"{what.format(*parts)}: term {used} is not finite")
         total += term
         mag = abs(term)
         if mag > max_mag:
@@ -111,7 +112,7 @@ def _sum_series(terms, cfg: SpecfunConfig, what: str) -> SeriesValue:
             small_run = 0
     if max_mag / max(abs(total), _TINY) > cfg.cancellation_limit:
         raise CancellationLoss(
-            f"{what}: max term {max_mag:.3g} dwarfs sum {total:.3g}; "
+            f"{what.format(*parts)}: max term {max_mag:.3g} dwarfs sum {total:.3g}; "
             "result has no trustworthy digits"
         )
     err = 2.0 * last_mag + _EPS * max_mag * used
@@ -227,7 +228,7 @@ def mittag_leffler(
                 return
             yield (sign_x ** r) * math.exp(lg)
 
-    return _sum_series(terms(), cfg, f"mittag_leffler({alpha},{beta},{x})")
+    return _sum_series(terms(), cfg, "mittag_leffler({},{},{})", alpha, beta, x)
 
 
 def gen_mittag_leffler(
@@ -271,7 +272,7 @@ def gen_mittag_leffler(
                 return
             yield sign_poch * (sign_x ** r) * math.exp(lg)
 
-    return _sum_series(terms(), cfg, f"gen_mittag_leffler({alpha},{beta},{gamma},{x})")
+    return _sum_series(terms(), cfg, "gen_mittag_leffler({},{},{},{})", alpha, beta, gamma, x)
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,7 @@ def fox_wright(spec: FoxWrightSpec, z: float, cfg: SpecfunConfig | None = None) 
         for j in itertools.count():
             yield term_at(j)
 
-    return _sum_series(terms(), cfg, f"fox_wright(margin={spec.margin},z={z})")
+    return _sum_series(terms(), cfg, "fox_wright(margin={0.margin},z={1})", spec, z)
 
 
 def gen_binom(alpha: float, j: int) -> float:

@@ -115,7 +115,7 @@ def _core_pmf(params: StfpParams, s: float, k: int, cfg: SpecfunConfig) -> float
             else:
                 yield math.exp(r * log_x - lg_den) * ratio
 
-    total = _sum_series(terms(), cfg, f"count series (k={k}, s={s})")
+    total = _sum_series(terms(), cfg, "count series (k={}, s={})", k, s)
     err = abs(lead) * total.abs_error_estimate
     if err > _CORE_ABS_GUARD:
         raise CancellationLoss(
@@ -168,11 +168,14 @@ def pmf(
     frac = F_stfp(params, t)
     probs = []
     for k in range(K + 1):
-        val = (1.0 - rho) * _core_pmf(params, t, k, cfg)
+        running = _core_pmf(params, t, k, cfg)
+        val = (1.0 - rho) * running
         if rho != 0.0:
             if k == 0:
                 val += rho * (1.0 - frac)
-            val += rho * frac * _core_pmf(params, params.T, k, cfg)
+            # at the horizon both branches read the same terminal series
+            held = running if t == params.T else _core_pmf(params, params.T, k, cfg)
+            val += rho * frac * held
         probs.append(val)
     return PmfTable.from_probs(probs)
 
@@ -248,7 +251,7 @@ def governing_residual(
     la = lam**a
     frac = F_stfp(params, t)
     tbl_t = pmf(params, t, k, cfg)
-    tbl_T = pmf(params, T, k, cfg)
+    tbl_T = tbl_t if t == T else pmf(params, T, k, cfg)
 
     if method == "quadrature":
         delta = 1.0 if k == 0 else 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -31,6 +32,43 @@ def classical(lam: float, rho: float) -> StfpParams:
     return StfpParams(alpha=1.0, nu=1.0, lam=lam, T=1.0, rho=rho)
 
 
+def assert_sorted_within_paths(batch: PathBatch) -> None:
+    # a descent between neighbouring times may only sit at a path start
+    descents = np.flatnonzero(batch.times[1:] < batch.times[:-1]) + 1
+    assert np.isin(descents, batch.offsets).all()
+
+
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+NEGBIN_SIM = NegBinParams(
+    p=0.5, r=1, alpha=1.0, nu=0.8, rho=0.4, T=1.0, q_profile=Example31Profile(0.5)
+)
+
+# sha256 of (times, offsets, common) for 2*10^4-path batches at seed 2024
+PINNED_BATCHES = {
+    "stfp": (
+        lambda: stfp_sim_config(classical(1.0, 0.3), seed=2024, n_paths=20_000),
+        "4c57365e2576d8fe813d188d6797c06f6ef58ec3cd066d96e492d4981eb7886b",
+        "991f33b76ae3e6ee200796db881bff1a8ca9021ca57eb997c8b670767be23329",
+        "d51b8217d847489cdad42b4e3cfa0a9976a4dc1f40677820b2a42978f12f5d83",
+    ),
+    "all_common": (
+        lambda: stfp_sim_config(classical(1.5, 1.0), seed=2024, n_paths=20_000),
+        "62c363b4eacf1e8f2221129eb9cd1da6971ffb1ead245febc6c9d9dc4a14b1af",
+        "005b7635ccd0234d551ecf057a7801acdbfb966d04fddaa700e03f46f8aa8ffd",
+        "b473271113c7461a8fe3eadb8fb59f95ba13729e8d993d834162c6fdbddeac47",
+    ),
+    "negbin": (
+        lambda: negbin_sim_config(NEGBIN_SIM, seed=2024, n_paths=20_000),
+        "ce68b0cefb81598ab9008c991aeba06a257427fcc9993e84131b20bc6a267dc7",
+        "3cf1b4a3bee1a86746f8515b41189e3f1a5a5610c608d6e8ba4e4e2553a9f783",
+        "56fb5daa8d4831d7e47ef542e0345d30a5e10dfc9bbb42d6aaffe3c8162041a7",
+    ),
+}
+
+
 class TestSampling:
     def test_fixed_seed_reproduces_bitwise(self):
         cfg = stfp_sim_config(classical(1.0, 0.3), seed=42, n_paths=2000)
@@ -39,11 +77,38 @@ class TestSampling:
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.common, b.common)
 
+    @pytest.mark.parametrize("name", sorted(PINNED_BATCHES))
+    def test_output_pinned(self, name):
+        make, times, offsets, common = PINNED_BATCHES[name]
+        batch = simulate_paths(make())
+        assert batch.offsets.dtype == np.int64
+        assert (sha256(batch.times), sha256(batch.offsets), sha256(batch.common)) == (
+            times, offsets, common
+        )
+
     def test_single_path_matches_batch_row(self):
         cfg = stfp_sim_config(classical(0.8, 0.5), seed=7, n_paths=500)
         batch = simulate_paths(cfg)
         for i in (0, 3, 77, 499):
             assert sample_path(cfg, i) == batch.path(i)
+
+    def test_single_path_matches_batch_row_in_sorted_pools(self):
+        # rows whose pools had to be sorted: independent, three or more epochs
+        cfg = negbin_sim_config(NEGBIN_SIM, seed=3, n_paths=2000)
+        batch = simulate_paths(cfg)
+        picks = np.flatnonzero(~batch.common & (batch.pool_sizes() >= 3))
+        assert len(picks) >= 50 and batch.pool_sizes()[picks].max() >= 6
+        for i in (*picks[:8], *picks[-4:], picks[np.argmax(batch.pool_sizes()[picks])]):
+            s = sample_path(cfg, int(i))
+            assert s == batch.path(int(i))
+            assert list(s.event_times) == sorted(s.event_times)
+
+    def test_batch_without_multi_epoch_pools(self):
+        cfg = stfp_sim_config(classical(0.05, 0.3), seed=4, n_paths=1)
+        batch = simulate_paths(cfg)
+        assert batch.n_paths == 1 and batch.pool_sizes().max() <= 1
+        assert batch.offsets.tolist() == [0, len(batch.times)]
+        assert sample_path(cfg, 0) == batch.path(0)
 
     def test_different_seeds_differ(self):
         a = simulate_paths(stfp_sim_config(classical(1.0, 0.0), seed=1, n_paths=300))
@@ -69,10 +134,11 @@ class TestSampling:
             StfpParams(alpha=1.0, nu=0.7, lam=1.0, T=2.0, rho=0.4), seed=11, n_paths=800
         )
         batch = simulate_paths(cfg)
-        for i in range(0, 800, 37):
-            ts = batch.path(i).event_times
-            assert list(ts) == sorted(ts)
-            assert all(0.0 <= x <= 2.0 for x in ts)
+        assert (~batch.common & (batch.pool_sizes() >= 3)).any()
+        assert_sorted_within_paths(batch)
+        assert ((batch.times >= 0.0) & (batch.times <= 2.0)).all()
+        for b in (simulate_paths(make()) for make, *_ in PINNED_BATCHES.values()):
+            assert_sorted_within_paths(b)
 
     def test_heavy_tail_refused(self):
         with pytest.raises(TailCutoffUnreachable):

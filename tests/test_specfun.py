@@ -67,6 +67,31 @@ def test_ml_cancellation_guard():
         mittag_leffler(1.0, 1.0, -60.0)
 
 
+def test_series_failure_messages_pinned():
+    # labels are formatted only when a series fails; the text stays exact
+    few = SpecfunConfig(max_terms=3)
+    with pytest.raises(CancellationLoss) as exc:
+        mittag_leffler(0.6, 1.0, -10.0)
+    assert str(exc.value) == (
+        "mittag_leffler(0.6,1.0,-10.0): max term 8.43e+18 dwarfs sum -7.84e+04; "
+        "result has no trustworthy digits"
+    )
+    with pytest.raises(NonConvergent) as exc:
+        gen_mittag_leffler(0.5, 1.5, 2.0, -0.75, few)
+    assert str(exc.value) == (
+        "gen_mittag_leffler(0.5,1.5,2.0,-0.75): no convergence within 3 terms "
+        "(partial sum 0.897806)"
+    )
+    with pytest.raises(NonConvergent) as exc:
+        fox_wright(FoxWrightSpec(((1.0, 0.5),), ((1.0, 0.5),)), 0.3, few)
+    assert str(exc.value) == (
+        "fox_wright(margin=0.0,z=0.3): no convergence within 3 terms (partial sum 1.345)"
+    )
+    with pytest.raises(NonConvergent) as exc:
+        mittag_leffler(1.0, 1.0, 1e300)
+    assert str(exc.value) == "mittag_leffler(1.0,1.0,1e+300): term 3 is not finite"
+
+
 def test_ml_diagnostics_populated():
     got = mittag_leffler(0.8, 1.0, -0.7)
     assert got.terms_used > 3

@@ -1,8 +1,11 @@
+import collections
 import math
 
 import pytest
 
-from fraccount.errors import CancellationLoss, DomainError
+from fraccount import stfpoisson
+from fraccount.errors import CancellationLoss, DomainError, NonConvergent
+from fraccount.specfun import DEFAULT_CONFIG, SpecfunConfig
 from fraccount.stfpoisson import (
     StfpParams,
     F_stfp,
@@ -139,6 +142,44 @@ def test_pmf_mixture_reassembly_exact():
             want += rho * (1.0 - frac)
         want += rho * frac * terminal[k]
         assert coupled[k] == want
+
+
+def test_pmf_at_horizon_sums_each_count_series_once(monkeypatch):
+    # at t == T the running and held branches read one terminal series
+    params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.5, rho=0.4)
+    core, rho, frac = stfpoisson._core_pmf, params.rho, F_stfp(params, params.T)
+    want = []
+    for k in range(13):
+        val = (1.0 - rho) * core(params, params.T, k, DEFAULT_CONFIG)
+        if k == 0:
+            val += rho * (1.0 - frac)
+        val += rho * frac * core(params, params.T, k, DEFAULT_CONFIG)
+        want.append(val)
+    calls = collections.Counter()
+
+    def counted(p, s, k, cfg):
+        calls[s, k] += 1
+        return core(p, s, k, cfg)
+
+    monkeypatch.setattr(stfpoisson, "_core_pmf", counted)
+    got = pmf(params, params.T, 12)
+    assert calls == {(params.T, k): 1 for k in range(13)}
+    assert [x.hex() for x in got.probs] == [x.hex() for x in want]
+
+
+def test_count_series_failure_messages_pinned():
+    with pytest.raises(CancellationLoss) as exc:
+        pmf(StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0, rho=0.3), 1.0, 3)
+    assert str(exc.value) == (
+        "count series (k=0, s=1.0): max term 1.48e+16 dwarfs sum -104; "
+        "result has no trustworthy digits"
+    )
+    with pytest.raises(NonConvergent) as exc:
+        pmf(StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.3), 0.5, 3,
+            cfg=SpecfunConfig(max_terms=3))
+    assert str(exc.value) == (
+        "count series (k=0, s=0.5): no convergence within 3 terms (partial sum 0.656677)"
+    )
 
 
 def test_pmf_normalization_light_tail():
