@@ -10,12 +10,20 @@ variable to y in (0,1), each is (|L|^(1-a)/Gamma(1-a)) * integral of
 (1-y)^(-a) g'(yL) dy for the right g and L. The core uses a double-exponential
 node map, so the (1-y)^(-a) endpoint weight and an integrable singularity of
 g' at 0 are both absorbed by the transform.
+
+The core takes an array integrand: it forms every finite-difference stencil
+point of the coarse and the node-doubled rule, calls g once on all of them,
+and sums the weighted differences.  Scalar callables go through a per-point
+adapter that calls them once per point, in the same order.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, QuadratureFailure
 from .pmftable import PmfTable
@@ -80,33 +88,10 @@ def caputo_derivative_series(f: PowerSeriesInT, nu: float, t: float) -> float:
 
 # ---- quadrature core ----
 
-def _fd_derivative(g: Callable[[float], float], w: float, span: float, h_nom: float) -> float:
-    """d/dw g at w inside the oriented interval from 0 to span (span may be
-    negative). Central differences with a step that shrinks near 0 so an
-    integrable singularity of g' there is resolved; near the far end the
-    stencil turns one-sided (pointing back inside) at full step, because g is
-    smooth there and a shrinking step would only amplify roundoff."""
-    sgn = 1.0 if span >= 0.0 else -1.0
-    pos = w * sgn          # distance from 0 along the interval
-    rem = abs(span) - pos  # distance to the far end
-    if rem >= 2.0 * h_nom:
-        # pos/64 resolves an s^(mu-1) singularity with ~(1/64)^2/3 relative
-        # truncation error while the shrinking step keeps the stencil inside
-        h = min(h_nom, pos / 64.0)
-        if h <= 0.0:
-            h = h_nom  # w == 0 endpoint: fall back, caller weights this out
-        hw = h * sgn
-        return (g(w + hw) - g(w - hw)) / (2.0 * hw)
-    # one-sided second-order stencil into the interval
-    hw = h_nom * sgn
-    return (3.0 * g(w) - 4.0 * g(w - hw) + g(w - 2.0 * hw)) / (2.0 * hw)
-
-
-def _weighted_deriv_integral(
-    g: Callable[[float], float], alpha: float, span: float, n_nodes: int
-) -> float:
-    """(|span|^(1-alpha) / Gamma(1-alpha)) * integral_0^1 (1-y)^(-alpha) g'(y*span) dy
-    via a double-exponential (tanh-sinh) map of y in (0,1)."""
+@functools.lru_cache(maxsize=8)
+def _tanh_sinh_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Nodes y in (0,1), log(1-y) and dy/du of the double-exponential
+    (tanh-sinh) map at n_nodes equally spaced u, plus the spacing in u."""
     half = n_nodes // 2
     if half < 4:
         raise DomainError(f"n_nodes too small: {n_nodes}")
@@ -115,19 +100,18 @@ def _weighted_deriv_integral(
     # range of this rule (the node-doubling check usually flags them)
     wmax = 4.3
     step = wmax / half
-    h_nom = abs(span) * _NOMINAL_STEP_REL
-    acc = []
+    y, log1my, dyd = [], [], []
     for i in range(-half, half + 1):
         u = i * step
         x = (math.pi / 2.0) * math.sinh(u)
         # y = 1/(1+e^(-2x)), 1-y = 1/(1+e^(2x)); both formed without cancellation
-        log1my = -_softplus(2.0 * x)
-        y = 1.0 / (1.0 + math.exp(-2.0 * x))
-        dyd = (math.pi / 2.0) * math.cosh(u) / (2.0 * math.cosh(x) ** 2)
-        gp = _fd_derivative(g, y * span, span, h_nom)
-        acc.append(math.exp(-alpha * log1my) * gp * dyd * step)
-    integral = math.fsum(acc)
-    return abs(span) ** (1.0 - alpha) / math.gamma(1.0 - alpha) * integral
+        log1my.append(-_softplus(2.0 * x))
+        y.append(1.0 / (1.0 + math.exp(-2.0 * x)))
+        dyd.append((math.pi / 2.0) * math.cosh(u) / (2.0 * math.cosh(x) ** 2))
+    nodes = tuple(np.array(v) for v in (y, log1my, dyd))
+    for v in nodes:
+        v.flags.writeable = False
+    return (*nodes, step)
 
 
 def _softplus(x: float) -> float:
@@ -137,11 +121,64 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
+def _stencils(span: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Finite-difference stencils for d/dw g at every node w = y*span of the
+    oriented interval from 0 to span (span may be negative).
+
+    Central differences with a step that shrinks near 0 so an integrable
+    singularity of g' there is resolved; near the far end the stencil turns
+    one-sided (pointing back inside) at full step, because g is smooth there
+    and a shrinking step would only amplify roundoff.  Returns the (n, 3)
+    points (w+h, w-h, unused) or (w, w-h, w-2h), which of them are used, and
+    the signed step h per node.
+    """
+    y = _tanh_sinh_nodes(n_nodes)[0]
+    sgn = 1.0 if span >= 0.0 else -1.0
+    h_nom = abs(span) * _NOMINAL_STEP_REL
+    w = y * span
+    pos = w * sgn          # distance from 0 along the interval
+    central = abs(span) - pos >= 2.0 * h_nom
+    # pos/64 resolves an s^(mu-1) singularity with ~(1/64)^2/3 relative
+    # truncation error while the shrinking step keeps the stencil inside
+    h = np.minimum(h_nom, pos / 64.0)
+    h[h <= 0.0] = h_nom  # w == 0 endpoint: fall back, the weight zeroes it
+    hw = np.where(central, h, h_nom) * sgn
+    points = np.stack([np.where(central, w + hw, w), w - hw, w - 2.0 * hw], axis=1)
+    used = np.ones(points.shape, dtype=bool)
+    used[:, 2] = ~central
+    return points, used, hw
+
+
 def _stable_quadrature(
-    g: Callable[[float], float], alpha: float, span: float, n_nodes: int, what: str
+    g_many: Callable[[np.ndarray], Sequence[float]],
+    alpha: float,
+    span: float,
+    n_nodes: int,
+    what: str,
 ) -> float:
-    coarse = _weighted_deriv_integral(g, alpha, span, n_nodes)
-    fine = _weighted_deriv_integral(g, alpha, span, 2 * n_nodes)
+    """(|span|^(1-alpha) / Gamma(1-alpha)) * integral_0^1 (1-y)^(-alpha) g'(y*span) dy
+    by the tanh-sinh rule at n_nodes and 2*n_nodes, with g' by finite
+    differences.  g_many is called once, on every stencil point of both
+    rules (coarse before fine, nodes ascending, each stencil in order), and
+    returns g there.  The finer value is returned; a shift beyond 1e-4
+    relative raises QuadratureFailure."""
+    sizes = (n_nodes, 2 * n_nodes)
+    rules = [_stencils(span, n) for n in sizes]
+    values = np.asarray(
+        g_many(np.concatenate([points[used] for points, used, _ in rules])), dtype=np.float64
+    )
+    integrals = []
+    for n, (points, used, hw) in zip(sizes, rules):
+        _, log1my, dyd, step = _tanh_sinh_nodes(n)
+        g, m = np.zeros(points.shape), int(used.sum())
+        g[used], values = values[:m], values[m:]
+        gp = np.where(
+            used[:, 2], 3.0 * g[:, 0] - 4.0 * g[:, 1] + g[:, 2], g[:, 0] - g[:, 1]
+        ) / (2.0 * hw)
+        weight = np.array([math.exp(-alpha * v) for v in log1my.tolist()])
+        integral = math.fsum((weight * gp * dyd * step).tolist())
+        integrals.append(abs(span) ** (1.0 - alpha) / math.gamma(1.0 - alpha) * integral)
+    coarse, fine = integrals
     # the 1e-8 floor keeps finite-difference noise (~1e-13 at desk scale) from
     # tripping the relative test when the true value is 0
     if abs(fine - coarse) > 1e-4 * max(abs(fine), 1e-8):
@@ -149,6 +186,23 @@ def _stable_quadrature(
             f"{what}: node doubling moved the value from {coarse:.10g} to {fine:.10g}"
         )
     return fine
+
+
+def _per_point(f: Callable[[float], float]) -> Callable[[np.ndarray], list[float]]:
+    # scalar integrand adapter: one call per point, in order, on Python floats
+    return lambda points: [f(x) for x in points.tolist()]
+
+
+def _caputo_quadrature(
+    f_many: Callable[[np.ndarray], Sequence[float]], nu: float, t: float, n_nodes: int = 129
+) -> float:
+    """caputo_derivative_quadrature with an array integrand: f_many maps an
+    array of points in (0, t] to f at each of them."""
+    if not (0.0 < nu < 1.0):
+        raise DomainError(f"nu must be strictly inside (0,1), got {nu}")
+    if t <= 0.0:
+        raise DomainError(f"t must be positive, got {t}")
+    return _stable_quadrature(f_many, nu, t, n_nodes, "caputo_derivative_quadrature")
 
 
 def caputo_derivative_quadrature(
@@ -160,13 +214,10 @@ def caputo_derivative_quadrature(
     f' is taken by finite differences with nominal relative step 1e-5.
     Independent cross-check of caputo_derivative_series; the node-doubled
     result is returned and a shift beyond 1e-4 relative raises
-    QuadratureFailure.
+    QuadratureFailure.  The core works on an array integrand; f is called
+    once per stencil point (882 times at the default n_nodes), in order.
     """
-    if not (0.0 < nu < 1.0):
-        raise DomainError(f"nu must be strictly inside (0,1), got {nu}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    return _stable_quadrature(f, nu, t, n_nodes, "caputo_derivative_quadrature")
+    return _caputo_quadrature(_per_point(f), nu, t, n_nodes)
 
 
 def frac_difference(pmf: PmfTable, alpha: float, k: int) -> float:
@@ -235,7 +286,7 @@ def operator_O_alpha_quadrature(
     def g(w: float) -> float:
         return f((math.exp(w) - spec.a) / spec.b)
 
-    return _stable_quadrature(g, spec.alpha, W, n_nodes, "operator_O_alpha_quadrature")
+    return _stable_quadrature(_per_point(g), spec.alpha, W, n_nodes, "operator_O_alpha_quadrature")
 
 
 def operator_O_alpha_on_log_powers(

@@ -245,7 +245,7 @@ class PathBatch:
 
     horizon: float
     offsets: np.ndarray  # int64, length n_paths + 1
-    times: np.ndarray  # float64, sorted within each path
+    times: np.ndarray  # float64 in [0, horizon], sorted within each path
     common: np.ndarray  # bool per path
 
     @property
@@ -259,6 +259,8 @@ class PathBatch:
         """N(t) for every path, as exact integers."""
         if not 0.0 <= t <= self.horizon:
             raise DomainError(f"time {t} outside [0, {self.horizon}]")
+        if t == self.horizon:
+            return self.pool_sizes()  # every epoch falls by the horizon
         # hits[j] counts the epochs before position j that fall by t, so a
         # path's count is the difference of hits at its two offsets
         hits = np.zeros(len(self.times) + 1, dtype=np.int64)

@@ -18,8 +18,7 @@ class PmfTable:
     """Probabilities for counts 0..K plus the mass beyond K.
 
     Entries are kept as computed (tiny negatives allowed within slop) so that
-    identities can be checked at full precision; clamped() gives the
-    presentation copy.
+    identities can be checked at full precision.
     """
 
     probs: tuple[float, ...]
@@ -52,10 +51,6 @@ class PmfTable:
 
     def __getitem__(self, k: int) -> float:
         return self.probs[k]
-
-    def clamped(self) -> tuple[float, ...]:
-        """Copy with tiny numeric negatives floored to exactly 0.0."""
-        return tuple(p if p > 0.0 else 0.0 for p in self.probs)
 
     def head_mass(self) -> float:
         return math.fsum(self.probs)

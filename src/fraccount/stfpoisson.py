@@ -16,16 +16,21 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CancellationLoss, DomainError
 from .fracops import (
     PowerSeriesInT,
-    caputo_derivative_quadrature,
+    _caputo_quadrature,
     caputo_derivative_series,
     frac_difference,
 )
 from .pmftable import PmfTable
 from .specfun import (
     _CORE_ABS_GUARD,
+    _EPS,
+    _EXP_MAX,
+    _TINY,
     DEFAULT_CONFIG,
     SpecfunConfig,
     _coef_row,
@@ -100,6 +105,8 @@ def _core_pmf(params: StfpParams, s: float, k: int, cfg: SpecfunConfig) -> float
     identically when alpha*r + 1 - k is a non-positive integer, so those
     terms are skipped rather than summed as zeros.  An entry whose absolute
     error estimate exceeds _CORE_ABS_GUARD raises CancellationLoss, as in fnegbin.
+    This is the one-point route the pmf tables use; _core_pmf_many sums the
+    same series at many points with the same bits.
     """
     if s == 0.0:
         return 1.0 if k == 0 else 0.0
@@ -123,6 +130,75 @@ def _core_pmf(params: StfpParams, s: float, k: int, cfg: SpecfunConfig) -> float
             "no trustworthy digits at probability scale"
         )
     return lead * total.value
+
+
+_SERIES_CHUNK = 16  # columns added per pass of the many-point count series
+
+
+def _core_pmf_many(params: StfpParams, s: np.ndarray, k: int, cfg: SpecfunConfig) -> np.ndarray:
+    """_core_pmf at every point of the array s, summed for all points at once.
+
+    Columns of the shared coefficient rows are added in chunks, only for the
+    points whose stop rule has not fired, and np.cumsum carries each partial
+    sum on in order: every point's sum is the sequential sum _sum_series
+    forms, with each term formed by math.exp as in the scalar route.  If any
+    point would exhaust max_terms, meet a non-finite or overflowing term or
+    fail a cancellation check, the scalar route is run over the points in
+    order instead, so the refusal is that route's own.
+    """
+    out = np.full(len(s), 1.0 if k == 0 else 0.0)
+    idx = np.flatnonzero(s != 0.0)
+    if not idx.size:
+        return out
+    a, nu = params.alpha, params.nu
+    log_x = a * math.log(params.lam) + nu * np.array([math.log(x) for x in s[idx].tolist()])
+    lead = (-1.0) ** k / math.factorial(k)
+    rows = _lgamma_row(nu, 1.0), _falling_row(a, k)
+    total, max_mag, last_mag, used = (np.zeros(len(idx)) for _ in range(4))
+    runs = np.zeros((len(idx), 2), dtype=bool)  # are the last two terms small?
+    live = np.arange(len(idx))
+    lo = 0
+    with np.errstate(all="ignore"):
+        while live.size:
+            if lo == cfg.max_terms:
+                return _core_pmf_points(params, s, k, cfg)
+            hi = min(lo + _SERIES_CHUNK, cfg.max_terms)
+            lg_den, ratio = (np.fromiter(itertools.islice(row, hi - lo), float, hi - lo) for row in rows)
+            arg = np.arange(lo, hi) * log_x[live, None] - lg_den
+            # math.exp raises past ~709.78; the scalar route settles those terms
+            over = (arg > _EXP_MAX) & (ratio != 0.0)
+            arg[over] = 0.0
+            scale = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
+            term = np.where(ratio == 0.0, 0.0, scale.reshape(arg.shape) * ratio)
+            term[over] = math.inf
+            partial = np.cumsum(np.hstack([total[live, None], term]), axis=1)[:, 1:]
+            mag = np.abs(term)
+            small = np.hstack([runs[live], mag < cfg.rel_tol * np.abs(partial)])
+            # the sum stops at the third small term in a row
+            stop = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
+            done = stop.any(axis=1)
+            col = np.where(done, stop.argmax(axis=1), hi - lo - 1)  # last term summed
+            summed = np.arange(hi - lo) <= col[:, None]
+            if not np.isfinite(term[summed]).all():
+                return _core_pmf_points(params, s, k, cfg)
+            max_mag[live] = np.maximum(max_mag[live], np.where(summed, mag, 0.0).max(axis=1))
+            total[live] = partial[np.arange(live.size), col]
+            last_mag[live] = mag[np.arange(live.size), col]
+            used[live] = lo + col + 1
+            runs[live] = small[:, -2:]
+            live = live[~done]
+            lo = hi
+        err = abs(lead) * (2.0 * last_mag + _EPS * max_mag * used)
+        if (max_mag / np.maximum(np.abs(total), _TINY) > cfg.cancellation_limit).any() or (
+            err > _CORE_ABS_GUARD
+        ).any():
+            return _core_pmf_points(params, s, k, cfg)
+    out[idx] = lead * total
+    return out
+
+
+def _core_pmf_points(params: StfpParams, s: np.ndarray, k: int, cfg: SpecfunConfig) -> np.ndarray:
+    return np.array([_core_pmf(params, x, k, cfg) for x in s.tolist()])
 
 
 def pgf(
@@ -163,19 +239,31 @@ def pmf(
     _check_time(params, t)
     if K < 0:
         raise DomainError(f"truncation index must be >= 0, got {K}")
-    cfg = cfg or DEFAULT_CONFIG
-    rho = params.rho
+    return _mixture(params, t, K, cfg or DEFAULT_CONFIG, {})
+
+
+def _mixture(
+    params: StfpParams, t: float, K: int, cfg: SpecfunConfig, terminal: dict[int, float]
+) -> PmfTable:
+    """pmf at t, reading each terminal count series from terminal (by k) and
+    adding the ones it has to sum, so tables at t and at T can share them."""
+    rho, T = params.rho, params.T
     frac = F_stfp(params, t)
+
+    def held(k: int) -> float:
+        if k not in terminal:
+            terminal[k] = _core_pmf(params, T, k, cfg)
+        return terminal[k]
+
     probs = []
     for k in range(K + 1):
-        running = _core_pmf(params, t, k, cfg)
+        # at the horizon both branches read the same terminal series
+        running = held(k) if t == T else _core_pmf(params, t, k, cfg)
         val = (1.0 - rho) * running
         if rho != 0.0:
             if k == 0:
                 val += rho * (1.0 - frac)
-            # at the horizon both branches read the same terminal series
-            held = running if t == params.T else _core_pmf(params, params.T, k, cfg)
-            val += rho * frac * held
+            val += rho * frac * held(k)
         probs.append(val)
     return PmfTable.from_probs(probs)
 
@@ -250,19 +338,23 @@ def governing_residual(
     a, nu, lam, T, rho = params.alpha, params.nu, params.lam, params.T, params.rho
     la = lam**a
     frac = F_stfp(params, t)
-    tbl_t = pmf(params, t, k, cfg)
-    tbl_T = tbl_t if t == T else pmf(params, T, k, cfg)
+    # the held branch at t and both branches at T read one terminal series each
+    terminal: dict[int, float] = {}
+    tbl_t = _mixture(params, t, k, cfg, terminal)
+    tbl_T = tbl_t if t == T else _mixture(params, T, k, cfg, terminal)
 
     if method == "quadrature":
         delta = 1.0 if k == 0 else 0.0
-        terminal = tbl_T[k]
+        held = tbl_T[k]
+        expo = nu / a
 
-        def prob_at(s: float) -> float:
-            running = _core_pmf(params, s, k, cfg)
-            hold = F_stfp(params, s)
-            return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * terminal)
+        def prob_at(s: np.ndarray) -> np.ndarray:
+            # the pmf entry at every stencil point at once; F_stfp per point
+            running = _core_pmf_many(params, s, k, cfg)
+            hold = np.array([x**expo for x in (s / T).tolist()])
+            return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * held)
 
-        lhs = caputo_derivative_quadrature(prob_at, nu, t)
+        lhs = _caputo_quadrature(prob_at, nu, t)
     else:
         # power series in t of P(count = k); exponents nu*r from the running
         # branch plus nu/alpha from the coupling weight (build() merges any

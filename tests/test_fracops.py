@@ -117,6 +117,84 @@ def test_caputo_quadrature_flags_unresolvable_exponent():
         caputo_derivative_quadrature(lambda s: s ** 0.02, 0.5, 1.0)
 
 
+# ---- the array-integrand core against the scalar core it replaced ----
+
+def _ref_fd_derivative(g, w, span, h_nom):
+    sgn = 1.0 if span >= 0.0 else -1.0
+    pos = w * sgn
+    rem = abs(span) - pos
+    if rem >= 2.0 * h_nom:
+        h = min(h_nom, pos / 64.0)
+        if h <= 0.0:
+            h = h_nom
+        hw = h * sgn
+        return (g(w + hw) - g(w - hw)) / (2.0 * hw)
+    hw = h_nom * sgn
+    return (3.0 * g(w) - 4.0 * g(w - hw) + g(w - 2.0 * hw)) / (2.0 * hw)
+
+
+def _ref_weighted_deriv_integral(g, alpha, span, n_nodes):
+    half = n_nodes // 2
+    step = 4.3 / half
+    h_nom = abs(span) * 1e-5
+    acc = []
+    for i in range(-half, half + 1):
+        u = i * step
+        x = (math.pi / 2.0) * math.sinh(u)
+        log1my = -(x * 2.0 if 2.0 * x > 36.0 else math.log1p(math.exp(2.0 * x)))
+        y = 1.0 / (1.0 + math.exp(-2.0 * x))
+        dyd = (math.pi / 2.0) * math.cosh(u) / (2.0 * math.cosh(x) ** 2)
+        gp = _ref_fd_derivative(g, y * span, span, h_nom)
+        acc.append(math.exp(-alpha * log1my) * gp * dyd * step)
+    return abs(span) ** (1.0 - alpha) / math.gamma(1.0 - alpha) * math.fsum(acc)
+
+
+def _ref_quadrature(g, alpha, span, n_nodes=129):
+    # node-doubled value; the doubling check is the same expression
+    _ref_weighted_deriv_integral(g, alpha, span, n_nodes)
+    return _ref_weighted_deriv_integral(g, alpha, span, 2 * n_nodes)
+
+
+def _recorded(f):
+    # f, plus the list of points it was called at
+    points = []
+
+    def g(x):
+        assert type(x) is float
+        points.append(x)
+        return f(x)
+
+    return g, points
+
+
+@pytest.mark.parametrize("f, nu, t", [
+    (lambda s: s**1.5, 0.6, 0.8),  # the benchmark's traced probe
+    (lambda s: math.sqrt(s) - 0.3 * s, 0.3, 2.3),
+    (lambda s: math.exp(-s) * s**0.4, 0.9, 0.05),
+])
+def test_caputo_quadrature_matches_scalar_core(f, nu, t):
+    got, points = _recorded(f)
+    want, ref_points = _recorded(f)
+    assert caputo_derivative_quadrature(got, nu, t).hex() == _ref_quadrature(want, nu, t).hex()
+    assert len(points) == 882 and points == ref_points
+
+
+@pytest.mark.parametrize("spec, f, z", [
+    # the benchmark's traced probe
+    (OperatorOAlphaSpec(alpha=0.5, a=1.0, b=1.0), lambda tau: math.log(1.0 + tau) ** 0.9, 1.5),
+    # a shrinking map: the span log(a + b*z) is negative
+    (OperatorOAlphaSpec(alpha=0.7, a=2.0, b=-1.0), lambda tau: tau * tau - tau, 1.5),
+])
+def test_operator_quadrature_matches_scalar_core(spec, f, z):
+    got, points = _recorded(f)
+    want, ref_points = _recorded(f)
+    ref = _ref_quadrature(
+        lambda w: want((math.exp(w) - spec.a) / spec.b), spec.alpha, math.log(spec.a + spec.b * z)
+    )
+    assert operator_O_alpha_quadrature(spec, got, z).hex() == ref.hex()
+    assert len(points) == 882 and points == ref_points
+
+
 # ---- fractional difference ----
 
 def _poisson_table(lam: float, K: int) -> PmfTable:

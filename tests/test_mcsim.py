@@ -86,6 +86,16 @@ class TestSampling:
             times, offsets, common
         )
 
+    @pytest.mark.parametrize("name", sorted(PINNED_BATCHES))
+    def test_counts_at_horizon_is_prefix_sum_count(self, name):
+        # N(horizon) is read as the pool sizes, without the prefix sum
+        batch = simulate_paths(PINNED_BATCHES[name][0]())
+        hits = np.zeros(len(batch.times) + 1, dtype=np.int64)
+        np.cumsum(batch.times <= batch.horizon, dtype=np.int64, out=hits[1:])
+        want = hits[batch.offsets[1:]] - hits[batch.offsets[:-1]]
+        got = batch.counts_at(batch.horizon)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_single_path_matches_batch_row(self):
         cfg = stfp_sim_config(classical(0.8, 0.5), seed=7, n_paths=500)
         batch = simulate_paths(cfg)

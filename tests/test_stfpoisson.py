@@ -1,6 +1,7 @@
 import collections
 import math
 
+import numpy as np
 import pytest
 
 from fraccount import stfpoisson
@@ -144,7 +145,21 @@ def test_pmf_mixture_reassembly_exact():
         assert coupled[k] == want
 
 
-def test_pmf_at_horizon_sums_each_count_series_once(monkeypatch):
+@pytest.fixture
+def core_calls(monkeypatch):
+    # (s, k) -> number of scalar count series summed
+    calls = collections.Counter()
+    core = stfpoisson._core_pmf
+
+    def counted(p, s, k, cfg):
+        calls[s, k] += 1
+        return core(p, s, k, cfg)
+
+    monkeypatch.setattr(stfpoisson, "_core_pmf", counted)
+    return calls
+
+
+def test_pmf_at_horizon_sums_each_count_series_once(core_calls):
     # at t == T the running and held branches read one terminal series
     params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.5, rho=0.4)
     core, rho, frac = stfpoisson._core_pmf, params.rho, F_stfp(params, params.T)
@@ -155,16 +170,20 @@ def test_pmf_at_horizon_sums_each_count_series_once(monkeypatch):
             val += rho * (1.0 - frac)
         val += rho * frac * core(params, params.T, k, DEFAULT_CONFIG)
         want.append(val)
-    calls = collections.Counter()
-
-    def counted(p, s, k, cfg):
-        calls[s, k] += 1
-        return core(p, s, k, cfg)
-
-    monkeypatch.setattr(stfpoisson, "_core_pmf", counted)
+    core_calls.clear()
     got = pmf(params, params.T, 12)
-    assert calls == {(params.T, k): 1 for k in range(13)}
+    assert core_calls == {(params.T, k): 1 for k in range(13)}
     assert [x.hex() for x in got.probs] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+def test_governing_residual_sums_each_count_series_once(core_calls, method):
+    # the tables at t and T share the terminal series; the quadrature sums
+    # its 882 stencil points on the array route, not through _core_pmf
+    params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.4)
+    residual = governing_residual(params, 0.5, 3, method=method)
+    assert core_calls == {(s, j): 1 for s in (0.5, 1.0) for j in range(4)}
+    assert residual <= (1e-6 if method == "series" else 1e-3)
 
 
 def test_count_series_failure_messages_pinned():
@@ -180,6 +199,60 @@ def test_count_series_failure_messages_pinned():
     assert str(exc.value) == (
         "count series (k=0, s=0.5): no convergence within 3 terms (partial sum 0.656677)"
     )
+
+
+def _series_outcome(fn):
+    # hex of every entry, or the refusal raised
+    try:
+        return [x.hex() for x in fn()]
+    except (CancellationLoss, NonConvergent, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# stencil-like points: s = 0, then geometric from deep inside (0, 1] to 1
+SERIES_POINTS = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 300)])
+
+
+@pytest.mark.parametrize(
+    "params, k, cfg, s",
+    [
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 0, DEFAULT_CONFIG, SERIES_POINTS),
+        (StfpParams(alpha=0.6, nu=0.8, lam=1.0, T=1.0), 3, DEFAULT_CONFIG, SERIES_POINTS),
+        (StfpParams(alpha=1.0, nu=0.5, lam=1.0, T=1.0), 2, DEFAULT_CONFIG, SERIES_POINTS),
+        (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), 1, DEFAULT_CONFIG, SERIES_POINTS),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 1, SpecfunConfig(max_terms=20), SERIES_POINTS),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 2, SpecfunConfig(cancellation_limit=1.5),
+         SERIES_POINTS),
+        (StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0), 0, DEFAULT_CONFIG, SERIES_POINTS),
+        (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), 2, DEFAULT_CONFIG, SERIES_POINTS),
+        # math.exp overflows on a term before the stop rule fires
+        (StfpParams(alpha=0.8, nu=0.5, lam=300.0, T=1.0), 0, DEFAULT_CONFIG, np.array([1.0, 0.5])),
+    ],
+)
+def test_count_series_many_points_match_scalar_route(params, k, cfg, s):
+    # the quadrature's many-point route against the scalar route pmf tables
+    # use, point by point in order: same bits, or the same refusal
+    want = _series_outcome(lambda: [stfpoisson._core_pmf(params, x, k, cfg) for x in s.tolist()])
+    assert _series_outcome(lambda: stfpoisson._core_pmf_many(params, s, k, cfg)) == want
+
+
+def test_count_series_many_points_without_scalar_route(monkeypatch):
+    # alpha=0.8, nu=0.6, lam=3 is accepted at s=0.2 and 0.5 and refused at
+    # s=1.0; the refusal is unreachable through governing_residual, whose
+    # tables at t and T refuse first
+    params = StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0)
+    s = np.array([0.2, 0.5, 1.0])
+    with pytest.raises(CancellationLoss) as exc:
+        stfpoisson._core_pmf_many(params, s, 1, DEFAULT_CONFIG)
+    assert str(exc.value) == (
+        "pmf entry k=1 at s=1.0 carries absolute error ~1.06e-12; "
+        "no trustworthy digits at probability scale"
+    )
+    want = [stfpoisson._core_pmf(params, x, 1, DEFAULT_CONFIG).hex() for x in (0.2, 0.5)]
+    # accepted points are summed on the array route alone
+    monkeypatch.setattr(stfpoisson, "_core_pmf", None)
+    got = stfpoisson._core_pmf_many(params, s[:2], 1, DEFAULT_CONFIG)
+    assert [x.hex() for x in got] == want
 
 
 def test_pmf_normalization_light_tail():
