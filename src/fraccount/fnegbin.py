@@ -3,10 +3,11 @@
 The terminal count follows a fractional negative binomial law with success
 probability p; interior times see a success level q(t) that decays from 1
 at t = 0 down to p at the horizon.  A coupling weight rho mixes the running
-law with a held copy of the terminal law, exactly as in the
-space-time-fractional sibling module.  The r = 1 pmf has a closed form
-built from signed Stirling numbers and Fox-Wright sums; larger r is exposed
-through the generating function only.  The Fox-Wright sum of Stirling order
+law with a held copy of the terminal law; tables and transforms are
+assembled by the branch-mixture helpers in pmftable, as in the
+space-time-fractional module.  The r = 1 pmf has a closed form built from
+signed Stirling numbers and Fox-Wright sums; larger r is exposed through
+the generating function only.  The Fox-Wright sum of Stirling order
 h does not depend on the count k, so a table keeps one row of them per
 success level and grows it lazily, one new sum per entry.
 """
@@ -16,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 from .errors import CancellationLoss, DomainError, InvalidProfile, UnsupportedR
 from .fracops import OperatorOAlphaSpec, operator_O_alpha_quadrature
-from .pmftable import PmfTable
+from .pmftable import PmfTable, _branch_table, _branch_transform
 from .specfun import (
     _CORE_ABS_GUARD,
     DEFAULT_CONFIG,
@@ -213,14 +214,13 @@ def pgf_negbin(
         raise DomainError(f"|u|={abs(u)} outside radius {bound}")
     if u == 1.0:
         return 1.0
-    out = 0.0
-    if rho < 1.0:
-        out += (1.0 - rho) * _core_pgf(qt, params.alpha, params.nu, params.r, u, cfg)
-    if rho > 0.0:
-        out += rho * (1.0 - frac)
-        if frac > 0.0:
-            out += rho * frac * _core_pgf(params.p, params.alpha, params.nu, params.r, u, cfg)
-    return out
+    a, nu, r = params.alpha, params.nu, params.r
+
+    def transform(level: float) -> Callable[[], float]:
+        return lambda: _core_pgf(level, a, nu, r, u, cfg)
+
+    held = None if qt == params.p else transform(params.p)
+    return _branch_transform(transform(qt), held, frac, rho)
 
 
 def _core_pmf(level: float, alpha: float, nu: float,
@@ -284,8 +284,8 @@ def pmf_negbin_r1(
     Only r = 1 has a manageable closed form; larger shapes go through the
     generating function (or a convolution of shape-1 tables).  Each branch
     reads one lazily grown Fox-Wright row; the held branch reuses the
-    running branch's entries when q(t) equals p (t = T) and is not
-    evaluated when its weight rho * F(t) is 0 (t = 0).
+    running branch's entries when q(t) equals p (t = T), and a branch of
+    weight 0 is not evaluated (the held one at t = 0).
     """
     if params.r != 1:
         raise UnsupportedR(f"closed-form pmf exists for shape 1 only, got r={params.r}")
@@ -295,20 +295,8 @@ def pmf_negbin_r1(
     rho = params.rho
     qt = params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
-    running = _core_pmf(qt, params.alpha, params.nu, cfg)
-    held = None
-    if rho * frac > 0.0 and qt != params.p:
-        held = _core_pmf(params.p, params.alpha, params.nu, cfg)
-    probs = []
-    for k in range(K + 1):
-        core = next(running)
-        val = (1.0 - rho) * core
-        if rho > 0.0:
-            if k == 0:
-                val += rho * (1.0 - frac)
-            val += rho * frac * (core if held is None else next(held))
-        probs.append(val)
-    return PmfTable.from_probs(probs)
+    held = None if qt == params.p else _core_pmf(params.p, params.alpha, params.nu, cfg)
+    return _branch_table(_core_pmf(qt, params.alpha, params.nu, cfg), held, frac, rho, K)
 
 
 def operator_residual_prop33(

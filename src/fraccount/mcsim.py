@@ -112,14 +112,15 @@ class PathSample:
 @dataclass(frozen=True)
 class SimConfig:
     """Everything a run needs: seed, size, coupling weight, horizon, the
-    pool-size law as a cumulative table, and the epoch-law quantile map."""
+    pool-size law as a cumulative table, and the power of the epoch-law
+    quantile: a uniform y lands its epoch at horizon * y ** epoch_power."""
 
     seed: int
     n_paths: int
     rho: float
     horizon: float
     count_cdf: np.ndarray
-    f_inverse: Callable[[np.ndarray], np.ndarray]
+    epoch_power: float
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
@@ -170,8 +171,15 @@ def build_count_table(
         k *= 2
 
 
-def _cdf_array(table: PmfTable) -> np.ndarray:
-    return np.cumsum(np.asarray(table.probs, dtype=np.float64))
+def _sim_config(
+    pmf: Callable[..., PmfTable], params: StfpParams | NegBinParams, epoch_power: float,
+    seed: int, n_paths: int, tail_cutoff: float, k_max: int, cfg: SpecfunConfig | None,
+) -> SimConfig:
+    table = build_count_table(lambda K: pmf(params, params.T, K, cfg=cfg), tail_cutoff, k_max)
+    return SimConfig(
+        seed=seed, n_paths=n_paths, rho=params.rho, horizon=params.T,
+        count_cdf=np.cumsum(np.asarray(table.probs, dtype=np.float64)), epoch_power=epoch_power,
+    )
 
 
 def stfp_sim_config(
@@ -187,23 +195,8 @@ def stfp_sim_config(
     The pool-size law is the horizon pmf (coupling-independent there); the
     epoch quantile is t = T * y^(alpha/nu).
     """
-    table = build_count_table(
-        lambda K: stfp_pmf(params, params.T, K, cfg=cfg), tail_cutoff, k_max
-    )
     expo = params.alpha / params.nu
-    horizon = params.T
-
-    def f_inverse(y: np.ndarray) -> np.ndarray:
-        return horizon * np.asarray(y, dtype=np.float64) ** expo
-
-    return SimConfig(
-        seed=seed,
-        n_paths=n_paths,
-        rho=params.rho,
-        horizon=horizon,
-        count_cdf=_cdf_array(table),
-        f_inverse=f_inverse,
-    )
+    return _sim_config(stfp_pmf, params, expo, seed, n_paths, tail_cutoff, k_max, cfg)
 
 
 def negbin_sim_config(
@@ -221,22 +214,7 @@ def negbin_sim_config(
     """
     if not isinstance(params.q_profile, Example31Profile):
         raise DomainError("closed-form epoch quantile exists for the paired schedule only")
-    table = build_count_table(
-        lambda K: pmf_negbin_r1(params, params.T, K, cfg=cfg), tail_cutoff, k_max
-    )
-    horizon = params.T
-
-    def f_inverse(y: np.ndarray) -> np.ndarray:
-        return horizon * np.asarray(y, dtype=np.float64)
-
-    return SimConfig(
-        seed=seed,
-        n_paths=n_paths,
-        rho=params.rho,
-        horizon=horizon,
-        count_cdf=_cdf_array(table),
-        f_inverse=f_inverse,
-    )
+    return _sim_config(pmf_negbin_r1, params, 1.0, seed, n_paths, tail_cutoff, k_max, cfg)
 
 
 @dataclass(frozen=True)
@@ -295,7 +273,7 @@ def _simulate_indices(cfg: SimConfig, path_index: np.ndarray) -> PathBatch:
     word += np.uint64(_CTR_TIMES + 1)
     word *= _GOLDEN
     word += key[owner]
-    times = np.asarray(cfg.f_inverse(_unit_uniform(word)), dtype=np.float64)
+    times = cfg.horizon * _unit_uniform(word) ** cfg.epoch_power
 
     # only independent pools of two or more epochs can be out of order (a
     # common pool repeats one epoch); sort the pools of each size as one block

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,7 @@ from .fracops import (
     caputo_derivative_series,
     frac_difference,
 )
-from .pmftable import PmfTable
+from .pmftable import PmfTable, _branch_table, _branch_transform
 from .specfun import (
     _CORE_ABS_GUARD,
     _EPS,
@@ -132,6 +132,11 @@ def _core_pmf(params: StfpParams, s: float, k: int, cfg: SpecfunConfig) -> float
     return lead * total.value
 
 
+def _core_stream(params: StfpParams, s: float, cfg: SpecfunConfig) -> Iterator[float]:
+    # _core_pmf at elapsed time s for k = 0, 1, 2, ..., summed on request
+    return (_core_pmf(params, s, k, cfg) for k in itertools.count())
+
+
 _SERIES_CHUNK = 16  # columns added per pass of the many-point count series
 
 
@@ -215,15 +220,14 @@ def pgf(
     if u == 1.0:
         return 1.0
     cfg = cfg or DEFAULT_CONFIG
-    a, nu, lam, T, rho = params.alpha, params.nu, params.lam, params.T, params.rho
+    a, nu, lam, T = params.alpha, params.nu, params.lam, params.T
     w = (1.0 - u) ** a
-    frac = F_stfp(params, t)
-    running = mittag_leffler(nu, 1.0, -(lam**a) * (t**nu) * w, cfg).value
-    out = (1.0 - rho) * running
-    if rho != 0.0:
-        terminal = mittag_leffler(nu, 1.0, -(lam**a) * (T**nu) * w, cfg).value
-        out += rho * (1.0 - frac) + rho * frac * terminal
-    return out
+
+    def transform(s: float) -> Callable[[], float]:
+        return lambda: mittag_leffler(nu, 1.0, -(lam**a) * (s**nu) * w, cfg).value
+
+    held = None if t == T else transform(T)
+    return _branch_transform(transform(t), held, F_stfp(params, t), params.rho)
 
 
 def pmf(
@@ -239,33 +243,9 @@ def pmf(
     _check_time(params, t)
     if K < 0:
         raise DomainError(f"truncation index must be >= 0, got {K}")
-    return _mixture(params, t, K, cfg or DEFAULT_CONFIG, {})
-
-
-def _mixture(
-    params: StfpParams, t: float, K: int, cfg: SpecfunConfig, terminal: dict[int, float]
-) -> PmfTable:
-    """pmf at t, reading each terminal count series from terminal (by k) and
-    adding the ones it has to sum, so tables at t and at T can share them."""
-    rho, T = params.rho, params.T
-    frac = F_stfp(params, t)
-
-    def held(k: int) -> float:
-        if k not in terminal:
-            terminal[k] = _core_pmf(params, T, k, cfg)
-        return terminal[k]
-
-    probs = []
-    for k in range(K + 1):
-        # at the horizon both branches read the same terminal series
-        running = held(k) if t == T else _core_pmf(params, t, k, cfg)
-        val = (1.0 - rho) * running
-        if rho != 0.0:
-            if k == 0:
-                val += rho * (1.0 - frac)
-            val += rho * frac * held(k)
-        probs.append(val)
-    return PmfTable.from_probs(probs)
+    cfg = cfg or DEFAULT_CONFIG
+    held = None if t == params.T else _core_stream(params, params.T, cfg)
+    return _branch_table(_core_stream(params, t, cfg), held, F_stfp(params, t), params.rho, K)
 
 
 def joint_prob_kps(
@@ -338,14 +318,18 @@ def governing_residual(
     a, nu, lam, T, rho = params.alpha, params.nu, params.lam, params.T, params.rho
     la = lam**a
     frac = F_stfp(params, t)
-    # the held branch at t and both branches at T read one terminal series each
-    terminal: dict[int, float] = {}
-    tbl_t = _mixture(params, t, k, cfg, terminal)
-    tbl_T = tbl_t if t == T else _mixture(params, T, k, cfg, terminal)
+    # the held branch at t and both branches at T read one terminal stream;
+    # the t table comes first, summing each terminal series after the running
+    # one of the same k, and at rho = 0 no terminal table is built
+    held_t, held_T = itertools.tee(_core_stream(params, T, cfg))
+    tbl_t = _branch_table(_core_stream(params, t, cfg), None if t == T else held_t, frac, rho, k)
+    tbl_T = None
+    if rho != 0.0:
+        tbl_T = tbl_t if t == T else _branch_table(held_T, None, 1.0, rho, k)
 
     if method == "quadrature":
         delta = 1.0 if k == 0 else 0.0
-        held = tbl_T[k]
+        held = tbl_T[k] if rho != 0.0 else 0.0
         expo = nu / a
 
         def prob_at(s: np.ndarray) -> np.ndarray:

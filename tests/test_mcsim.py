@@ -127,6 +127,13 @@ class TestSampling:
             np.array_equal(a.times, b.times) and np.array_equal(a.offsets, b.offsets)
         )
 
+    def test_epoch_quantile_power_per_family(self):
+        # T * y^(alpha/nu) for the space-time family, uniform on [0, T] for negbin
+        params = StfpParams(alpha=1.0, nu=0.7, lam=1.0, T=2.0, rho=0.4)
+        cfg = stfp_sim_config(params, seed=1, n_paths=10)
+        assert (cfg.horizon, cfg.epoch_power) == (2.0, 1.0 / 0.7)
+        assert negbin_sim_config(NEGBIN_SIM, seed=1, n_paths=10).epoch_power == 1.0
+
     def test_full_coupling_collapses_epochs(self):
         cfg = stfp_sim_config(classical(1.5, 1.0), seed=5, n_paths=400)
         batch = simulate_paths(cfg)

@@ -65,6 +65,9 @@ def test_pgf_held_branch_at_time_zero():
     p = StfpParams(alpha=0.6, nu=0.9, lam=2.0, T=1.0, rho=1.0)
     for u in (-1.0, 0.0, 0.4):
         assert pgf(p, 0.0, u) == pytest.approx(1.0, rel=1e-15)
+    # at rho < 1 the held branch has weight rho * F(0) = 0 and is never
+    # evaluated; its lam = 50 Mittag-Leffler value would refuse
+    assert pgf(StfpParams(alpha=0.6, nu=0.6, lam=50.0, T=1.0, rho=0.3), 0.0, -1.0) == 1.0
 
 
 def test_pgf_argument_range():
@@ -176,6 +179,26 @@ def test_pmf_at_horizon_sums_each_count_series_once(core_calls):
     assert [x.hex() for x in got.probs] == [x.hex() for x in want]
 
 
+def test_pmf_at_time_zero_sums_no_terminal_series(core_calls):
+    # at t = 0 the held branch has weight rho * F(0) = 0 and is never summed;
+    # the lam = 10 Poisson series at the horizon would refuse at k = 0
+    tbl = pmf(StfpParams(alpha=1.0, nu=1.0, lam=10.0, T=1.0, rho=0.3), 0.0, 20)
+    assert core_calls == {(0.0, k): 1 for k in range(21)}
+    assert tbl.probs == (1.0,) + (0.0,) * 20
+    assert tbl.tail_mass == 0.0
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+def test_governing_residual_uncoupled_builds_no_terminal_table(core_calls, method):
+    # at rho = 0 the terminal table has weight 0: at lam = 3 its s = 1 series
+    # refuses from k = 1, while the tables at t < 1 are accepted
+    params = StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0, rho=0.0)
+    for t in (0.1, 0.3, 0.6):
+        residual = governing_residual(params, t, 3, method=method)
+        assert residual <= (1e-11 if method == "series" else 1e-7)
+    assert not [s for s, _ in core_calls if s == params.T]
+
+
 @pytest.mark.parametrize("method", ["series", "quadrature"])
 def test_governing_residual_sums_each_count_series_once(core_calls, method):
     # the tables at t and T share the terminal series; the quadrature sums
@@ -239,7 +262,7 @@ def test_count_series_many_points_match_scalar_route(params, k, cfg, s):
 def test_count_series_many_points_without_scalar_route(monkeypatch):
     # alpha=0.8, nu=0.6, lam=3 is accepted at s=0.2 and 0.5 and refused at
     # s=1.0; the refusal is unreachable through governing_residual, whose
-    # tables at t and T refuse first
+    # stencil reaches s=1.0 only at t=1, where the table at t refuses first
     params = StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0)
     s = np.array([0.2, 0.5, 1.0])
     with pytest.raises(CancellationLoss) as exc:
