@@ -4,8 +4,8 @@ modules, and the branch-mixture assembler of both process families.
 With weight rho the whole pool sits on one common epoch, so the law at t is
 (1 - rho) * running + rho * [(1 - F) * delta_0 + F * held], with held the
 law at the horizon.  _branch_table assembles a table from the two branch
-streams, _branch_transform a transform from the two branch values.  A branch
-of weight 0 is never evaluated; held None reads the running branch.
+streams, _branch_transform a transform from the two branch values; a branch
+of weight 0 (_live_branches) is never evaluated, and held None reads running.
 """
 from __future__ import annotations
 
@@ -64,12 +64,18 @@ class PmfTable:
         return math.fsum(self.probs)
 
 
+def _live_branches(frac: float, rho: float, held_is_running: bool) -> tuple[bool, bool]:
+    """(running, held): does each branch carry weight?  Held weighs rho * frac,
+    running 1 - rho, plus rho * frac where held reads the running entries."""
+    held = rho * frac != 0.0
+    return rho != 1.0 or (held_is_running and held), held
+
+
 def _branch_table(
     running: Iterator[float], held: Iterator[float] | None, frac: float, rho: float, K: int
 ) -> PmfTable:
-    """Mixture table for k = 0..K, reading one entry per k from each stream."""
-    w_held = rho * frac
-    use_run = rho != 1.0 or (held is None and w_held != 0.0)
+    """Mixture table for k = 0..K, reading one entry per k from each live stream."""
+    use_run, use_held = _live_branches(frac, rho, held is None)
     probs = []
     for k in range(K + 1):
         run = next(running) if use_run else 0.0
@@ -77,8 +83,8 @@ def _branch_table(
         if rho != 0.0:
             if k == 0:
                 val += rho * (1.0 - frac)
-            if w_held != 0.0:
-                val += w_held * (run if held is None else next(held))
+            if use_held:
+                val += rho * frac * (run if held is None else next(held))
         probs.append(val)
     return PmfTable.from_probs(probs)
 
@@ -87,12 +93,12 @@ def _branch_transform(
     running: Callable[[], float], held: Callable[[], float] | None, frac: float, rho: float
 ) -> float:
     """Mixture of the two branch transform values, each a thunk."""
-    w_held = rho * frac
-    run = running() if rho != 1.0 or (held is None and w_held != 0.0) else 0.0
+    use_run, use_held = _live_branches(frac, rho, held is None)
+    run = running() if use_run else 0.0
     out = (1.0 - rho) * run
     if rho != 0.0:
         coupled = rho * (1.0 - frac)
-        if w_held != 0.0:
-            coupled += w_held * (run if held is None else held())
+        if use_held:
+            coupled += rho * frac * (run if held is None else held())
         out += coupled
     return out

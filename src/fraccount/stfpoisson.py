@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CancellationLoss, DomainError
-from .fracops import (
-    PowerSeriesInT,
-    _caputo_quadrature,
-    caputo_derivative_series,
-    frac_difference,
-)
-from .pmftable import PmfTable, _branch_table, _branch_transform
+from .errors import CancellationLoss, DomainError, NonConvergent
+from .fracops import PowerSeriesInT, _caputo_quadrature, caputo_derivative_series, frac_difference
+from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
     _EPS,
@@ -35,7 +30,6 @@ from .specfun import (
     SpecfunConfig,
     _coef_row,
     _lgamma_row,
-    _sum_series,
     gamma_ratio_signed,
     gen_binom,
     gen_mittag_leffler,
@@ -98,112 +92,121 @@ def _falling_row(a: float, k: int) -> Iterator[float]:
     )
 
 
-def _core_pmf(params: StfpParams, s: float, k: int, cfg: SpecfunConfig) -> float:
-    """Uncoupled pmf at elapsed time s, k-th count weight.
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:  # past ~709.78
+        return math.inf
 
-    Series in r with a signed falling-factorial ratio; the ratio vanishes
-    identically when alpha*r + 1 - k is a non-positive integer, so those
-    terms are skipped rather than summed as zeros.  An entry whose absolute
-    error estimate exceeds _CORE_ABS_GUARD raises CancellationLoss, as in fnegbin.
-    This is the one-point route the pmf tables use; _core_pmf_many sums the
-    same series at many points with the same bits.
+
+# terms per point per pass: _FIRST_PASS spread over all points, within [_PASS, 4 _PASS], then _PASS
+_FIRST_PASS, _PASS = 4096, 16
+
+
+def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> np.ndarray:
+    """Uncoupled pmf entry k at elapsed time s for every k in ks and point of
+    s, shape (len(ks), len(s)): the one evaluator of the STFP count series
+    (-1)^k/k! sum_r (lam^alpha s^nu)^r / Gamma(nu r + 1) * (falling row of k).
+    Terms are added in passes, only at points whose stop rule (three terms
+    in a row below rel_tol times the partial sum) has not fired: math.exp
+    forms each power once per live s and r, each live k reads its falling
+    row, and np.cumsum carries each partial sum on in order.  A point is
+    refused for a non-finite term (an overflowing one included), no stop
+    within max_terms, a max term past cancellation_limit times the sum, or
+    an absolute error past _CORE_ABS_GUARD; the first refused point in
+    row-major order raises.
     """
-    if s == 0.0:
-        return 1.0 if k == 0 else 0.0
-    a, nu = params.alpha, params.nu
+    s, ks = np.asarray(s, dtype=float), list(ks)
+    n_k, n_s, zero = len(ks), len(s), s == 0.0
+    out = (np.equal(ks, 0)[:, None] & zero).astype(float)
     # log of lam^alpha * s^nu, kept in log space so large r stays finite
-    log_x = a * math.log(params.lam) + nu * math.log(s)
-    lead = (-1.0) ** k / math.factorial(k)
+    log_s = np.fromiter(map(math.log, np.where(zero, 1.0, s).tolist()), float, n_s)
+    log_x = params.alpha * math.log(params.lam) + params.nu * log_s
+    lg_row, falling = _lgamma_row(params.nu, 1.0), [_falling_row(params.alpha, k) for k in ks]
+    total, peak = np.zeros(out.size), np.zeros(out.size)
+    est = np.full(out.size, np.nan)  # error estimate of each stopped sum, nan until it stops
+    runs = np.zeros((2, out.size), dtype=bool)  # are the last two terms small?
+    live = (np.ones((n_k, 1), dtype=bool) & ~zero).ravel().nonzero()[0]
+    lo, first, refusal = 0, out.size, None  # first term of a pass; first point refused, and why
 
-    def terms():
-        for r, lg_den, ratio in zip(itertools.count(), _lgamma_row(nu, 1.0), _falling_row(a, k)):
-            if ratio == 0.0:
-                yield 0.0
-            else:
-                yield math.exp(r * log_x - lg_den) * ratio
+    def label(p):
+        return f"count series (k={ks[p // n_s]}, s={float(s[p % n_s])})"
 
-    total = _sum_series(terms(), cfg, "count series (k={}, s={})", k, s)
-    err = abs(lead) * total.abs_error_estimate
-    if err > _CORE_ABS_GUARD:
-        raise CancellationLoss(
-            f"pmf entry k={k} at s={s} carries absolute error ~{err:.2e}; "
-            "no trustworthy digits at probability scale"
-        )
-    return lead * total.value
-
-
-def _core_stream(params: StfpParams, s: float, cfg: SpecfunConfig) -> Iterator[float]:
-    # _core_pmf at elapsed time s for k = 0, 1, 2, ..., summed on request
-    return (_core_pmf(params, s, k, cfg) for k in itertools.count())
-
-
-_SERIES_CHUNK = 16  # columns added per pass of the many-point count series
-
-
-def _core_pmf_many(params: StfpParams, s: np.ndarray, k: int, cfg: SpecfunConfig) -> np.ndarray:
-    """_core_pmf at every point of the array s, summed for all points at once.
-
-    Columns of the shared coefficient rows are added in chunks, only for the
-    points whose stop rule has not fired, and np.cumsum carries each partial
-    sum on in order: every point's sum is the sequential sum _sum_series
-    forms, with each term formed by math.exp as in the scalar route.  If any
-    point would exhaust max_terms, meet a non-finite or overflowing term or
-    fail a cancellation check, the scalar route is run over the points in
-    order instead, so the refusal is that route's own.
-    """
-    out = np.full(len(s), 1.0 if k == 0 else 0.0)
-    idx = np.flatnonzero(s != 0.0)
-    if not idx.size:
-        return out
-    a, nu = params.alpha, params.nu
-    log_x = a * math.log(params.lam) + nu * np.array([math.log(x) for x in s[idx].tolist()])
-    lead = (-1.0) ** k / math.factorial(k)
-    rows = _lgamma_row(nu, 1.0), _falling_row(a, k)
-    total, max_mag, last_mag, used = (np.zeros(len(idx)) for _ in range(4))
-    runs = np.zeros((len(idx), 2), dtype=bool)  # are the last two terms small?
-    live = np.arange(len(idx))
-    lo = 0
+    lead = np.array([(-1.0) ** k / math.factorial(k) if k <= 170 else math.nan for k in ks])
+    huge = np.isnan(lead[live // n_s])  # k! is past a double from k = 171
+    if huge.any():
+        live, first = live[: huge.argmax()], live[huge.argmax()]
+        refusal = NonConvergent(f"{label(first)}: {ks[first // n_s]}! overflows a double")
+    width = min(max(_FIRST_PASS // max(live.size, 1), _PASS), 4 * _PASS)
     with np.errstate(all="ignore"):
         while live.size:
-            if lo == cfg.max_terms:
-                return _core_pmf_points(params, s, k, cfg)
-            hi = min(lo + _SERIES_CHUNK, cfg.max_terms)
-            lg_den, ratio = (np.fromiter(itertools.islice(row, hi - lo), float, hi - lo) for row in rows)
-            arg = np.arange(lo, hi) * log_x[live, None] - lg_den
-            # math.exp raises past ~709.78; the scalar route settles those terms
-            over = (arg > _EXP_MAX) & (ratio != 0.0)
-            arg[over] = 0.0
-            scale = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
-            term = np.where(ratio == 0.0, 0.0, scale.reshape(arg.shape) * ratio)
-            term[over] = math.inf
-            partial = np.cumsum(np.hstack([total[live, None], term]), axis=1)[:, 1:]
-            mag = np.abs(term)
-            small = np.hstack([runs[live], mag < cfg.rel_tol * np.abs(partial)])
-            # the sum stops at the third small term in a row
-            stop = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
-            done = stop.any(axis=1)
-            col = np.where(done, stop.argmax(axis=1), hi - lo - 1)  # last term summed
-            summed = np.arange(hi - lo) <= col[:, None]
-            if not np.isfinite(term[summed]).all():
-                return _core_pmf_points(params, s, k, cfg)
-            max_mag[live] = np.maximum(max_mag[live], np.where(summed, mag, 0.0).max(axis=1))
-            total[live] = partial[np.arange(live.size), col]
-            last_mag[live] = mag[np.arange(live.size), col]
-            used[live] = lo + col + 1
-            runs[live] = small[:, -2:]
-            live = live[~done]
+            hi = min(lo + width, cfg.max_terms)
+            w, width = hi - lo, _PASS
+            ki, si = np.divmod(live, n_s)
+            s_on = np.bincount(si, minlength=n_s).nonzero()[0]
+            # one row per term, one column per point
+            rows = itertools.chain.from_iterable(itertools.islice(row, w) for row in falling)
+            ratio = np.fromiter(rows, float, n_k * w).reshape(n_k, w).T[:, ki]
+            lg_den = np.fromiter(itertools.islice(lg_row, w), float, w)
+            arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg_den[:, None]
+            over = arg > _EXP_MAX  # math.exp past ~709.78 raises; such a power is inf
+            power = np.fromiter(map(math.exp, np.minimum(arg, _EXP_MAX).ravel().tolist()), float, arg.size)
+            power[over.ravel()] = [_exp_or_inf(x) for x in arg[over].tolist()]
+            scale = power.reshape(arg.shape)[:, np.searchsorted(s_on, si)]
+            term = np.where(ratio == 0.0, 0.0, scale * ratio)
+            mag, bad = np.abs(term), ~np.isfinite(term)
+            term[0] += total[live]  # each sum carried on from its partial sum
+            partial = np.cumsum(term, axis=0)
+            small = np.concatenate([runs[:, live], mag < cfg.rel_tol * np.abs(partial)])
+            stop = small[:-2] & small[1:-1] & small[2:]
+            done = stop.any(axis=0)
+            row = np.where(done, stop.argmax(axis=0), w - 1)  # last term summed
+            summed = np.arange(w)[:, None] <= row
+            broke = (bad & summed).any(axis=0)
+            at = np.arange(live.size)
+            total[live] = partial[row, at]
+            peak[live] = np.maximum(peak[live], np.where(summed, mag, 0.0).max(axis=0))
+            err = 2.0 * mag[row, at] + _EPS * peak[live] * (lo + row + 1)
+            est[live] = np.where(done & ~broke, err, np.nan)
+            runs[:, live] = small[-2:]
+            keep = ~done & ~broke
+            fail = broke | (keep & (hi == cfg.max_terms))
+            if fail.any():  # every live point comes before the first refused one
+                i = fail.argmax()
+                keep[i:], first = False, live[i]
+                refusal = NonConvergent(
+                    f"{label(first)}: term {lo + bad[:, i].argmax() + 1} is not finite" if broke[i] else
+                    f"{label(first)}: no convergence within {cfg.max_terms} terms (partial sum {total[first]:.6g})"
+                )
+            live = live[keep]
             lo = hi
-        err = abs(lead) * (2.0 * last_mag + _EPS * max_mag * used)
-        if (max_mag / np.maximum(np.abs(total), _TINY) > cfg.cancellation_limit).any() or (
-            err > _CORE_ABS_GUARD
-        ).any():
-            return _core_pmf_points(params, s, k, cfg)
-    out[idx] = lead * total
+        stopped = (est[:first] >= 0.0).nonzero()[0]
+        err = np.abs(lead[stopped // n_s]) * est[stopped]
+        lost = peak[stopped] / np.maximum(np.abs(total[stopped]), _TINY) > cfg.cancellation_limit
+        fail = lost | (err > _CORE_ABS_GUARD)
+    if fail.any():  # a stopped sum before the first refused point fails its checks
+        p, i = stopped[fail.argmax()], fail.argmax()
+        raise CancellationLoss(
+            f"{label(p)}: max term {peak[p]:.3g} dwarfs sum {total[p]:.3g}; result has no trustworthy digits"
+            if lost[i] else f"pmf entry k={ks[p // n_s]} at s={float(s[p % n_s])} carries absolute error "
+            f"~{err[i]:.2e}; no trustworthy digits at probability scale"
+        )
+    if refusal is not None:
+        raise refusal
+    out.reshape(-1)[stopped] = lead[stopped // n_s] * total[stopped]
     return out
 
 
-def _core_pmf_points(params: StfpParams, s: np.ndarray, k: int, cfg: SpecfunConfig) -> np.ndarray:
-    return np.array([_core_pmf(params, x, k, cfg) for x in s.tolist()])
+def _tables(params: StfpParams, t: float, K: int, cfg: SpecfunConfig, terminal: bool = False):
+    """The table at t and, if terminal, at T, from one count-series call over the live branches."""
+    frac, rho, T = F_stfp(params, t), params.rho, params.T
+    use_run, use_held = _live_branches(frac, rho, t == T)
+    apart = (use_held or terminal) and t != T  # the series at T, summed apart from t
+    cols = _count_series(params, np.array([t] * use_run + [T] * apart), range(K + 1), cfg).T.tolist()
+    tbl = _branch_table(iter(cols[0] if use_run else ()), iter(cols[-1]) if apart else None, frac, rho, K)
+    if not terminal:
+        return tbl, None
+    return tbl, tbl if t == T else _branch_table(iter(cols[-1]), None, 1.0, rho, K)
 
 
 def pgf(
@@ -243,9 +246,7 @@ def pmf(
     _check_time(params, t)
     if K < 0:
         raise DomainError(f"truncation index must be >= 0, got {K}")
-    cfg = cfg or DEFAULT_CONFIG
-    held = None if t == params.T else _core_stream(params, params.T, cfg)
-    return _branch_table(_core_stream(params, t, cfg), held, F_stfp(params, t), params.rho, K)
+    return _tables(params, t, K, cfg or DEFAULT_CONFIG)[0]
 
 
 def joint_prob_kps(
@@ -318,23 +319,16 @@ def governing_residual(
     a, nu, lam, T, rho = params.alpha, params.nu, params.lam, params.T, params.rho
     la = lam**a
     frac = F_stfp(params, t)
-    # the held branch at t and both branches at T read one terminal stream;
-    # the t table comes first, summing each terminal series after the running
-    # one of the same k, and at rho = 0 no terminal table is built
-    held_t, held_T = itertools.tee(_core_stream(params, T, cfg))
-    tbl_t = _branch_table(_core_stream(params, t, cfg), None if t == T else held_t, frac, rho, k)
-    tbl_T = None
-    if rho != 0.0:
-        tbl_T = tbl_t if t == T else _branch_table(held_T, None, 1.0, rho, k)
+    tbl_t, tbl_T = _tables(params, t, k, cfg, terminal=rho != 0.0)
 
+    delta = 1.0 if k == 0 else 0.0
     if method == "quadrature":
-        delta = 1.0 if k == 0 else 0.0
         held = tbl_T[k] if rho != 0.0 else 0.0
         expo = nu / a
 
         def prob_at(s: np.ndarray) -> np.ndarray:
             # the pmf entry at every stencil point at once; F_stfp per point
-            running = _core_pmf_many(params, s, k, cfg)
+            running = _count_series(params, s, [k], cfg)[0]
             hold = np.array([x**expo for x in (s / T).tolist()])
             return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * held)
 
@@ -349,21 +343,20 @@ def governing_residual(
         for r, lg_den, ratio in zip(range(R + 1), _lgamma_row(nu, 1.0), _falling_row(a, k)):
             if ratio == 0.0:
                 continue
-            mag = math.exp(r * log_la - lg_den)
+            mag = _exp_or_inf(r * log_la - lg_den)
+            if mag == math.inf:
+                raise NonConvergent(f"residual series (k={k}, t={t}): term r={r} overflows")
             pairs.append(((1.0 - rho) * lead * mag * ratio, nu * r))
         if rho != 0.0:
-            scale = rho * T ** (-nu / a)
             if k == 0:
                 pairs.append((rho, 0.0))
-            delta = 1.0 if k == 0 else 0.0
-            pairs.append((scale * (tbl_T[k] - delta), nu / a))
+            pairs.append((rho * T ** (-nu / a) * (tbl_T[k] - delta), nu / a))
         lhs = caputo_derivative_series(PowerSeriesInT.build(pairs), nu, t)
 
     rhs = -la * frac_difference(tbl_t, a, k)
     if rho != 0.0:
         # Caputo weight of the activation profile t^(nu/alpha)
         gfac = gamma_ratio_signed(nu / a + 1.0, nu / a - nu + 1.0)
-        delta = 1.0 if k == 0 else 0.0
         rhs += la * rho * (1.0 - frac) * (-1.0) ** k * gen_binom(a, k)
         rhs += rho * frac * (
             la * frac_difference(tbl_T, a, k)

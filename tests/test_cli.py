@@ -193,3 +193,8 @@ def test_usage_errors_exit_two(capsys):
 def test_numeric_failure_exits_three(capsys):
     # heavy-tail pool law cannot reach the sampler cutoff
     assert main(["simulate", "--alpha", "0.5", "--nu", "0.8", "--paths", "100"]) == 3
+    # a count-series term overflows: a numeric failure, not a crash
+    overflow = ["--alpha", "0.8", "--nu", "0.5", "--lambda", "300", "--t", "1"]
+    assert main(["pmf", *overflow]) == 3
+    assert main(["simulate", *overflow, "--paths", "100"]) == 3
+    assert "term 275 is not finite" in capsys.readouterr().err

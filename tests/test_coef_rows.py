@@ -154,8 +154,8 @@ TABLE_GRID = ((0.6, 0.5, 1.2, 0.4, 0.6), (0.8, 0.6, 1.0, 0.3, 0.5),
               (1.0, 1.0, 2.0, 0.3, 0.7), (0.6, 1.0, 2.0, 0.0, 1.0))
 SERIES_GRID = tuple(itertools.product(((0.6, 0.8, 0.4), (1.0, 0.5, 0.4), (0.5, 0.8, 0.3)),
                                       range(3), (0.3, 1.0)))
-# t == T and alpha = 1 included: the quadrature sums its stencil points on
-# the many-point route, the reference on the scalar one
+# t == T and alpha = 1 included: the quadrature sums its stencil points in
+# one grid call, the reference one point and one term at a time
 QUAD_GRID = tuple(itertools.product(((0.8, 0.5, 0.4), (0.6, 0.8, 0.0), (1.0, 0.5, 0.0)),
                                     (0, 2, 3), (0.6, 1.0)))
 

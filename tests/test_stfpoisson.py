@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from fraccount.stfpoisson import (
 )
 
 import _frozen as FR
+from test_coef_rows import ref_core
 
 
 def test_params_validation():
@@ -150,30 +152,33 @@ def test_pmf_mixture_reassembly_exact():
 
 @pytest.fixture
 def core_calls(monkeypatch):
-    # (s, k) -> number of scalar count series summed
+    # (s, k) -> number of times the count series was summed at that point;
+    # per_call holds the same count for each call in turn
     calls = collections.Counter()
-    core = stfpoisson._core_pmf
+    calls.per_call = []
+    count_series = stfpoisson._count_series
 
-    def counted(p, s, k, cfg):
-        calls[s, k] += 1
-        return core(p, s, k, cfg)
+    def counted(p, s, ks, cfg):
+        points = collections.Counter(itertools.product(np.asarray(s, dtype=float).tolist(), ks))
+        calls.update(points)
+        calls.per_call.append(points)
+        return count_series(p, s, ks, cfg)
 
-    monkeypatch.setattr(stfpoisson, "_core_pmf", counted)
+    monkeypatch.setattr(stfpoisson, "_count_series", counted)
     return calls
 
 
 def test_pmf_at_horizon_sums_each_count_series_once(core_calls):
     # at t == T the running and held branches read one terminal series
     params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.5, rho=0.4)
-    core, rho, frac = stfpoisson._core_pmf, params.rho, F_stfp(params, params.T)
+    rho, frac = params.rho, F_stfp(params, params.T)
     want = []
     for k in range(13):
-        val = (1.0 - rho) * core(params, params.T, k, DEFAULT_CONFIG)
+        val = (1.0 - rho) * ref_core(params, params.T, k)
         if k == 0:
             val += rho * (1.0 - frac)
-        val += rho * frac * core(params, params.T, k, DEFAULT_CONFIG)
+        val += rho * frac * ref_core(params, params.T, k)
         want.append(val)
-    core_calls.clear()
     got = pmf(params, params.T, 12)
     assert core_calls == {(params.T, k): 1 for k in range(13)}
     assert [x.hex() for x in got.probs] == [x.hex() for x in want]
@@ -186,6 +191,17 @@ def test_pmf_at_time_zero_sums_no_terminal_series(core_calls):
     assert core_calls == {(0.0, k): 1 for k in range(21)}
     assert tbl.probs == (1.0,) + (0.0,) * 20
     assert tbl.tail_mass == 0.0
+
+
+def test_pmf_fully_coupled_sums_no_running_series(core_calls):
+    # at rho = 1 and 0 < t < T the running branch has weight 0: only the
+    # terminal series is summed, and the table is (1 - F) delta_0 + F p_T
+    params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=1.0)
+    frac = F_stfp(params, 0.5)
+    got = pmf(params, 0.5, 12)
+    assert core_calls == {(1.0, k): 1 for k in range(13)}
+    want = [(1.0 - frac if k == 0 else 0.0) + frac * ref_core(params, 1.0, k) for k in range(13)]
+    assert [x.hex() for x in got.probs] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("method", ["series", "quadrature"])
@@ -201,11 +217,14 @@ def test_governing_residual_uncoupled_builds_no_terminal_table(core_calls, metho
 
 @pytest.mark.parametrize("method", ["series", "quadrature"])
 def test_governing_residual_sums_each_count_series_once(core_calls, method):
-    # the tables at t and T share the terminal series; the quadrature sums
-    # its 882 stencil points on the array route, not through _core_pmf
+    # the tables at t and T share the terminal series in one call; the
+    # quadrature then sums entry k alone at its stencil points in [0, t]
     params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.4)
     residual = governing_residual(params, 0.5, 3, method=method)
-    assert core_calls == {(s, j): 1 for s in (0.5, 1.0) for j in range(4)}
+    tables, *stencil = core_calls.per_call
+    assert tables == {(s, j): 1 for s in (0.5, 1.0) for j in range(4)}
+    assert len(stencil) == (method == "quadrature")
+    assert all(0.0 <= s <= 0.5 and j == 3 for call in stencil for s, j in call)
     assert residual <= (1e-6 if method == "series" else 1e-3)
 
 
@@ -224,16 +243,70 @@ def test_count_series_failure_messages_pinned():
     )
 
 
+def test_count_series_overflow_is_a_numeric_failure():
+    # math.exp overflows on term 275 before the stop rule fires
+    with pytest.raises(NonConvergent) as exc:
+        pmf(StfpParams(alpha=0.8, nu=0.5, lam=300.0, T=1.0), 1.0, 3)
+    assert str(exc.value) == "count series (k=0, s=1.0): term 275 is not finite"
+    # the powers of terms 3 and 4 overflow; term 3 has a zero falling ratio
+    # and is exactly 0, so term 4 is the first that is not finite
+    with pytest.raises(NonConvergent) as exc:
+        stfpoisson._count_series(StfpParams(1.0, 1.0, 1e160, 1.0), [1.0], [3], DEFAULT_CONFIG)
+    assert str(exc.value) == "count series (k=3, s=1.0): term 4 is not finite"
+
+
+def test_count_series_power_just_below_overflow():
+    # the largest power is exp(709.4): past _EXP_MAX, yet finite in math.exp,
+    # so the sum runs on and is refused for cancellation with that max term
+    with pytest.raises(CancellationLoss) as exc:
+        pmf(StfpParams(alpha=1.0, nu=1.0, lam=713.604052, T=1.0), 1.0, 0)
+    assert str(exc.value) == (
+        "count series (k=0, s=1.0): max term 1.23e+308 dwarfs sum 2.97e+295; "
+        "result has no trustworthy digits"
+    )
+
+
+def test_series_residual_overflow_is_a_numeric_failure():
+    # lam^alpha = 6.3e4: the coefficient of t^(nu r) overflows at r = 74,
+    # while the table at t = 1e-12 is accepted
+    params = StfpParams(alpha=0.8, nu=0.5, lam=1e6, T=1.0, rho=0.0)
+    with pytest.raises(NonConvergent) as exc:
+        governing_residual(params, 1e-12, 0)
+    assert str(exc.value) == "residual series (k=0, t=1e-12): term r=74 overflows"
+
+
 def _series_outcome(fn):
     # hex of every entry, or the refusal raised
     try:
         return [x.hex() for x in fn()]
-    except (CancellationLoss, NonConvergent, OverflowError) as exc:
+    except (CancellationLoss, NonConvergent) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
 # stencil-like points: s = 0, then geometric from deep inside (0, 1] to 1
 SERIES_POINTS = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 300)])
+
+
+# the refusal each many-point case raises; the others return every entry
+MANY_POINT_REFUSALS = {
+    (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), 1, DEFAULT_CONFIG):
+        "CancellationLoss: pmf entry k=1 at s=1.0 carries absolute error ~1.06e-12; "
+        "no trustworthy digits at probability scale",
+    (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 1, SpecfunConfig(max_terms=20)):
+        "NonConvergent: count series (k=1, s=0.2030917620904739): no convergence within 20 terms "
+        "(partial sum -0.192055)",
+    (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 2, SpecfunConfig(cancellation_limit=1.5)):
+        "CancellationLoss: count series (k=2, s=0.307818214256508): max term 0.24 dwarfs sum 0.156; "
+        "result has no trustworthy digits",
+    (StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0), 0, DEFAULT_CONFIG):
+        "CancellationLoss: pmf entry k=0 at s=0.16496480740980207 carries absolute error ~1.09e-12; "
+        "no trustworthy digits at probability scale",
+    (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), 2, DEFAULT_CONFIG):
+        "NonConvergent: count series (k=2, s=1e-09): term 332 is not finite",
+    # math.exp overflows on a term before the stop rule fires
+    (StfpParams(alpha=0.8, nu=0.5, lam=300.0, T=1.0), 0, DEFAULT_CONFIG):
+        "NonConvergent: count series (k=0, s=1.0): term 275 is not finite",
+}
 
 
 @pytest.mark.parametrize(
@@ -248,34 +321,68 @@ SERIES_POINTS = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 300)])
          SERIES_POINTS),
         (StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0), 0, DEFAULT_CONFIG, SERIES_POINTS),
         (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), 2, DEFAULT_CONFIG, SERIES_POINTS),
-        # math.exp overflows on a term before the stop rule fires
         (StfpParams(alpha=0.8, nu=0.5, lam=300.0, T=1.0), 0, DEFAULT_CONFIG, np.array([1.0, 0.5])),
     ],
 )
 def test_count_series_many_points_match_scalar_route(params, k, cfg, s):
-    # the quadrature's many-point route against the scalar route pmf tables
-    # use, point by point in order: same bits, or the same refusal
-    want = _series_outcome(lambda: [stfpoisson._core_pmf(params, x, k, cfg) for x in s.tolist()])
-    assert _series_outcome(lambda: stfpoisson._core_pmf_many(params, s, k, cfg)) == want
+    # the quadrature's many-point call against the per-term scalar reference,
+    # point by point: same bits, or the refusal of the first refused point
+    want = MANY_POINT_REFUSALS.get((params, k, cfg)) or [ref_core(params, x, k).hex() for x in s.tolist()]
+    assert _series_outcome(lambda: stfpoisson._count_series(params, s, [k], cfg)[0]) == want
 
 
-def test_count_series_many_points_without_scalar_route(monkeypatch):
+def test_count_series_many_points_without_scalar_route():
     # alpha=0.8, nu=0.6, lam=3 is accepted at s=0.2 and 0.5 and refused at
     # s=1.0; the refusal is unreachable through governing_residual, whose
     # stencil reaches s=1.0 only at t=1, where the table at t refuses first
     params = StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0)
     s = np.array([0.2, 0.5, 1.0])
     with pytest.raises(CancellationLoss) as exc:
-        stfpoisson._core_pmf_many(params, s, 1, DEFAULT_CONFIG)
+        stfpoisson._count_series(params, s, [1], DEFAULT_CONFIG)
     assert str(exc.value) == (
         "pmf entry k=1 at s=1.0 carries absolute error ~1.06e-12; "
         "no trustworthy digits at probability scale"
     )
-    want = [stfpoisson._core_pmf(params, x, 1, DEFAULT_CONFIG).hex() for x in (0.2, 0.5)]
-    # accepted points are summed on the array route alone
-    monkeypatch.setattr(stfpoisson, "_core_pmf", None)
-    got = stfpoisson._core_pmf_many(params, s[:2], 1, DEFAULT_CONFIG)
-    assert [x.hex() for x in got] == want
+    got = stfpoisson._count_series(params, s[:2], [1], DEFAULT_CONFIG)[0]
+    assert [x.hex() for x in got] == [ref_core(params, x, 1).hex() for x in (0.2, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "params, cfg",
+    [
+        (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), DEFAULT_CONFIG),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), SpecfunConfig(max_terms=20)),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), SpecfunConfig(cancellation_limit=1.5)),
+        (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), DEFAULT_CONFIG),
+        # a cancellation refused after the sum, before a later no-convergence
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), SpecfunConfig(max_terms=20, cancellation_limit=1.5)),
+    ],
+)
+def test_count_series_grid_refuses_in_row_major_order(params, cfg):
+    # a (k, s) grid returns every entry of its one-point calls, or raises the
+    # refusal of the first refused point taken k by k, then s by s
+    ks, s = range(5), SERIES_POINTS[::10]
+    want = None
+    for k in ks:
+        for x in s:
+            got = _series_outcome(lambda: stfpoisson._count_series(params, [x], [k], cfg)[0])
+            if isinstance(got, str):
+                want = want or got
+    grid = _series_outcome(lambda: stfpoisson._count_series(params, s, ks, cfg).ravel())
+    if want is None:
+        want = [_series_outcome(lambda: stfpoisson._count_series(params, [x], [k], cfg)[0])[0]
+                for k in ks for x in s]
+    assert grid == want
+
+
+def test_count_series_weight_past_a_double_is_refused():
+    # 171! overflows a double: refused where s > 0, exact 0 at s = 0
+    params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0)
+    got = stfpoisson._count_series(params, [0.0], [0, 171], DEFAULT_CONFIG)
+    assert got.tolist() == [[1.0], [0.0]]
+    with pytest.raises(NonConvergent) as exc:
+        stfpoisson._count_series(params, [0.0, 0.5], [0, 171], DEFAULT_CONFIG)
+    assert str(exc.value) == "count series (k=171, s=0.5): 171! overflows a double"
 
 
 def test_pmf_normalization_light_tail():
