@@ -93,12 +93,9 @@ def _sum_series(terms, cfg: SpecfunConfig, what: str, *parts) -> SeriesValue:
     for term in terms:
         used += 1
         if used > cfg.max_terms:
-            raise NonConvergent(
-                f"{what.format(*parts)}: no convergence within {cfg.max_terms} terms "
-                f"(partial sum {total:.6g})"
-            )
+            raise _no_convergence(what.format(*parts), cfg, total)
         if not math.isfinite(term):
-            raise NonConvergent(f"{what.format(*parts)}: term {used} is not finite")
+            raise _not_finite(what.format(*parts), used)
         total += term
         mag = abs(term)
         if mag > max_mag:
@@ -111,12 +108,31 @@ def _sum_series(terms, cfg: SpecfunConfig, what: str, *parts) -> SeriesValue:
         else:
             small_run = 0
     if max_mag / max(abs(total), _TINY) > cfg.cancellation_limit:
-        raise CancellationLoss(
-            f"{what.format(*parts)}: max term {max_mag:.3g} dwarfs sum {total:.3g}; "
-            "result has no trustworthy digits"
-        )
-    err = 2.0 * last_mag + _EPS * max_mag * used
-    return SeriesValue(total, err, used, max_mag)
+        raise _cancelled(what.format(*parts), max_mag, total)
+    return SeriesValue(total, _error_estimate(last_mag, max_mag, used), used, max_mag)
+
+
+# the refusals and error estimate of _sum_series, shared with the array sums
+# of stfpoisson (numbers or arrays alike)
+def _no_convergence(label: str, cfg: SpecfunConfig, total: float) -> NonConvergent:
+    return NonConvergent(
+        f"{label}: no convergence within {cfg.max_terms} terms (partial sum {total:.6g})"
+    )
+
+
+def _not_finite(label: str, used: int) -> NonConvergent:
+    return NonConvergent(f"{label}: term {used} is not finite")
+
+
+def _cancelled(label: str, max_mag: float, total: float) -> CancellationLoss:
+    return CancellationLoss(
+        f"{label}: max term {max_mag:.3g} dwarfs sum {total:.3g}; result has no trustworthy digits"
+    )
+
+
+def _error_estimate(last_mag, max_mag, used):
+    # the last (third small) term twice, plus rounding of every term added
+    return 2.0 * last_mag + _EPS * max_mag * used
 
 
 def _gamma_sign(w: float) -> float:
@@ -173,26 +189,35 @@ _rows: dict[tuple, list[float]] = {}
 _rows_lock = threading.Lock()
 
 
-def _coef_row(key: tuple, coef: Callable[[int], float]) -> Iterator[float]:
-    """coef(0), coef(1), ... for the index set key.  Each value is computed
-    once, under the lock, into a row cached for at most _ROW_CACHE_SIZE keys
-    (the oldest row is dropped first)."""
+def _coef_list(key: tuple, coef: Callable[[int], float], n: int) -> list[float]:
+    """The row coef(0), coef(1), ... for the index set key, holding at least
+    n values; read it by slice, never write it.  Each value is computed once,
+    under the lock, into a row cached for at most _ROW_CACHE_SIZE keys (the
+    oldest row is dropped first)."""
     row = _rows.get(key)
     if row is None:
         with _rows_lock:
             if key not in _rows and len(_rows) >= _ROW_CACHE_SIZE:
                 del _rows[next(iter(_rows))]
             row = _rows.setdefault(key, [])
+    if len(row) < n:
+        with _rows_lock:
+            row.extend(coef(r) for r in range(len(row), n))
+    return row
+
+
+def _coef_row(key: tuple, coef: Callable[[int], float]) -> Iterator[float]:
+    """coef(0), coef(1), ... read from _coef_list in doubling pieces."""
 
     def pieces(lo: int) -> Iterator[list[float]]:
         while True:
             hi = max(2 * lo, 32)
-            if len(row) < hi:
-                with _rows_lock:
-                    row.extend(coef(r) for r in range(len(row), hi))
-            yield row[lo:hi]
+            yield _coef_list(key, coef, hi)[lo:hi]
             lo = hi
 
+    row = _rows.get(key)
+    if row is None:
+        row = _coef_list(key, coef, 0)
     n = len(row)  # the values known now are read in place
     return itertools.chain(itertools.islice(row, n), itertools.chain.from_iterable(pieces(n)))
 

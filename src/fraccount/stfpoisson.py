@@ -13,23 +13,31 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CancellationLoss, DomainError, NonConvergent
-from .fracops import PowerSeriesInT, _caputo_quadrature, caputo_derivative_series, frac_difference
+from .fracops import (
+    PowerSeriesInT,
+    _caputo_quadrature,
+    caputo_derivative_series,
+    frac_difference,
+)
 from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
-    _EPS,
-    _EXP_MAX,
     _TINY,
     DEFAULT_CONFIG,
     SpecfunConfig,
+    _cancelled,
+    _coef_list,
     _coef_row,
+    _error_estimate,
     _lgamma_row,
+    _no_convergence,
+    _not_finite,
     gamma_ratio_signed,
     gen_binom,
     gen_mittag_leffler,
@@ -85,9 +93,9 @@ def F_stfp(params: StfpParams, t: float) -> float:
     return (t / params.T) ** (params.nu / params.alpha)
 
 
-def _falling_row(a: float, k: int) -> Iterator[float]:
-    # (-1)^r * Gamma(a r + 1) / Gamma(a r + 1 - k), r = 0, 1, ...
-    return _coef_row(
+def _falling(a: float, k: int) -> tuple[tuple, Callable[[int], float]]:
+    # key and coefficient of the row (-1)^r * Gamma(a r + 1) / Gamma(a r + 1 - k), r = 0, 1, ...
+    return (
         ("falling", a, k), lambda r: (-1.0) ** r * gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
     )
 
@@ -99,7 +107,11 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-# terms per point per pass: _FIRST_PASS spread over all points, within [_PASS, 4 _PASS], then _PASS
+# A pass costs some 40 numpy calls whatever its width, and each term past a
+# point's stop is a wasted math.exp.  So the first pass spreads _FIRST_PASS
+# terms over the points, within [_PASS, 4 _PASS] terms each: a table of a few
+# points mostly ends in one pass, a quadrature stencil of ~900 points takes
+# narrow ones.  Later passes add _PASS terms.
 _FIRST_PASS, _PASS = 4096, 16
 
 
@@ -107,93 +119,95 @@ def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> 
     """Uncoupled pmf entry k at elapsed time s for every k in ks and point of
     s, shape (len(ks), len(s)): the one evaluator of the STFP count series
     (-1)^k/k! sum_r (lam^alpha s^nu)^r / Gamma(nu r + 1) * (falling row of k).
-    Terms are added in passes, only at points whose stop rule (three terms
-    in a row below rel_tol times the partial sum) has not fired: math.exp
-    forms each power once per live s and r, each live k reads its falling
-    row, and np.cumsum carries each partial sum on in order.  A point is
-    refused for a non-finite term (an overflowing one included), no stop
+
+    Terms are added in passes, one row per term and one column per point
+    still summing: math.exp forms each power once per live s, each live k
+    reads its slice of the cached falling row, and np.cumsum carries each
+    partial sum on in order.  A sum stops at its third term in a row below
+    rel_tol times the partial sum, as in _sum_series.  A point is
+    refused for a non-finite term (an overflowing power included), no stop
     within max_terms, a max term past cancellation_limit times the sum, or
     an absolute error past _CORE_ABS_GUARD; the first refused point in
-    row-major order raises.
+    row-major order (k, then s) raises.
     """
     s, ks = np.asarray(s, dtype=float), list(ks)
-    n_k, n_s, zero = len(ks), len(s), s == 0.0
-    out = (np.equal(ks, 0)[:, None] & zero).astype(float)
+    n_s, zero = len(s), s == 0.0
     # log of lam^alpha * s^nu, kept in log space so large r stays finite
     log_s = np.fromiter(map(math.log, np.where(zero, 1.0, s).tolist()), float, n_s)
     log_x = params.alpha * math.log(params.lam) + params.nu * log_s
-    lg_row, falling = _lgamma_row(params.nu, 1.0), [_falling_row(params.alpha, k) for k in ks]
-    total, peak = np.zeros(out.size), np.zeros(out.size)
-    est = np.full(out.size, np.nan)  # error estimate of each stopped sum, nan until it stops
-    runs = np.zeros((2, out.size), dtype=bool)  # are the last two terms small?
-    live = (np.ones((n_k, 1), dtype=bool) & ~zero).ravel().nonzero()[0]
-    lo, first, refusal = 0, out.size, None  # first term of a pass; first point refused, and why
+    lg_row, falling = _lgamma_row(params.nu, 1.0), [_falling(params.alpha, k) for k in ks]
+    # per point, row-major: partial sum, max term, last term, terms used, last two small?
+    total, peak, last, used = np.zeros((4, len(ks) * n_s))
+    runs = np.zeros((2, len(ks) * n_s), dtype=bool)
+    points = live = np.tile(~zero, len(ks)).nonzero()[0]
+    lo, first, refusal = 0, len(ks) * n_s, None  # first term of a pass; first refused point, why
 
     def label(p):
         return f"count series (k={ks[p // n_s]}, s={float(s[p % n_s])})"
 
-    lead = np.array([(-1.0) ** k / math.factorial(k) if k <= 170 else math.nan for k in ks])
-    huge = np.isnan(lead[live // n_s])  # k! is past a double from k = 171
-    if huge.any():
-        live, first = live[: huge.argmax()], live[huge.argmax()]
+    n_lead = next((i for i, k in enumerate(ks) if k > 170), len(ks))  # 171! is past a double
+    if live.size and live[-1] >= n_lead * n_s:
+        first = live[np.searchsorted(live, n_lead * n_s)]
         refusal = NonConvergent(f"{label(first)}: {ks[first // n_s]}! overflows a double")
+        live = live[live < first]
     width = min(max(_FIRST_PASS // max(live.size, 1), _PASS), 4 * _PASS)
     with np.errstate(all="ignore"):
         while live.size:
             hi = min(lo + width, cfg.max_terms)
-            w, width = hi - lo, _PASS
             ki, si = np.divmod(live, n_s)
-            s_on = np.bincount(si, minlength=n_s).nonzero()[0]
+            k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
             # one row per term, one column per point
-            rows = itertools.chain.from_iterable(itertools.islice(row, w) for row in falling)
-            ratio = np.fromiter(rows, float, n_k * w).reshape(n_k, w).T[:, ki]
-            lg_den = np.fromiter(itertools.islice(lg_row, w), float, w)
-            arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg_den[:, None]
-            over = arg > _EXP_MAX  # math.exp past ~709.78 raises; such a power is inf
-            power = np.fromiter(map(math.exp, np.minimum(arg, _EXP_MAX).ravel().tolist()), float, arg.size)
-            power[over.ravel()] = [_exp_or_inf(x) for x in arg[over].tolist()]
-            scale = power.reshape(arg.shape)[:, np.searchsorted(s_on, si)]
-            term = np.where(ratio == 0.0, 0.0, scale * ratio)
-            mag, bad = np.abs(term), ~np.isfinite(term)
+            ratio = np.array([_coef_list(*falling[j], hi)[lo:hi] for j in k_on.tolist()]).T
+            lg = np.fromiter(itertools.islice(lg_row, hi - lo), float, hi - lo)
+            arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
+            try:
+                power = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
+            except OverflowError:  # such a power is inf
+                power = np.array([_exp_or_inf(x) for x in arg.ravel().tolist()])
+            power = power.reshape(arg.shape)
+            if k_on.size > 1:  # else the live points are the live s, in order
+                ratio = ratio[:, np.searchsorted(k_on, ki)]
+                power = power[:, np.searchsorted(s_on, si)]
+            term = np.where(ratio == 0.0, 0.0, power * ratio)  # 0 even where the power is inf
+            fin, mag = np.isfinite(term), np.abs(term)
             term[0] += total[live]  # each sum carried on from its partial sum
             partial = np.cumsum(term, axis=0)
-            small = np.concatenate([runs[:, live], mag < cfg.rel_tol * np.abs(partial)])
-            stop = small[:-2] & small[1:-1] & small[2:]
+            small = np.concatenate((runs[:, live], mag < cfg.rel_tol * np.abs(partial)))
+            # a sum stops at its third small term in a row, or is refused at a non-finite one
+            stop = small[:-2] & small[1:-1] & small[2:] | ~fin
             done = stop.any(axis=0)
-            row = np.where(done, stop.argmax(axis=0), w - 1)  # last term summed
-            summed = np.arange(w)[:, None] <= row
-            broke = (bad & summed).any(axis=0)
-            at = np.arange(live.size)
-            total[live] = partial[row, at]
+            row, at = np.where(done, stop.argmax(axis=0), hi - lo - 1), np.arange(live.size)
+            total[live], last[live], used[live] = partial[row, at], mag[row, at], lo + row + 1
+            summed = np.arange(hi - lo)[:, None] <= row
             peak[live] = np.maximum(peak[live], np.where(summed, mag, 0.0).max(axis=0))
-            err = 2.0 * mag[row, at] + _EPS * peak[live] * (lo + row + 1)
-            est[live] = np.where(done & ~broke, err, np.nan)
             runs[:, live] = small[-2:]
-            keep = ~done & ~broke
-            fail = broke | (keep & (hi == cfg.max_terms))
-            if fail.any():  # every live point comes before the first refused one
+            broke = ~fin[row, at]
+            fail = broke | ~done if hi == cfg.max_terms else broke
+            if fail.any():  # the points after the first refused one are dropped
                 i = fail.argmax()
-                keep[i:], first = False, live[i]
-                refusal = NonConvergent(
-                    f"{label(first)}: term {lo + bad[:, i].argmax() + 1} is not finite" if broke[i] else
-                    f"{label(first)}: no convergence within {cfg.max_terms} terms (partial sum {total[first]:.6g})"
-                )
-            live = live[keep]
-            lo = hi
-        stopped = (est[:first] >= 0.0).nonzero()[0]
-        err = np.abs(lead[stopped // n_s]) * est[stopped]
+                first, done[i:] = live[i], True
+                refusal = (_not_finite(label(first), lo + row[i] + 1) if broke[i]
+                           else _no_convergence(label(first), cfg, total[first]))
+            live, lo, width = live[~done], hi, _PASS
+        stopped = points[: np.searchsorted(points, first)]
+        lead = np.array([(-1.0) ** k / math.factorial(k) for k in ks[:n_lead]])[stopped // n_s]
+        err = np.abs(lead) * _error_estimate(last[stopped], peak[stopped], used[stopped])
         lost = peak[stopped] / np.maximum(np.abs(total[stopped]), _TINY) > cfg.cancellation_limit
         fail = lost | (err > _CORE_ABS_GUARD)
     if fail.any():  # a stopped sum before the first refused point fails its checks
-        p, i = stopped[fail.argmax()], fail.argmax()
+        i = fail.argmax()
+        p = stopped[i]
+        if lost[i]:
+            raise _cancelled(label(p), peak[p], total[p])
         raise CancellationLoss(
-            f"{label(p)}: max term {peak[p]:.3g} dwarfs sum {total[p]:.3g}; result has no trustworthy digits"
-            if lost[i] else f"pmf entry k={ks[p // n_s]} at s={float(s[p % n_s])} carries absolute error "
+            f"pmf entry k={ks[p // n_s]} at s={float(s[p % n_s])} carries absolute error "
             f"~{err[i]:.2e}; no trustworthy digits at probability scale"
         )
     if refusal is not None:
         raise refusal
-    out.reshape(-1)[stopped] = lead[stopped // n_s] * total[stopped]
+    out = np.zeros((len(ks), n_s))
+    out[np.equal(ks, 0)] = zero  # a point mass at 0 where s = 0
+    out.reshape(-1)[stopped] = lead * total[stopped]
     return out
 
 
@@ -321,14 +335,15 @@ def governing_residual(
     frac = F_stfp(params, t)
     tbl_t, tbl_T = _tables(params, t, k, cfg, terminal=rho != 0.0)
 
-    delta = 1.0 if k == 0 else 0.0
     if method == "quadrature":
+        delta = 1.0 if k == 0 else 0.0
         held = tbl_T[k] if rho != 0.0 else 0.0
         expo = nu / a
+        use_run = _live_branches(frac, rho, False)[0]  # weight 1 - rho at every stencil point
 
         def prob_at(s: np.ndarray) -> np.ndarray:
             # the pmf entry at every stencil point at once; F_stfp per point
-            running = _count_series(params, s, [k], cfg)[0]
+            running = _count_series(params, s, [k], cfg)[0] if use_run else 0.0
             hold = np.array([x**expo for x in (s / T).tolist()])
             return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * held)
 
@@ -340,7 +355,7 @@ def governing_residual(
         lead = (-1.0) ** k / math.factorial(k)
         log_la = a * math.log(lam)
         pairs: list[tuple[float, float]] = []
-        for r, lg_den, ratio in zip(range(R + 1), _lgamma_row(nu, 1.0), _falling_row(a, k)):
+        for r, lg_den, ratio in zip(range(R + 1), _lgamma_row(nu, 1.0), _coef_row(*_falling(a, k))):
             if ratio == 0.0:
                 continue
             mag = _exp_or_inf(r * log_la - lg_den)
@@ -348,15 +363,18 @@ def governing_residual(
                 raise NonConvergent(f"residual series (k={k}, t={t}): term r={r} overflows")
             pairs.append(((1.0 - rho) * lead * mag * ratio, nu * r))
         if rho != 0.0:
+            scale = rho * T ** (-nu / a)
             if k == 0:
                 pairs.append((rho, 0.0))
-            pairs.append((rho * T ** (-nu / a) * (tbl_T[k] - delta), nu / a))
+            delta = 1.0 if k == 0 else 0.0
+            pairs.append((scale * (tbl_T[k] - delta), nu / a))
         lhs = caputo_derivative_series(PowerSeriesInT.build(pairs), nu, t)
 
     rhs = -la * frac_difference(tbl_t, a, k)
     if rho != 0.0:
         # Caputo weight of the activation profile t^(nu/alpha)
         gfac = gamma_ratio_signed(nu / a + 1.0, nu / a - nu + 1.0)
+        delta = 1.0 if k == 0 else 0.0
         rhs += la * rho * (1.0 - frac) * (-1.0) ** k * gen_binom(a, k)
         rhs += rho * frac * (
             la * frac_difference(tbl_T, a, k)

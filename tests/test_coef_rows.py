@@ -216,13 +216,19 @@ def test_concurrent_growth_matches_serial_row():
     serial = [coef(r) for r in range(n)]
 
     def race(key):
-        # four threads read the same row at once, each growing it as it goes
+        # four threads read the same row at once, each growing it as it goes,
+        # two through the iterator and two by slice
         results = [None] * 4
         start = threading.Barrier(4)
 
         def grow(i):
             start.wait()
-            results[i] = list(itertools.islice(specfun._coef_row(key, coef), n))
+            if i % 2:  # slices of 16 terms, as the STFP count series reads them
+                pieces = (specfun._coef_list(key, coef, lo + 16)[lo:lo + 16]
+                          for lo in range(0, n, 16))
+                results[i] = list(itertools.chain.from_iterable(pieces))
+            else:
+                results[i] = list(itertools.islice(specfun._coef_row(key, coef), n))
 
         threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
         for th in threads:

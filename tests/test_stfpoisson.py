@@ -218,14 +218,18 @@ def test_governing_residual_uncoupled_builds_no_terminal_table(core_calls, metho
 @pytest.mark.parametrize("method", ["series", "quadrature"])
 def test_governing_residual_sums_each_count_series_once(core_calls, method):
     # the tables at t and T share the terminal series in one call; the
-    # quadrature then sums entry k alone at its stencil points in [0, t]
-    params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.4)
-    residual = governing_residual(params, 0.5, 3, method=method)
-    tables, *stencil = core_calls.per_call
-    assert tables == {(s, j): 1 for s in (0.5, 1.0) for j in range(4)}
-    assert len(stencil) == (method == "quadrature")
-    assert all(0.0 <= s <= 0.5 and j == 3 for call in stencil for s, j in call)
-    assert residual <= (1e-6 if method == "series" else 1e-3)
+    # quadrature then sums entry k alone at its stencil points in [0, t],
+    # except at rho = 1, where the running branch has weight 0 at t < T and
+    # at every stencil point
+    for rho, times in ((0.4, (0.5, 1.0)), (1.0, (1.0,))):
+        core_calls.per_call.clear()
+        params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=rho)
+        residual = governing_residual(params, 0.5, 3, method=method)
+        tables, *stencil = core_calls.per_call
+        assert tables == {(s, j): 1 for s in times for j in range(4)}
+        assert len(stencil) == (method == "quadrature" and rho != 1.0)
+        assert all(0.0 <= s <= 0.5 and j == 3 for call in stencil for s, j in call)
+        assert residual <= (1e-6 if method == "series" else 1e-3)
 
 
 def test_count_series_failure_messages_pinned():
