@@ -107,12 +107,13 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-# A pass costs some 40 numpy calls whatever its width, and each term past a
-# point's stop is a wasted math.exp.  So the first pass spreads _FIRST_PASS
-# terms over the points, within [_PASS, 4 _PASS] terms each: a table of a few
-# points mostly ends in one pass, a quadrature stencil of ~900 points takes
-# narrow ones.  Later passes add _PASS terms.
-_FIRST_PASS, _PASS = 4096, 16
+# A pass costs some 40 numpy calls whatever its width, about as long as 1,000
+# math.exp calls, and each term past a point's stop is a wasted math.exp.  So
+# a pass forms about _POWERS powers: _POWERS // (live s) terms for each live
+# s, within [_PASS, 8 _PASS].  A table at one or two times adds 64 terms a
+# pass and mostly ends in one; a quadrature stencil of ~900 points adds 8 at
+# a time until few of its points are left.
+_POWERS, _PASS = 1024, 8
 
 
 def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> np.ndarray:
@@ -150,12 +151,11 @@ def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> 
         first = live[np.searchsorted(live, n_lead * n_s)]
         refusal = NonConvergent(f"{label(first)}: {ks[first // n_s]}! overflows a double")
         live = live[live < first]
-    width = min(max(_FIRST_PASS // max(live.size, 1), _PASS), 4 * _PASS)
     with np.errstate(all="ignore"):
         while live.size:
-            hi = min(lo + width, cfg.max_terms)
             ki, si = np.divmod(live, n_s)
             k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
+            hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), cfg.max_terms)
             # one row per term, one column per point
             ratio = np.array([_coef_list(*falling[j], hi)[lo:hi] for j in k_on.tolist()]).T
             lg = np.fromiter(itertools.islice(lg_row, hi - lo), float, hi - lo)
@@ -188,7 +188,7 @@ def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> 
                 first, done[i:] = live[i], True
                 refusal = (_not_finite(label(first), lo + row[i] + 1) if broke[i]
                            else _no_convergence(label(first), cfg, total[first]))
-            live, lo, width = live[~done], hi, _PASS
+            live, lo = live[~done], hi
         stopped = points[: np.searchsorted(points, first)]
         lead = np.array([(-1.0) ** k / math.factorial(k) for k in ks[:n_lead]])[stopped // n_s]
         err = np.abs(lead) * _error_estimate(last[stopped], peak[stopped], used[stopped])
