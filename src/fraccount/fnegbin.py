@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .errors import CancellationLoss, DomainError, InvalidProfile, UnsupportedR
 from .fracops import OperatorOAlphaSpec, operator_O_alpha_quadrature
-from .pmftable import PmfTable, _branch_table, _branch_transform
+from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
     DEFAULT_CONFIG,
@@ -43,9 +43,6 @@ __all__ = [
     "pmf_negbin_r1",
     "operator_residual_prop33",
 ]
-
-# float conversion of row k needs |s(k,h)| <= k! below the double ceiling
-_STIRLING_DEPTH = 170
 
 # grid resolution for profile monotonicity/range validation
 _PROFILE_GRID = 33
@@ -205,11 +202,8 @@ def pgf_negbin(
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
     # only branches with nonzero weight constrain the radius (at t=0 the
     # held branch has weight rho*F = 0 and the pgf is entire)
-    bound = math.inf
-    if rho < 1.0:
-        bound = min(bound, _radius(qt))
-    if rho * frac > 0.0:
-        bound = min(bound, _radius(params.p))
+    use_run, use_held = _live_branches(frac, rho, qt == params.p)
+    bound = min(_radius(qt) if use_run else math.inf, _radius(params.p) if use_held else math.inf)
     if not abs(u) < bound:
         raise DomainError(f"|u|={abs(u)} outside radius {bound}")
     if u == 1.0:
@@ -261,7 +255,7 @@ def _core_pmf(level: float, alpha: float, nu: float,
         pieces = []
         err = 0.0
         for h, psi in enumerate(row, start=1):
-            w = float(stirling_first(k, h, cap=_STIRLING_DEPTH)) * big_l ** (-h)
+            w = float(stirling_first(k, h)) * big_l ** (-h)
             pieces.append(w * psi.value)
             err += abs(w) * psi.abs_error_estimate
         # (1/k!) * ((-A)/(1+A))^k with A/(1+A) = 1 - level

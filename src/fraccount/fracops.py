@@ -30,6 +30,8 @@ from .pmftable import PmfTable
 from .specfun import gamma_ratio_signed, gen_binom
 
 _NOMINAL_STEP_REL = 1e-5  # finite-difference step relative to the interval
+_NODES = 129  # tanh-sinh nodes of the coarse rule; the check rule doubles them
+_MERGE_TOL = 1e-12  # PowerSeriesInT.build merges exponents this close
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,13 @@ class PowerSeriesInT:
             prev = e
 
     @classmethod
-    def build(cls, pairs, merge_tol: float = 1e-12) -> "PowerSeriesInT":
+    def build(cls, pairs) -> "PowerSeriesInT":
         """Sort by exponent and merge coefficients of exponents that coincide
-        within merge_tol (they arise when two analytic pieces share a power)."""
+        within _MERGE_TOL (they arise when two analytic pieces share a power)."""
         items = sorted(((float(e), float(c)) for c, e in pairs))
         merged: list[tuple[float, float]] = []
         for e, c in items:
-            if merged and abs(e - merged[-1][1]) <= merge_tol:
+            if merged and abs(e - merged[-1][1]) <= _MERGE_TOL:
                 merged[-1] = (merged[-1][0] + c, merged[-1][1])
             else:
                 merged.append((c, e))
@@ -88,13 +90,11 @@ def caputo_derivative_series(f: PowerSeriesInT, nu: float, t: float) -> float:
 
 # ---- quadrature core ----
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _tanh_sinh_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Nodes y in (0,1), log(1-y) and dy/du of the double-exponential
     (tanh-sinh) map at n_nodes equally spaced u, plus the spacing in u."""
     half = n_nodes // 2
-    if half < 4:
-        raise DomainError(f"n_nodes too small: {n_nodes}")
     # the deepest node sits at y ~ exp(-2*(pi/2)*sinh(wmax)); power-law mass
     # y^mu below it is lost, so exponents mu <~ 0.15 are outside the reliable
     # range of this rule (the node-doubling check usually flags them)
@@ -153,16 +153,15 @@ def _stable_quadrature(
     g_many: Callable[[np.ndarray], Sequence[float]],
     alpha: float,
     span: float,
-    n_nodes: int,
     what: str,
 ) -> float:
     """(|span|^(1-alpha) / Gamma(1-alpha)) * integral_0^1 (1-y)^(-alpha) g'(y*span) dy
-    by the tanh-sinh rule at n_nodes and 2*n_nodes, with g' by finite
+    by the tanh-sinh rule at _NODES and 2*_NODES nodes, with g' by finite
     differences.  g_many is called once, on every stencil point of both
     rules (coarse before fine, nodes ascending, each stencil in order), and
     returns g there.  The finer value is returned; a shift beyond 1e-4
     relative raises QuadratureFailure."""
-    sizes = (n_nodes, 2 * n_nodes)
+    sizes = (_NODES, 2 * _NODES)
     rules = [_stencils(span, n) for n in sizes]
     values = np.asarray(
         g_many(np.concatenate([points[used] for points, used, _ in rules])), dtype=np.float64
@@ -194,7 +193,7 @@ def _per_point(f: Callable[[float], float]) -> Callable[[np.ndarray], list[float
 
 
 def _caputo_quadrature(
-    f_many: Callable[[np.ndarray], Sequence[float]], nu: float, t: float, n_nodes: int = 129
+    f_many: Callable[[np.ndarray], Sequence[float]], nu: float, t: float
 ) -> float:
     """caputo_derivative_quadrature with an array integrand: f_many maps an
     array of points in (0, t] to f at each of them."""
@@ -202,12 +201,10 @@ def _caputo_quadrature(
         raise DomainError(f"nu must be strictly inside (0,1), got {nu}")
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    return _stable_quadrature(f_many, nu, t, n_nodes, "caputo_derivative_quadrature")
+    return _stable_quadrature(f_many, nu, t, "caputo_derivative_quadrature")
 
 
-def caputo_derivative_quadrature(
-    f: Callable[[float], float], nu: float, t: float, n_nodes: int = 129
-) -> float:
+def caputo_derivative_quadrature(f: Callable[[float], float], nu: float, t: float) -> float:
     """Caputo derivative of order nu in (0,1) of a callable, by quadrature:
     (1/Gamma(1-nu)) * integral_0^t (t-s)^(-nu) f'(s) ds.
 
@@ -215,9 +212,9 @@ def caputo_derivative_quadrature(
     Independent cross-check of caputo_derivative_series; the node-doubled
     result is returned and a shift beyond 1e-4 relative raises
     QuadratureFailure.  The core works on an array integrand; f is called
-    once per stencil point (882 times at the default n_nodes), in order.
+    once per stencil point (882 times), in order.
     """
-    return _caputo_quadrature(_per_point(f), nu, t, n_nodes)
+    return _caputo_quadrature(_per_point(f), nu, t)
 
 
 def frac_difference(pmf: PmfTable, alpha: float, k: int) -> float:
@@ -253,10 +250,7 @@ class OperatorOAlphaSpec:
 
 
 def operator_O_alpha_quadrature(
-    spec: OperatorOAlphaSpec,
-    f: Callable[[float], float],
-    z: float,
-    n_nodes: int = 129,
+    spec: OperatorOAlphaSpec, f: Callable[[float], float], z: float
 ) -> float:
     """The order-alpha logarithmic-kernel operator applied to f at z.
 
@@ -286,7 +280,7 @@ def operator_O_alpha_quadrature(
     def g(w: float) -> float:
         return f((math.exp(w) - spec.a) / spec.b)
 
-    return _stable_quadrature(_per_point(g), spec.alpha, W, n_nodes, "operator_O_alpha_quadrature")
+    return _stable_quadrature(_per_point(g), spec.alpha, W, "operator_O_alpha_quadrature")
 
 
 def operator_O_alpha_on_log_powers(

@@ -173,9 +173,9 @@ def build_count_table(
 
 def _sim_config(
     pmf: Callable[..., PmfTable], params: StfpParams | NegBinParams, epoch_power: float,
-    seed: int, n_paths: int, tail_cutoff: float, k_max: int, cfg: SpecfunConfig | None,
+    seed: int, n_paths: int, cfg: SpecfunConfig | None,
 ) -> SimConfig:
-    table = build_count_table(lambda K: pmf(params, params.T, K, cfg=cfg), tail_cutoff, k_max)
+    table = build_count_table(lambda K: pmf(params, params.T, K, cfg=cfg))
     return SimConfig(
         seed=seed, n_paths=n_paths, rho=params.rho, horizon=params.T,
         count_cdf=np.cumsum(np.asarray(table.probs, dtype=np.float64)), epoch_power=epoch_power,
@@ -183,12 +183,7 @@ def _sim_config(
 
 
 def stfp_sim_config(
-    params: StfpParams,
-    seed: int,
-    n_paths: int,
-    tail_cutoff: float = DEFAULT_TAIL_CUTOFF,
-    k_max: int = K_MAX,
-    cfg: SpecfunConfig | None = None,
+    params: StfpParams, seed: int, n_paths: int, cfg: SpecfunConfig | None = None
 ) -> SimConfig:
     """Simulator setup for the space-time fractional family.
 
@@ -196,16 +191,11 @@ def stfp_sim_config(
     epoch quantile is t = T * y^(alpha/nu).
     """
     expo = params.alpha / params.nu
-    return _sim_config(stfp_pmf, params, expo, seed, n_paths, tail_cutoff, k_max, cfg)
+    return _sim_config(stfp_pmf, params, expo, seed, n_paths, cfg)
 
 
 def negbin_sim_config(
-    params: NegBinParams,
-    seed: int,
-    n_paths: int,
-    tail_cutoff: float = DEFAULT_TAIL_CUTOFF,
-    k_max: int = K_MAX,
-    cfg: SpecfunConfig | None = None,
+    params: NegBinParams, seed: int, n_paths: int, cfg: SpecfunConfig | None = None
 ) -> SimConfig:
     """Simulator setup for the fractional negative binomial family.
 
@@ -214,7 +204,7 @@ def negbin_sim_config(
     """
     if not isinstance(params.q_profile, Example31Profile):
         raise DomainError("closed-form epoch quantile exists for the paired schedule only")
-    return _sim_config(pmf_negbin_r1, params, 1.0, seed, n_paths, tail_cutoff, k_max, cfg)
+    return _sim_config(pmf_negbin_r1, params, 1.0, seed, n_paths, cfg)
 
 
 @dataclass(frozen=True)
@@ -301,13 +291,12 @@ def sample_path(cfg: SimConfig, path_index: int) -> PathSample:
     return _simulate_indices(cfg, np.asarray([path_index], dtype=np.uint64)).path(0)
 
 
-def wilson_halfwidth(successes: int, n: int, z: float = 1.0) -> float:
-    """Half-width of the score interval for a binomial proportion."""
+def wilson_halfwidth(successes: int, n: int) -> float:
+    """Half-width of the score interval (z = 1) for a binomial proportion."""
     if n <= 0 or not 0 <= successes <= n:
         raise DomainError(f"need 0 <= successes <= n with n > 0, got {successes}/{n}")
     p = successes / n
-    denom = 1.0 + z * z / n
-    return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    return math.sqrt(p * (1.0 - p) / n + 1.0 / (4.0 * n * n)) / (1.0 + 1.0 / n)
 
 
 @dataclass(frozen=True)

@@ -384,23 +384,22 @@ def gen_binom(alpha: float, j: int) -> float:
 
 # ---- Stirling numbers of the first kind (signed, exact) ----
 
-STIRLING_CAP = 64
+# row 170 is the last whose entries (|s(k, h)| <= k!) fit a double
+STIRLING_CAP = 170
 
 _stirling_rows: list[list[int]] = [[1]]
 _stirling_lock = threading.Lock()
 
 
-def stirling_first(k: int, h: int, cap: int = STIRLING_CAP) -> int:
+def stirling_first(k: int, h: int) -> int:
     """Signed Stirling number of the first kind s(k, h), exact integer.
 
     Row recurrence s(k+1, h) = s(k, h-1) - k * s(k, h). Rows are cached; the
     fill is guarded by a lock and idempotent, so concurrent first access is
-    safe. The cap bounds k against runaway requests (rows grow factorially);
-    callers that genuinely need deeper rows pass a larger cap explicitly.
-    Indices outside 0 <= h <= k <= cap raise OutOfRange.
+    safe. Indices outside 0 <= h <= k <= STIRLING_CAP raise OutOfRange.
     """
-    if not (0 <= k <= cap):
-        raise OutOfRange(f"k must be in [0, {cap}], got {k}")
+    if not (0 <= k <= STIRLING_CAP):
+        raise OutOfRange(f"k must be in [0, {STIRLING_CAP}], got {k}")
     if not (0 <= h <= k):
         raise OutOfRange(f"h must be in [0, {k}], got {h}")
     if k >= len(_stirling_rows):

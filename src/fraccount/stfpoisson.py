@@ -115,6 +115,10 @@ def _exp_or_inf(x: float) -> float:
 # a time until few of its points are left.
 _POWERS, _PASS = 1024, 8
 
+# terms r = 0..140 of the running branch's power series in the series route
+# of governing_residual
+_SERIES_TERMS = 141
+
 
 def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> np.ndarray:
     """Uncoupled pmf entry k at elapsed time s for every k in ks and point of
@@ -306,7 +310,6 @@ def governing_residual(
     params: StfpParams,
     t: float,
     k: int,
-    R: int = 140,
     cfg: SpecfunConfig | None = None,
     method: str = "series",
 ) -> float:
@@ -314,9 +317,11 @@ def governing_residual(
 
     The left side is the time-fractional Caputo derivative of P(count = k):
     method "series" applies the exact termwise rule to the power-series
-    representation (truncated at R powers); method "quadrature" integrates
-    the derivative of the assembled pmf directly and is the coarser but
-    series-free cross-check (fractional orders only).  The right side is
+    representation, truncated after _SERIES_TERMS powers (NonConvergent
+    when the last kept term at t is not below rel_tol times the partial
+    sum); method "quadrature" integrates the derivative of the assembled
+    pmf directly, with the count series summed at every stencil point, and
+    is the coarser cross-check (fractional orders only).  The right side is
     assembled from the fractional backward difference in k, the coupling
     source terms, and the table at the horizon.  Small residuals certify
     the closed forms against each other.
@@ -325,8 +330,6 @@ def governing_residual(
         raise DomainError(f"t={t} outside (0, {params.T}]")
     if k < 0:
         raise DomainError(f"count index must be >= 0, got {k}")
-    if R < 1:
-        raise DomainError(f"series truncation must be >= 1, got {R}")
     if method not in ("series", "quadrature"):
         raise DomainError(f"method must be 'series' or 'quadrature', got {method!r}")
     cfg = cfg or DEFAULT_CONFIG
@@ -355,13 +358,20 @@ def governing_residual(
         lead = (-1.0) ** k / math.factorial(k)
         log_la = a * math.log(lam)
         pairs: list[tuple[float, float]] = []
-        for r, lg_den, ratio in zip(range(R + 1), _lgamma_row(nu, 1.0), _coef_row(*_falling(a, k))):
+        rows = zip(range(_SERIES_TERMS), _lgamma_row(nu, 1.0), _coef_row(*_falling(a, k)))
+        for r, lg_den, ratio in rows:
             if ratio == 0.0:
                 continue
             mag = _exp_or_inf(r * log_la - lg_den)
             if mag == math.inf:
                 raise NonConvergent(f"residual series (k={k}, t={t}): term r={r} overflows")
             pairs.append(((1.0 - rho) * lead * mag * ratio, nu * r))
+        at_t = [c * t**e for c, e in pairs]
+        tail = abs(at_t[-1]) if at_t else 0.0
+        if tail > cfg.rel_tol * abs(math.fsum(at_t)):
+            raise NonConvergent(
+                f"residual series (k={k}, t={t}): {_SERIES_TERMS} terms leave a tail of ~{tail:.2e}"
+            )
         if rho != 0.0:
             scale = rho * T ** (-nu / a)
             if k == 0:

@@ -184,6 +184,25 @@ def test_config_non_numeric_value_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_unreadable_rejected(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["pmf", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {missing}: ")
+
+
+def test_config_line_without_equals_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("alpha=0.8\nnu 0.6\n")
+    assert main(["pmf", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'nu 0.6'\n"
+
+
+def test_unwritable_out_rejected(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "pmf.csv"
+    assert main(["pmf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

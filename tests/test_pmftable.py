@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from fraccount.pmftable import _branch_table, _branch_transform
+from fraccount.errors import CancellationLoss, DomainError
+from fraccount.pmftable import PmfTable, _branch_table, _branch_transform
 
 
 def untouched():
@@ -56,3 +57,21 @@ def test_transform_association_and_weight_zero_branches():
     assert _branch_transform(lambda: run, fail, 0.0, 0.3) == 0.7 * run + 0.3
     assert _branch_transform(fail, lambda: held, frac, 1.0) == (1.0 - frac) + frac * held
     assert _branch_transform(lambda: run, None, 1.0, 1.0) == run
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([1.5], "probability at k=0 is 1.5; outside [-1e-12, 1]"),
+    ([0.5, -1e-9], "probability at k=1 is -1e-09; outside [-1e-12, 1]"),
+    ([0.6, 0.6], "tail mass -0.19999999999999996 outside [-1e-09, 1]"),
+])
+def test_from_probs_refuses_what_cancellation_left(probs, message):
+    with pytest.raises(CancellationLoss) as exc:
+        PmfTable.from_probs(probs)
+    assert str(exc.value) == message
+
+
+def test_table_shape_checks():
+    with pytest.raises(DomainError, match="at least the k=0 entry"):
+        PmfTable.from_probs([])
+    with pytest.raises(DomainError, match="K=2 disagrees with 2 entries"):
+        PmfTable(probs=(0.5, 0.5), K=2, tail_mass=0.0)

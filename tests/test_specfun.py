@@ -213,7 +213,7 @@ def test_stirling_row_sums(k):
 
 def test_stirling_out_of_range():
     with pytest.raises(OutOfRange):
-        stirling_first(65, 1)
+        stirling_first(171, 1)
     with pytest.raises(OutOfRange):
         stirling_first(-1, 0)
     with pytest.raises(OutOfRange):
@@ -229,6 +229,13 @@ def test_stirling_concurrent_fill_is_idempotent():
     assert all(r == results[0] for r in results)
     # spot value: s(k,1) = (-1)^(k-1) (k-1)!
     assert results[0][1] == -math.factorial(39)
+
+
+def test_stirling_rows_reach_the_cap():
+    # row 170 is the deepest whose entries all convert to a finite double
+    row = [stirling_first(170, h) for h in range(171)]
+    assert sum(abs(x) for x in row) == math.factorial(170)
+    assert all(math.isfinite(float(x)) for x in row)
 
 
 # ---- signed reciprocal gamma ----

@@ -279,6 +279,17 @@ def test_series_residual_overflow_is_a_numeric_failure():
     assert str(exc.value) == "residual series (k=0, t=1e-12): term r=74 overflows"
 
 
+def test_series_residual_refuses_a_truncated_tail():
+    # nu = 0.1: the table is accepted, but the r = 140 term of the running
+    # series at t = 1 is 3.7e-4, so 141 terms cannot back the residual
+    params = StfpParams(alpha=0.5, nu=0.1, lam=1.2801761896398989, T=1.0, rho=0.0)
+    assert pmf(params, 1.0, 0)[0] == 0.45468264423590954
+    with pytest.raises(NonConvergent) as exc:
+        governing_residual(params, 1.0, 0)
+    assert str(exc.value) == "residual series (k=0, t=1.0): 141 terms leave a tail of ~3.70e-04"
+    assert governing_residual(params, 1.0, 0, method="quadrature") < 1e-4
+
+
 def _series_outcome(fn):
     # hex of every entry, or the refusal raised
     try:
@@ -481,7 +492,7 @@ def test_governing_mixed_case_grid():
 
 
 def test_governing_quadrature_path_agrees():
-    # series-free route: integrate the assembled pmf's derivative directly
+    # integrate the assembled pmf's derivative directly
     p = StfpParams(alpha=0.7, nu=0.5, lam=1.0, T=1.0, rho=0.4)
     for k in range(4):
         assert governing_residual(p, 0.6, k, method="quadrature") <= 1e-3
@@ -493,7 +504,5 @@ def test_governing_input_checks():
         governing_residual(p, 0.0, 1)
     with pytest.raises(DomainError):
         governing_residual(p, 0.5, -1)
-    with pytest.raises(DomainError):
-        governing_residual(p, 0.5, 1, R=0)
     with pytest.raises(DomainError):
         governing_residual(p, 0.5, 1, method="midpoint")
