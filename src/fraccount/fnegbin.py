@@ -5,34 +5,33 @@ probability p; interior times see a success level q(t) that decays from 1
 at t = 0 down to p at the horizon.  A coupling weight rho mixes the running
 law with a held copy of the terminal law; tables and transforms are
 assembled by the branch-mixture helpers in pmftable, as in the
-space-time-fractional module.  The r = 1 pmf has a closed form built from
-signed Stirling numbers and Fox-Wright sums; larger r is exposed through
-the generating function only.  The Fox-Wright sum of Stirling order
-h does not depend on the count k, so a table keeps one row of them per
-success level and grows it lazily, one new sum per entry.
+space-time-fractional module.  The r = 1 pmf at success level q is the
+STFP count at rate -log q and time 1 with logarithmic jumps, so its table
+is read from the one STFP count-series evaluator; larger r is exposed
+through the generating function only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
-from .errors import CancellationLoss, DomainError, InvalidProfile, UnsupportedR
+import numpy as np
+
+from .errors import CancellationLoss, DomainError, InvalidProfile, OutOfRange, UnsupportedR
 from .fracops import OperatorOAlphaSpec, operator_O_alpha_quadrature
 from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
+    _EPS,
     DEFAULT_CONFIG,
-    FoxWrightSpec,
-    SeriesValue,
+    STIRLING_CAP,
     SpecfunConfig,
-    fox_wright,
     mittag_leffler,
-    stirling_first,
 )
+from .stfpoisson import StfpParams, _count_series
 
 __all__ = [
     "Example31Profile",
@@ -217,57 +216,49 @@ def pgf_negbin(
     return _branch_transform(transform(qt), held, frac, rho)
 
 
-def _core_pmf(level: float, alpha: float, nu: float,
-              cfg: SpecfunConfig) -> Iterator[float]:
-    """Single-component pmf at success level q = level, for k = 0, 1, 2, ...
+def _core_pmf(level: float, alpha: float, nu: float, K: int,
+              cfg: SpecfunConfig | None) -> Iterator[float]:
+    """Single-component pmf at success level q = level, for k = 0..K.
 
-    k = 0 is a plain Mittag-Leffler value; k >= 1 pairs signed Stirling
-    numbers s(k, h) with the Fox-Wright sums psi_1..psi_k.  psi_h depends on
-    h, the level and the indices but not on k, so the generator keeps one
-    row of them and grows it lazily: entry k sums psi_k on first request
-    and reuses psi_1..psi_{k-1}, k sums for a K-table instead of K(K+1)/2.
-    The prefactor is assembled in log space with its sign carried
-    separately.
-
-    The individual Fox-Wright sums lose relative precision as k grows (their
-    terms alternate by construction), but the loss is structural and bounded:
-    after the (1-q)^k/k! prefactor the assembled entry stays accurate in
-    absolute terms far past k = 100 at ordinary parameters.  The per-series
-    relative ceiling is therefore lifted here and replaced by an absolute
-    error budget accumulated from the series diagnostics; an entry that
-    exceeds it raises CancellationLoss and ends the stream.
+    A geometric law is Poisson(L) with log-series jumps, L = -log q: so is
+    this law, with the STFP count at rate L and time 1 in place of the
+    Poisson one.  With c = 1 - q and P_h that count's entries, p_0 = P_0 and
+    p_k = c^k/k! sum_{h=1..k} |s(k, h)| h! L^(-h) P_h, from one
+    _count_series call over h = 0..K.  The weights w_kh lie in [0, 1] (each
+    column sums to 1) and follow the unsigned Stirling recurrence, so every
+    term of the sum has one sign and all cancellation stays inside P_h.
+    Those sums lose relative precision as h grows, which the weights scale
+    back down, so their own ratio and absolute checks are lifted: every
+    entry, k = 0 included, is held to _CORE_ABS_GUARD through
+    sum_h w_kh err_h plus rounding, and one past it raises CancellationLoss
+    when the stream reaches it.  Entries past STIRLING_CAP raise OutOfRange.
     """
     if level >= 1.0:
         yield 1.0
-        while True:
-            yield 0.0
-    big_l = -math.log(level)  # log(1 + A) for A = 1/q - 1
-    z = -(big_l**alpha)
-    yield mittag_leffler(nu, 1.0, z, cfg).value
-    loose = replace(cfg, cancellation_limit=1e300)
-    row: list[SeriesValue] = []
-    for k in itertools.count(1):
-        spec = FoxWrightSpec(
-            upper=((1.0, alpha), (1.0, 1.0)),
-            lower=((1.0 - k, alpha), (1.0, nu)),
-        )
-        row.append(fox_wright(spec, z, loose))
-        pieces = []
-        err = 0.0
-        for h, psi in enumerate(row, start=1):
-            w = float(stirling_first(k, h)) * big_l ** (-h)
-            pieces.append(w * psi.value)
-            err += abs(w) * psi.abs_error_estimate
-        # (1/k!) * ((-A)/(1+A))^k with A/(1+A) = 1 - level
-        log_pref = k * math.log(1.0 - level) - math.lgamma(k + 1.0)
-        pref = math.exp(log_pref)
-        err += len(pieces) * sys.float_info.epsilon * max(abs(x) for x in pieces)
-        if pref * err > _CORE_ABS_GUARD:
+        yield from itertools.repeat(0.0, K)
+        return
+    n = min(K, STIRLING_CAP) + 1
+    big_l, c = -math.log(level), 1.0 - level
+    loose = replace(cfg or DEFAULT_CONFIG, cancellation_limit=1e300)
+    probs, errs = (col[:, 0] for col in _count_series(
+        StfpParams(alpha, nu, big_l, 1.0), [1.0], range(n), loose, guard=math.inf))
+    w = np.zeros(n)  # row k of the weights, 0 past h = k
+    w[0] = 1.0
+    for k in range(n):
+        p = math.fsum((w * probs).tolist())
+        # each weight carries about three roundings a step of the recurrence
+        err = math.fsum((w * errs).tolist()) + (3 * k + 1) * _EPS * abs(p)
+        if err > _CORE_ABS_GUARD:
             raise CancellationLoss(
-                f"pmf entry k={k} carries absolute error ~{pref * err:.2e}; "
+                f"pmf entry k={k} carries absolute error ~{err:.2e}; "
                 "no trustworthy digits at probability scale"
             )
-        yield (-1.0) ** k * pref * math.fsum(pieces)
+        yield p
+        # w_{k+1,h} = c/(k+1) (w_{k,h-1} h/L + k w_{k,h})
+        w[1:] = c / (k + 1) * (w[:-1] * np.arange(1, n) / big_l + k * w[1:])
+        w[0] = 0.0
+    if K >= n:
+        raise OutOfRange(f"k must be in [0, {STIRLING_CAP}], got {n}")
 
 
 def pmf_negbin_r1(
@@ -276,21 +267,22 @@ def pmf_negbin_r1(
     """Probability table for the shape-1 process at time t, k = 0..K.
 
     Only r = 1 has a manageable closed form; larger shapes go through the
-    generating function (or a convolution of shape-1 tables).  Each branch
-    reads one lazily grown Fox-Wright row; the held branch reuses the
-    running branch's entries when q(t) equals p (t = T), and a branch of
-    weight 0 is not evaluated (the held one at t = 0).
+    generating function (or a convolution of shape-1 tables).  Each live
+    branch sums one count series; the held branch reuses the running
+    branch's entries when q(t) equals p (t = T), and a branch of weight 0
+    is not summed (the held one at t = 0).
     """
     if params.r != 1:
         raise UnsupportedR(f"closed-form pmf exists for shape 1 only, got r={params.r}")
     if K < 0:
         raise DomainError(f"truncation index must be >= 0, got {K}")
-    cfg = cfg or DEFAULT_CONFIG
-    rho = params.rho
+    rho, a, nu = params.rho, params.alpha, params.nu
     qt = params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
-    held = None if qt == params.p else _core_pmf(params.p, params.alpha, params.nu, cfg)
-    return _branch_table(_core_pmf(qt, params.alpha, params.nu, cfg), held, frac, rho, K)
+    use_run, use_held = _live_branches(frac, rho, qt == params.p)
+    running = _core_pmf(qt, a, nu, K, cfg) if use_run else iter(())
+    held = _core_pmf(params.p, a, nu, K, cfg) if use_held and qt != params.p else None
+    return _branch_table(running, held, frac, rho, K)
 
 
 def operator_residual_prop33(

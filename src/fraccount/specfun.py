@@ -18,6 +18,7 @@ expression a term would form inline, so the terms and sums are the same bits.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -387,30 +388,24 @@ def gen_binom(alpha: float, j: int) -> float:
 # row 170 is the last whose entries (|s(k, h)| <= k!) fit a double
 STIRLING_CAP = 170
 
-_stirling_rows: list[list[int]] = [[1]]
-_stirling_lock = threading.Lock()
+
+@functools.lru_cache(maxsize=None)
+def _stirling_row(k: int) -> tuple[int, ...]:
+    if k == 0:
+        return (1,)
+    prev = _stirling_row(k - 1) + (0,)
+    return tuple((prev[h - 1] if h else 0) - (k - 1) * prev[h] for h in range(k + 1))
 
 
 def stirling_first(k: int, h: int) -> int:
     """Signed Stirling number of the first kind s(k, h), exact integer.
 
-    Row recurrence s(k+1, h) = s(k, h-1) - k * s(k, h). Rows are cached; the
-    fill is guarded by a lock and idempotent, so concurrent first access is
-    safe. Indices outside 0 <= h <= k <= STIRLING_CAP raise OutOfRange.
+    Row recurrence s(k+1, h) = s(k, h-1) - k * s(k, h), one cached row per
+    k (a concurrent first access may build a row twice, to the same
+    integers). Indices outside 0 <= h <= k <= STIRLING_CAP raise OutOfRange.
     """
     if not (0 <= k <= STIRLING_CAP):
         raise OutOfRange(f"k must be in [0, {STIRLING_CAP}], got {k}")
     if not (0 <= h <= k):
         raise OutOfRange(f"h must be in [0, {k}], got {h}")
-    if k >= len(_stirling_rows):
-        with _stirling_lock:
-            while len(_stirling_rows) <= k:
-                m = len(_stirling_rows) - 1  # extending row m to row m+1
-                prev = _stirling_rows[-1]
-                row = [0] * (m + 2)
-                for j in range(m + 2):
-                    above = prev[j] if j <= m else 0
-                    left = prev[j - 1] if 1 <= j <= m + 1 else 0
-                    row[j] = left - m * above
-                _stirling_rows.append(row)
-    return _stirling_rows[k][h]
+    return _stirling_row(k)[h]

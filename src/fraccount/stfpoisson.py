@@ -114,26 +114,32 @@ def _exp_or_inf(x: float) -> float:
 # pass and mostly ends in one; a quadrature stencil of ~900 points adds 8 at
 # a time until few of its points are left.
 _POWERS, _PASS = 1024, 8
+_NORMAL_MIN = np.finfo(float).tiny
 
 # terms r = 0..140 of the running branch's power series in the series route
 # of governing_residual
 _SERIES_TERMS = 141
 
 
-def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> np.ndarray:
+def _count_series(
+    params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig, guard: float = _CORE_ABS_GUARD
+) -> tuple[np.ndarray, np.ndarray]:
     """Uncoupled pmf entry k at elapsed time s for every k in ks and point of
-    s, shape (len(ks), len(s)): the one evaluator of the STFP count series
+    s, and the absolute error bound of each, both of shape (len(ks), len(s)):
+    the one evaluator of the STFP count series
     (-1)^k/k! sum_r (lam^alpha s^nu)^r / Gamma(nu r + 1) * (falling row of k).
 
     Terms are added in passes, one row per term and one column per point
     still summing: math.exp forms each power once per live s, each live k
     reads its slice of the cached falling row, and np.cumsum carries each
-    partial sum on in order.  A sum stops at its third term in a row below
+    partial sum on in order.  A term whose power is below the normal range,
+    or whose falling weight is inf while its power is finite, is formed as
+    one exponent instead.  A sum stops at its third term in a row below
     rel_tol times the partial sum, as in _sum_series.  A point is
     refused for a non-finite term (an overflowing power included), no stop
     within max_terms, a max term past cancellation_limit times the sum, or
-    an absolute error past _CORE_ABS_GUARD; the first refused point in
-    row-major order (k, then s) raises.
+    an absolute error past guard; the first refused point in row-major
+    order (k, then s) raises.
     """
     s, ks = np.asarray(s, dtype=float), list(ks)
     n_s, zero = len(s), s == 0.0
@@ -173,6 +179,12 @@ def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> 
                 ratio = ratio[:, np.searchsorted(k_on, ki)]
                 power = power[:, np.searchsorted(s_on, si)]
             term = np.where(ratio == 0.0, 0.0, power * ratio)  # 0 even where the power is inf
+            # a power below the normal range, or a weight past a double: sign * exp(arg + log|weight|)
+            odd = (power < _NORMAL_MIN) & (ratio != 0.0) | np.isinf(ratio)  # an inf power stays inf
+            for i, j in zip(*odd.nonzero()):
+                a_r, sign = params.alpha * (lo + i) + 1.0, np.broadcast_to(ratio, term.shape)[i, j]
+                log_weight = math.lgamma(a_r) - math.lgamma(a_r - ks[ki[j]])
+                term[i, j] = math.copysign(_exp_or_inf(arg[i, np.searchsorted(s_on, si[j])] + log_weight), sign)
             fin, mag = np.isfinite(term), np.abs(term)
             term[0] += total[live]  # each sum carried on from its partial sum
             partial = np.cumsum(term, axis=0)
@@ -197,7 +209,7 @@ def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> 
         lead = np.array([(-1.0) ** k / math.factorial(k) for k in ks[:n_lead]])[stopped // n_s]
         err = np.abs(lead) * _error_estimate(last[stopped], peak[stopped], used[stopped])
         lost = peak[stopped] / np.maximum(np.abs(total[stopped]), _TINY) > cfg.cancellation_limit
-        fail = lost | (err > _CORE_ABS_GUARD)
+        fail = lost | (err > guard)
     if fail.any():  # a stopped sum before the first refused point fails its checks
         i = fail.argmax()
         p = stopped[i]
@@ -209,10 +221,10 @@ def _count_series(params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig) -> 
         )
     if refusal is not None:
         raise refusal
-    out = np.zeros((len(ks), n_s))
+    out, bound = np.zeros((2, len(ks), n_s))
     out[np.equal(ks, 0)] = zero  # a point mass at 0 where s = 0
-    out.reshape(-1)[stopped] = lead * total[stopped]
-    return out
+    out.reshape(-1)[stopped], bound.reshape(-1)[stopped] = lead * total[stopped], err
+    return out, bound
 
 
 def _tables(params: StfpParams, t: float, K: int, cfg: SpecfunConfig, terminal: bool = False):
@@ -220,7 +232,7 @@ def _tables(params: StfpParams, t: float, K: int, cfg: SpecfunConfig, terminal: 
     frac, rho, T = F_stfp(params, t), params.rho, params.T
     use_run, use_held = _live_branches(frac, rho, t == T)
     apart = (use_held or terminal) and t != T  # the series at T, summed apart from t
-    cols = _count_series(params, np.array([t] * use_run + [T] * apart), range(K + 1), cfg).T.tolist()
+    cols = _count_series(params, np.array([t] * use_run + [T] * apart), range(K + 1), cfg)[0].T.tolist()
     tbl = _branch_table(iter(cols[0] if use_run else ()), iter(cols[-1]) if apart else None, frac, rho, K)
     if not terminal:
         return tbl, None
@@ -346,7 +358,7 @@ def governing_residual(
 
         def prob_at(s: np.ndarray) -> np.ndarray:
             # the pmf entry at every stencil point at once; F_stfp per point
-            running = _count_series(params, s, [k], cfg)[0] if use_run else 0.0
+            running = _count_series(params, s, [k], cfg)[0][0] if use_run else 0.0
             hold = np.array([x**expo for x in (s / T).tolist()])
             return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * held)
 

@@ -197,6 +197,57 @@ print("    " + ", ".join(fmt(v) for v in vals2))
 print(")")
 
 
+def nb_core_taylor(qv, alpha, nu, kmax):
+    # Taylor coefficients u^0..u^kmax of E_nu(-C(u)), C(u) = log^alpha((1 - (1-q) u)/q),
+    # by power-series arithmetic: C = L^alpha (1 + y)^alpha with y = log(1 - (1-q) u)/L,
+    # and E_nu(-C0 - D) = sum_m (-D)^m/m! E_nu^(m)(-C0) with D(0) = 0
+    L, c, n = -mp.log(qv), 1 - qv, kmax + 1
+    tol = mp.mpf(10) ** (5 - mp.mp.dps)
+
+    def mul(a, b):
+        return [mp.fsum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)]
+
+    y = [mp.mpf(0)] + [-(c ** m) / (m * L) for m in range(1, n)]
+    C, y_j, binom = [mp.mpf(0)] * n, [mp.mpf(1)] + [mp.mpf(0)] * kmax, mp.mpf(1)
+    for j in range(n):
+        C = [a + binom * b for a, b in zip(C, y_j)]
+        binom *= (alpha - j) / (j + 1)
+        y_j = mul(y_j, y)
+    z0, D = -(L ** alpha), [mp.mpf(0)] + [L ** alpha * v for v in C[1:]]
+
+    def ml_derivative(m):
+        s, small, r = mp.mpf(0), 0, m
+        while small < 3:
+            t = mp.factorial(r) / mp.factorial(r - m) * z0 ** (r - m) * mp.rgamma(nu * r + 1)
+            s += t
+            small = small + 1 if abs(t) < tol * abs(s) else 0
+            r += 1
+        return s
+
+    out, D_m = [mp.mpf(0)] * n, [mp.mpf(1)] + [mp.mpf(0)] * kmax
+    for m in range(n):
+        e = (-1) ** m * ml_derivative(m) / mp.factorial(m)
+        out = [a + e * b for a, b in zip(out, D_m)]
+        D_m = mul(D_m, D)
+    return out
+
+
+# deep entries at p=0.5, alpha=0.6, nu=0.5, t=T: the Fox-Wright closed form
+# against the Taylor coefficients of the pgf, at 60 digits
+with mp.workdps(60):
+    ks_deep = (0, 40, 120, 170)
+    qd, ad, nd = mp.mpf("0.5"), mp.mpf("0.6"), mp.mpf("0.5")
+    cau = nb_core_taylor(qd, ad, nd, max(ks_deep))
+    deep = []
+    for k in ks_deep:
+        vb = nb_core(qd, ad, nd, k)
+        assert abs(cau[k] - vb) / abs(vb) < mp.mpf("1e-40")
+        deep.append(vb)
+print("NEGBIN_PMF_DEEP = {")
+print("    " + ", ".join(f"{k}: {fmt(v)}" for k, v in zip(ks_deep, deep)) + ",")
+print("}")
+
+
 # ---- weighted transforms ----
 from math import comb
 

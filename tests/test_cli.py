@@ -93,6 +93,17 @@ def test_negbin_geometric_reduction(capsys):
         assert float(row[1]) == pytest.approx(qt * (1.0 - qt) ** k, rel=1e-10)
 
 
+def test_deep_tables_exit_zero(capsys):
+    # a light-tailed STFP table past k = 158 and a heavy-tailed negbin table
+    # to the Stirling cap: both print a table, neither a traceback
+    stfp = ["pmf", "--lambda", "2", "--kmax", "170", "--t", "1"]
+    negbin = ["negbin", "--p", "0.5", "--alpha", "0.6", "--nu", "0.5", "--kmax", "170", "--t", "1"]
+    for argv in (stfp, negbin):
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert len(parse_csv(out)[2]) == 171
+
+
 def test_verify_all_pass(capsys):
     code, out = run_cli(["verify"], capsys)
     assert code == 0

@@ -3,7 +3,13 @@ import math
 import pytest
 
 from fraccount import fnegbin
-from fraccount.errors import CancellationLoss, DomainError, InvalidProfile, UnsupportedR
+from fraccount.errors import (
+    CancellationLoss,
+    DomainError,
+    InvalidProfile,
+    OutOfRange,
+    UnsupportedR,
+)
 from fraccount.fnegbin import (
     Example31Profile,
     F_negbin,
@@ -163,6 +169,13 @@ def test_pmf_geometric_reduction():
     tbl = pmf_negbin_r1(params, 0.5, 30)
     for k in range(31):
         assert tbl[k] == pytest.approx(qt * (1.0 - qt) ** k, rel=1e-10)
+    # near p = 1 the deep count-series powers fall below the normal range
+    # and are formed as one exponent with their falling weights
+    params = NegBinParams(p=0.999, r=1, alpha=1.0, nu=1.0, rho=0.0, T=1.0,
+                          q_profile=Example31Profile(0.001))
+    tbl = pmf_negbin_r1(params, 1.0, 80)
+    for k in range(81):
+        assert tbl[k] == pytest.approx(0.999 * 0.001**k, rel=1e-12)
 
 
 def test_pmf_zero_count_closed_form():
@@ -219,26 +232,25 @@ def test_pmf_shape_two_by_convolution_matches_frozen():
         assert want == pytest.approx(FR.NEGBIN_PMF_R2[k], rel=1e-5)
 
 
-def _count_fox_wright(monkeypatch):
+def _count_series_calls(monkeypatch):
+    # the rate of each count-series call: one call per success level
     calls = []
-    real = fnegbin.fox_wright
+    real = fnegbin._count_series
 
-    def counted(spec, z, cfg=None):
-        calls.append(z)
-        return real(spec, z, cfg)
+    def counted(params, s, ks, cfg, **kw):
+        calls.append(params.lam)
+        return real(params, s, ks, cfg, **kw)
 
-    monkeypatch.setattr(fnegbin, "fox_wright", counted)
+    monkeypatch.setattr(fnegbin, "_count_series", counted)
     return calls
 
 
 @pytest.mark.parametrize("rho, t", [(0.0, 0.5), (0.4, 0.5), (0.4, 1.0)])
-def test_pmf_sums_each_fox_wright_once_per_level(monkeypatch, rho, t):
-    # psi_h does not depend on k, so a K-table needs at most K sums per level
-    calls = _count_fox_wright(monkeypatch)
+def test_pmf_sums_one_count_series_per_level(monkeypatch, rho, t):
+    # each live success level reads its entries from one count-series call
+    calls = _count_series_calls(monkeypatch)
     pmf_negbin_r1(mk(0.8, 0.5, rho), t, 40)
-    levels = set(calls)
-    assert len(levels) == (2 if (rho > 0.0 and t < 1.0) else 1)
-    assert len(calls) <= 40 * len(levels)
+    assert len(calls) == len(set(calls)) == (2 if (rho > 0.0 and t < 1.0) else 1)
 
 
 def test_pmf_prefix_is_bit_identical_across_K():
@@ -249,15 +261,40 @@ def test_pmf_prefix_is_bit_identical_across_K():
 
 
 def test_pmf_small_success_refused_at_same_entry(monkeypatch):
-    calls = _count_fox_wright(monkeypatch)
+    calls = _count_series_calls(monkeypatch)
     params = NegBinParams(
         p=0.05, r=1, alpha=0.8, nu=0.6, rho=0.4, T=1.0,
         q_profile=Example31Profile(lambda_mix=0.95),
     )
     with pytest.raises(CancellationLoss, match=r"entry k=6 "):
         pmf_negbin_r1(params, 0.5, 40)
-    # the rows stop growing at the failing entry: six sums per level
-    assert len(calls) <= 12
+    # one count-series call per level
+    assert len(calls) <= 2
+
+
+def test_pmf_zero_count_held_to_absolute_budget():
+    # the k = 0 entry is a Mittag-Leffler sum like any other count series:
+    # at p = 0.05, nu = 0.3 its error bound is ~6e-7, so it is refused
+    params = NegBinParams(
+        p=0.05, r=1, alpha=0.8, nu=0.3, rho=1.0, T=1.0,
+        q_profile=Example31Profile(lambda_mix=0.95),
+    )
+    with pytest.raises(CancellationLoss, match=r"^pmf entry k=0 carries absolute error"):
+        pmf_negbin_r1(params, 1.0, 0)
+
+
+def test_pmf_deep_table_matches_frozen():
+    # K = 170 at p = 0.5, heavy-tailed: each entry is a sum of terms of one
+    # sign, so the deep entries keep their digits
+    params = NegBinParams(
+        p=0.5, r=1, alpha=0.6, nu=0.5, rho=0.0, T=1.0, q_profile=Example31Profile(0.5)
+    )
+    tbl = pmf_negbin_r1(params, 1.0, 170)
+    for k, want in FR.NEGBIN_PMF_DEEP.items():
+        assert abs(tbl[k] - want) <= 1e-13, k
+    # one entry past the Stirling cap is out of range, not a wrong number
+    with pytest.raises(OutOfRange, match=r"got 171$"):
+        pmf_negbin_r1(params, 1.0, 171)
 
 
 def test_pmf_held_branch_skipped_at_time_zero():

@@ -343,7 +343,7 @@ def test_count_series_many_points_match_scalar_route(params, k, cfg, s):
     # the quadrature's many-point call against the per-term scalar reference,
     # point by point: same bits, or the refusal of the first refused point
     want = MANY_POINT_REFUSALS.get((params, k, cfg)) or [ref_core(params, x, k).hex() for x in s.tolist()]
-    assert _series_outcome(lambda: stfpoisson._count_series(params, s, [k], cfg)[0]) == want
+    assert _series_outcome(lambda: stfpoisson._count_series(params, s, [k], cfg)[0][0]) == want
 
 
 def test_count_series_many_points_without_scalar_route():
@@ -358,8 +358,10 @@ def test_count_series_many_points_without_scalar_route():
         "pmf entry k=1 at s=1.0 carries absolute error ~1.06e-12; "
         "no trustworthy digits at probability scale"
     )
-    got = stfpoisson._count_series(params, s[:2], [1], DEFAULT_CONFIG)[0]
-    assert [x.hex() for x in got] == [ref_core(params, x, 1).hex() for x in (0.2, 0.5)]
+    got, err = stfpoisson._count_series(params, s[:2], [1], DEFAULT_CONFIG)
+    assert [x.hex() for x in got[0]] == [ref_core(params, x, 1).hex() for x in (0.2, 0.5)]
+    # each entry's absolute error bound comes back beside it, within the guard
+    assert 0.0 < err.max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -380,12 +382,12 @@ def test_count_series_grid_refuses_in_row_major_order(params, cfg):
     want = None
     for k in ks:
         for x in s:
-            got = _series_outcome(lambda: stfpoisson._count_series(params, [x], [k], cfg)[0])
+            got = _series_outcome(lambda: stfpoisson._count_series(params, [x], [k], cfg)[0][0])
             if isinstance(got, str):
                 want = want or got
-    grid = _series_outcome(lambda: stfpoisson._count_series(params, s, ks, cfg).ravel())
+    grid = _series_outcome(lambda: stfpoisson._count_series(params, s, ks, cfg)[0].ravel())
     if want is None:
-        want = [_series_outcome(lambda: stfpoisson._count_series(params, [x], [k], cfg)[0])[0]
+        want = [_series_outcome(lambda: stfpoisson._count_series(params, [x], [k], cfg)[0][0])[0]
                 for k in ks for x in s]
     assert grid == want
 
@@ -393,11 +395,24 @@ def test_count_series_grid_refuses_in_row_major_order(params, cfg):
 def test_count_series_weight_past_a_double_is_refused():
     # 171! overflows a double: refused where s > 0, exact 0 at s = 0
     params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0)
-    got = stfpoisson._count_series(params, [0.0], [0, 171], DEFAULT_CONFIG)
+    got, err = stfpoisson._count_series(params, [0.0], [0, 171], DEFAULT_CONFIG)
     assert got.tolist() == [[1.0], [0.0]]
+    assert err.tolist() == [[0.0], [0.0]]  # exact at s = 0
     with pytest.raises(NonConvergent) as exc:
         stfpoisson._count_series(params, [0.0, 0.5], [0, 171], DEFAULT_CONFIG)
     assert str(exc.value) == "count series (k=171, s=0.5): 171! overflows a double"
+
+
+@pytest.mark.parametrize("lam, K", [(2.0, 170), (0.105, 130)])
+def test_deep_light_tailed_tables_match_poisson(lam, K):
+    # deep entries pair a power below the normal range, or a falling weight
+    # past a double, with a finite term: formed as one exponent, not 0 * inf
+    tbl = pmf(StfpParams(alpha=1.0, nu=1.0, lam=lam, T=1.0), 1.0, K)
+    for k in range(K + 1):
+        want = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1.0))
+        assert abs(tbl[k] - want) <= 1e-14, k
+    # the head keeps the bits of the shallower table
+    assert tbl.probs[:65] == pmf(StfpParams(alpha=1.0, nu=1.0, lam=lam, T=1.0), 1.0, 64).probs
 
 
 def test_pmf_normalization_light_tail():
