@@ -20,19 +20,17 @@ import math
 import sys
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import CountingProcessError, DomainError
 from .fnegbin import Example31Profile, NegBinParams, operator_residual_prop33, pmf_negbin_r1
-from .fracops import (
-    OperatorOAlphaSpec,
-    operator_O_alpha_on_log_powers,
-    operator_O_alpha_quadrature,
-)
+from .fracops import OperatorOAlphaSpec, _operator_quadrature, operator_O_alpha_on_log_powers
 from .mcsim import empirical_pmf, simulate_paths, stfp_sim_config
 from .pmftable import PmfTable
-from .specfun import mittag_leffler
+from .specfun import _mittag_leffler_many
 from .stfpoisson import (
     StfpParams,
-    governing_residual,
+    _governing_residuals,
     joint_prob_brb,
     joint_prob_kps,
     pgf as stfp_pgf,
@@ -217,16 +215,17 @@ def _verify_rows() -> list[tuple[str, str, str, str, str]]:
 
     for alpha, nu, rho in _GOVERNING_COMBOS:
         params = StfpParams(alpha=alpha, nu=nu, lam=1.0, T=1.0, rho=rho)
+        # k = 0..3 at each (t, route) in one call
+        res = {
+            (method, t): _governing_residuals(params, t, range(4), None, method)
+            for t in (0.3, 0.6, 1.0) for method in ("series", "quadrature")
+        }
         for k in range(4):
             for t in (0.3, 0.6, 1.0):
                 point = f"alpha={alpha};nu={nu};rho={rho};k={k};t={t}"
+                add("governing_balance_series", point, res["series", t][k], _TOL_GOVERNING_SERIES)
                 add(
-                    "governing_balance_series", point,
-                    governing_residual(params, t, k), _TOL_GOVERNING_SERIES,
-                )
-                add(
-                    "governing_balance_quadrature", point,
-                    governing_residual(params, t, k, method="quadrature"),
+                    "governing_balance_quadrature", point, res["quadrature", t][k],
                     _TOL_GOVERNING_QUAD,
                 )
 
@@ -246,8 +245,8 @@ def _verify_rows() -> list[tuple[str, str, str, str, str]]:
     for alpha, beta, z in ((0.5, 0.9, 1.5), (0.7, 1.4, 2.0), (0.4, 0.6, 1.0)):
         spec = OperatorOAlphaSpec(alpha=alpha, a=1.0, b=1.0)
         closed = operator_O_alpha_on_log_powers(spec, beta, z)
-        quad = operator_O_alpha_quadrature(
-            spec, lambda tau, beta=beta: math.log(1.0 + tau) ** beta, z
+        quad = _operator_quadrature(
+            spec, lambda taus, beta=beta: [math.log(1.0 + tau) ** beta for tau in taus.tolist()], z
         )
         add(
             "log_power_closed_vs_quadrature",
@@ -259,17 +258,17 @@ def _verify_rows() -> list[tuple[str, str, str, str, str]]:
         for gam in (0.5, 2.0):
             spec = OperatorOAlphaSpec(alpha=alpha, a=1.0, b=1.0)
 
-            def f(tau: float, alpha=alpha, gam=gam) -> float:
-                return mittag_leffler(
-                    alpha, 1.0, -gam * math.log(1.0 + tau) ** alpha
-                ).value
+            def f_many(taus: np.ndarray, alpha=alpha, gam=gam) -> np.ndarray:
+                return _mittag_leffler_many(
+                    alpha, 1.0, [-gam * math.log(1.0 + tau) ** alpha for tau in taus.tolist()]
+                )
 
             for z in (0.8, 1.5):
-                got = operator_O_alpha_quadrature(spec, f, z)
+                got = _operator_quadrature(spec, f_many, z)
                 add(
                     "ml_eigenfunction_identity",
                     f"alpha={alpha};gamma={gam};z={z}",
-                    abs(got + gam * f(z)), _TOL_EIGEN,
+                    abs(got + gam * float(f_many(np.array([z]))[0])), _TOL_EIGEN,
                 )
 
     return [row for name in sorted(groups) for row in groups[name]]

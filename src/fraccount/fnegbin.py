@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CancellationLoss, DomainError, InvalidProfile, OutOfRange, UnsupportedR
-from .fracops import OperatorOAlphaSpec, operator_O_alpha_quadrature
+from .fracops import OperatorOAlphaSpec, _operator_quadrature
 from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
@@ -29,6 +29,7 @@ from .specfun import (
     DEFAULT_CONFIG,
     STIRLING_CAP,
     SpecfunConfig,
+    _mittag_leffler_many,
     mittag_leffler,
 )
 from .stfpoisson import StfpParams, _count_series
@@ -176,44 +177,70 @@ def _radius(level: float) -> float:
     return math.inf if level >= 1.0 else 1.0 / (1.0 - level)
 
 
-def _core_pgf(level: float, alpha: float, nu: float, r: int, u: float,
-              cfg: SpecfunConfig) -> float:
+def _core_arg(level: float, alpha: float, u: float) -> float:
+    # the Mittag-Leffler argument of the core transform at u
     x = (1.0 - (1.0 - level) * u) / level
     if x <= 0.0:
         raise DomainError(f"transform argument {u} outside radius {_radius(level)}")
-    base = mittag_leffler(nu, 1.0, -_signed_log_power(x, alpha), cfg).value
-    return base**r
+    return -_signed_log_power(x, alpha)
 
 
-def pgf_negbin(
-    params: NegBinParams, t: float, u: float, cfg: SpecfunConfig | None = None
-) -> float:
-    """Probability generating function at time t.
-
-    Radius of convergence is set by the terminal success level once the held
-    branch is active (rho > 0) and by q(t) otherwise; the continuation above
-    u = 1 is taken with the signed log power, which is what the operator
-    equations act on.  Returns exactly 1.0 at u = 1.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    rho = params.rho
-    qt = params.q(t)
+def _pgf_branches(params: NegBinParams, t: float, us) -> tuple[float, float]:
+    """q(t) and the activation profile F of pgf_negbin at t, once every u of
+    us is inside the radius of convergence: the terminal success level's once
+    the held branch is active (rho > 0), q(t)'s otherwise."""
+    rho, qt = params.rho, params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
     # only branches with nonzero weight constrain the radius (at t=0 the
     # held branch has weight rho*F = 0 and the pgf is entire)
     use_run, use_held = _live_branches(frac, rho, qt == params.p)
     bound = min(_radius(qt) if use_run else math.inf, _radius(params.p) if use_held else math.inf)
-    if not abs(u) < bound:
-        raise DomainError(f"|u|={abs(u)} outside radius {bound}")
+    for u in us:
+        if not abs(u) < bound:
+            raise DomainError(f"|u|={abs(u)} outside radius {bound}")
+    return qt, frac
+
+
+def pgf_negbin(
+    params: NegBinParams, t: float, u: float, cfg: SpecfunConfig | None = None
+) -> float:
+    """Probability generating function at time t, |u| below the radius of
+    convergence (see _pgf_branches).
+
+    The continuation above u = 1 is taken with the signed log power, which
+    is what the operator equations act on.  Returns exactly 1.0 at u = 1.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    qt, frac = _pgf_branches(params, t, [u])
     if u == 1.0:
         return 1.0
     a, nu, r = params.alpha, params.nu, params.r
 
     def transform(level: float) -> Callable[[], float]:
-        return lambda: _core_pgf(level, a, nu, r, u, cfg)
+        return lambda: mittag_leffler(nu, 1.0, _core_arg(level, a, u), cfg).value ** r
 
     held = None if qt == params.p else transform(params.p)
-    return _branch_transform(transform(qt), held, frac, rho)
+    return _branch_transform(transform(qt), held, frac, params.rho)
+
+
+def _pgf_negbin_many(params: NegBinParams, t: float, us, cfg: SpecfunConfig) -> np.ndarray:
+    """pgf_negbin(params, t, u, cfg) at every u of us, with one
+    _mittag_leffler_many call per live branch; _branch_transform mixes the
+    arrays in the scalar operation order."""
+    qt, frac = _pgf_branches(params, t, us)
+    us = np.asarray(us, dtype=float)
+    out, at = np.ones(us.size), (us != 1.0).nonzero()[0]
+    a, nu, r, rest = params.alpha, params.nu, params.r, us[at].tolist()
+
+    def transform(level: float) -> Callable[[], np.ndarray]:
+        def values() -> np.ndarray:
+            base = _mittag_leffler_many(nu, 1.0, [_core_arg(level, a, u) for u in rest], cfg)
+            return np.array([b**r for b in base.tolist()])
+        return values
+
+    held = None if qt == params.p else transform(params.p)
+    out[at] = _branch_transform(transform(qt), held, frac, params.rho)
+    return out
 
 
 def _core_pmf(level: float, alpha: float, nu: float, K: int,
@@ -313,7 +340,7 @@ def operator_residual_prop33(
     if not 1.0 < u < _radius(level):
         raise DomainError(f"u={u} outside (1, {_radius(level)})")
     op = OperatorOAlphaSpec(alpha=params.alpha, a=1.0 / level, b=(level - 1.0) / level)
-    lhs = operator_O_alpha_quadrature(op, lambda v: pgf_negbin(work, t, v, cfg), u)
+    lhs = _operator_quadrature(op, lambda v: _pgf_negbin_many(work, t, v, cfg), u)
     rhs = -pgf_negbin(work, t, u, cfg)
     if rho == 1.0:
         rhs += 1.0 - F_negbin(params, t)

@@ -13,8 +13,10 @@ g' at 0 are both absorbed by the transform.
 
 The core takes an array integrand: it forms every finite-difference stencil
 point of the coarse and the node-doubled rule, calls g once on all of them,
-and sums the weighted differences.  Scalar callables go through a per-point
-adapter that calls them once per point, in the same order.
+and sums the weighted differences; an integrand that returns one row per
+function integrates each row on its own.  The package's callers pass array
+integrands (_caputo_quadrature, _operator_quadrature); a per-point adapter
+serves only the public scalar APIs, calling f once per point, in order.
 """
 from __future__ import annotations
 
@@ -149,42 +151,41 @@ def _stencils(span: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return points, used, hw
 
 
-def _stable_quadrature(
-    g_many: Callable[[np.ndarray], Sequence[float]],
-    alpha: float,
-    span: float,
-    what: str,
-) -> float:
+def _stable_quadrature(g_many: Callable[[np.ndarray], Sequence], alpha: float, span: float, what: str):
     """(|span|^(1-alpha) / Gamma(1-alpha)) * integral_0^1 (1-y)^(-alpha) g'(y*span) dy
     by the tanh-sinh rule at _NODES and 2*_NODES nodes, with g' by finite
     differences.  g_many is called once, on every stencil point of both
     rules (coarse before fine, nodes ascending, each stencil in order), and
-    returns g there.  The finer value is returned; a shift beyond 1e-4
-    relative raises QuadratureFailure."""
+    returns g there, or one row of g per function.  The finer value is
+    returned (a list of them for rows); a shift beyond 1e-4 relative raises
+    QuadratureFailure, at the first row that shifts."""
     sizes = (_NODES, 2 * _NODES)
     rules = [_stencils(span, n) for n in sizes]
     values = np.asarray(
         g_many(np.concatenate([points[used] for points, used, _ in rules])), dtype=np.float64
     )
-    integrals = []
-    for n, (points, used, hw) in zip(sizes, rules):
-        _, log1my, dyd, step = _tanh_sinh_nodes(n)
-        g, m = np.zeros(points.shape), int(used.sum())
-        g[used], values = values[:m], values[m:]
-        gp = np.where(
-            used[:, 2], 3.0 * g[:, 0] - 4.0 * g[:, 1] + g[:, 2], g[:, 0] - g[:, 1]
-        ) / (2.0 * hw)
-        weight = np.array([math.exp(-alpha * v) for v in log1my.tolist()])
-        integral = math.fsum((weight * gp * dyd * step).tolist())
-        integrals.append(abs(span) ** (1.0 - alpha) / math.gamma(1.0 - alpha) * integral)
-    coarse, fine = integrals
-    # the 1e-8 floor keeps finite-difference noise (~1e-13 at desk scale) from
-    # tripping the relative test when the true value is 0
-    if abs(fine - coarse) > 1e-4 * max(abs(fine), 1e-8):
-        raise QuadratureFailure(
-            f"{what}: node doubling moved the value from {coarse:.10g} to {fine:.10g}"
-        )
-    return fine
+    scale = abs(span) ** (1.0 - alpha) / math.gamma(1.0 - alpha)
+    weights = [np.array([math.exp(-alpha * v) for v in _tanh_sinh_nodes(n)[1].tolist()]) for n in sizes]
+    out = []
+    for rest in values.reshape(-1, values.shape[-1]):
+        integrals = []
+        for n, (points, used, hw), weight in zip(sizes, rules, weights):
+            _, _, dyd, step = _tanh_sinh_nodes(n)
+            g, m = np.zeros(points.shape), int(used.sum())
+            g[used], rest = rest[:m], rest[m:]
+            gp = np.where(
+                used[:, 2], 3.0 * g[:, 0] - 4.0 * g[:, 1] + g[:, 2], g[:, 0] - g[:, 1]
+            ) / (2.0 * hw)
+            integrals.append(scale * math.fsum((weight * gp * dyd * step).tolist()))
+        coarse, fine = integrals
+        # the 1e-8 floor keeps finite-difference noise (~1e-13 at desk scale) from
+        # tripping the relative test when the true value is 0
+        if abs(fine - coarse) > 1e-4 * max(abs(fine), 1e-8):
+            raise QuadratureFailure(
+                f"{what}: node doubling moved the value from {coarse:.10g} to {fine:.10g}"
+            )
+        out.append(fine)
+    return out if values.ndim > 1 else out[0]
 
 
 def _per_point(f: Callable[[float], float]) -> Callable[[np.ndarray], list[float]]:
@@ -192,11 +193,10 @@ def _per_point(f: Callable[[float], float]) -> Callable[[np.ndarray], list[float
     return lambda points: [f(x) for x in points.tolist()]
 
 
-def _caputo_quadrature(
-    f_many: Callable[[np.ndarray], Sequence[float]], nu: float, t: float
-) -> float:
+def _caputo_quadrature(f_many: Callable[[np.ndarray], Sequence], nu: float, t: float):
     """caputo_derivative_quadrature with an array integrand: f_many maps an
-    array of points in (0, t] to f at each of them."""
+    array of points in (0, t] to f at each of them, or to one row of values
+    per function, and a list of derivatives comes back."""
     if not (0.0 < nu < 1.0):
         raise DomainError(f"nu must be strictly inside (0,1), got {nu}")
     if t <= 0.0:
@@ -249,18 +249,13 @@ class OperatorOAlphaSpec:
         return (1.0 - self.a) / self.b
 
 
-def operator_O_alpha_quadrature(
-    spec: OperatorOAlphaSpec, f: Callable[[float], float], z: float
+def _operator_quadrature(
+    spec: OperatorOAlphaSpec, f_many: Callable[[np.ndarray], Sequence[float]], z: float
 ) -> float:
-    """The order-alpha logarithmic-kernel operator applied to f at z.
-
-    After substituting w = log(a + b*tau) the operator is a Caputo derivative
-    in w from 0 to W = log(a + b*z); normalizing by y = w/W gives the
-    (1-y)^(-alpha) weighted form evaluated here. The formula is even in the
-    sign of W, so arguments with a + b*z < 1 (shrinking maps, b < 0) are
-    handled by the same expression. At alpha = 1 the operator collapses to
-    (a/b + z) f'(z).
-    """
+    """operator_O_alpha_quadrature with an array integrand: f_many maps an
+    array of points in (lower_limit, z] to f at each of them.  It is called
+    once, on the 882 stencil points mapped by tau = (e^w - a)/b with math.exp
+    per point, or at alpha = 1 on the backward stencil (z, z-h, z-2h)."""
     lo = spec.lower_limit
     if z <= lo:
         raise DomainError(f"z={z} is not above the lower limit {lo}")
@@ -274,13 +269,28 @@ def operator_O_alpha_quadrature(
     if spec.alpha == 1.0:
         # backward stencil keeps every evaluation inside the domain (lo, z]
         h = abs(z - lo) * _NOMINAL_STEP_REL
-        fp = (3.0 * f(z) - 4.0 * f(z - h) + f(z - 2.0 * h)) / (2.0 * h)
-        return (spec.a / spec.b + z) * fp
+        f0, f1, f2 = np.asarray(f_many(np.array([z, z - h, z - 2.0 * h])), dtype=np.float64).tolist()
+        return (spec.a / spec.b + z) * ((3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h))
 
-    def g(w: float) -> float:
-        return f((math.exp(w) - spec.a) / spec.b)
+    def g_many(w: np.ndarray) -> Sequence[float]:
+        return f_many(np.array([(math.exp(v) - spec.a) / spec.b for v in w.tolist()]))
 
-    return _stable_quadrature(_per_point(g), spec.alpha, W, "operator_O_alpha_quadrature")
+    return _stable_quadrature(g_many, spec.alpha, W, "operator_O_alpha_quadrature")
+
+
+def operator_O_alpha_quadrature(
+    spec: OperatorOAlphaSpec, f: Callable[[float], float], z: float
+) -> float:
+    """The order-alpha logarithmic-kernel operator applied to f at z.
+
+    After substituting w = log(a + b*tau) the operator is a Caputo derivative
+    in w from 0 to W = log(a + b*z); normalizing by y = w/W gives the
+    (1-y)^(-alpha) weighted form evaluated here. The formula is even in the
+    sign of W, so arguments with a + b*z < 1 (shrinking maps, b < 0) are
+    handled by the same expression. At alpha = 1 the operator collapses to
+    (a/b + z) f'(z).  f is called once per point, in order.
+    """
+    return _operator_quadrature(spec, _per_point(f), z)
 
 
 def operator_O_alpha_on_log_powers(

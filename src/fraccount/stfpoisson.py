@@ -28,16 +28,14 @@ from .fracops import (
 from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
-    _TINY,
     DEFAULT_CONFIG,
     SpecfunConfig,
     _cancelled,
-    _coef_list,
     _coef_row,
     _error_estimate,
+    _exp_or_inf,
     _lgamma_row,
-    _no_convergence,
-    _not_finite,
+    _series_passes,
     gamma_ratio_signed,
     gen_binom,
     gen_mittag_leffler,
@@ -100,24 +98,8 @@ def _falling(a: float, k: int) -> tuple[tuple, Callable[[int], float]]:
     )
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:  # past ~709.78
-        return math.inf
-
-
-# A pass costs some 40 numpy calls whatever its width, about as long as 1,000
-# math.exp calls, and each term past a point's stop is a wasted math.exp.  So
-# a pass forms about _POWERS powers: _POWERS // (live s) terms for each live
-# s, within [_PASS, 8 _PASS].  A table at one or two times adds 64 terms a
-# pass and mostly ends in one; a quadrature stencil of ~900 points adds 8 at
-# a time until few of its points are left.
-_POWERS, _PASS = 1024, 8
-_NORMAL_MIN = np.finfo(float).tiny
-
 # terms r = 0..140 of the running branch's power series in the series route
-# of governing_residual
+# of governing_residual, before its tail check may extend it
 _SERIES_TERMS = 141
 
 
@@ -127,88 +109,39 @@ def _count_series(
     """Uncoupled pmf entry k at elapsed time s for every k in ks and point of
     s, and the absolute error bound of each, both of shape (len(ks), len(s)):
     the one evaluator of the STFP count series
-    (-1)^k/k! sum_r (lam^alpha s^nu)^r / Gamma(nu r + 1) * (falling row of k).
+    (-1)^k/k! sum_r (lam^alpha s^nu)^r / Gamma(nu r + 1) * (falling row of k),
+    summed by specfun._series_passes with one falling weight row per k.
 
-    Terms are added in passes, one row per term and one column per point
-    still summing: math.exp forms each power once per live s, each live k
-    reads its slice of the cached falling row, and np.cumsum carries each
-    partial sum on in order.  A term whose power is below the normal range,
-    or whose falling weight is inf while its power is finite, is formed as
-    one exponent instead.  A sum stops at its third term in a row below
-    rel_tol times the partial sum, as in _sum_series.  A point is
-    refused for a non-finite term (an overflowing power included), no stop
-    within max_terms, a max term past cancellation_limit times the sum, or
-    an absolute error past guard; the first refused point in row-major
-    order (k, then s) raises.
+    A point is refused for a non-finite term (an overflowing power
+    included), no stop within max_terms, a max term past cancellation_limit
+    times the sum, or an absolute error past guard; the first refused point
+    in row-major order (k, then s) raises.
     """
     s, ks = np.asarray(s, dtype=float), list(ks)
     n_s, zero = len(s), s == 0.0
     # log of lam^alpha * s^nu, kept in log space so large r stays finite
     log_s = np.fromiter(map(math.log, np.where(zero, 1.0, s).tolist()), float, n_s)
     log_x = params.alpha * math.log(params.lam) + params.nu * log_s
-    lg_row, falling = _lgamma_row(params.nu, 1.0), [_falling(params.alpha, k) for k in ks]
-    # per point, row-major: partial sum, max term, last term, terms used, last two small?
-    total, peak, last, used = np.zeros((4, len(ks) * n_s))
-    runs = np.zeros((2, len(ks) * n_s), dtype=bool)
-    points = live = np.tile(~zero, len(ks)).nonzero()[0]
-    lo, first, refusal = 0, len(ks) * n_s, None  # first term of a pass; first refused point, why
+    points = np.tile(~zero, len(ks)).nonzero()[0]
 
     def label(p):
         return f"count series (k={ks[p // n_s]}, s={float(s[p % n_s])})"
 
+    def log_weight(j, r):  # log|falling weight| of row j at term r
+        a_r = params.alpha * r + 1.0
+        return math.lgamma(a_r) - math.lgamma(a_r - ks[j])
+
     n_lead = next((i for i, k in enumerate(ks) if k > 170), len(ks))  # 171! is past a double
-    if live.size and live[-1] >= n_lead * n_s:
-        first = live[np.searchsorted(live, n_lead * n_s)]
-        refusal = NonConvergent(f"{label(first)}: {ks[first // n_s]}! overflows a double")
-        live = live[live < first]
+    n_sum = np.searchsorted(points, n_lead * n_s)
+    total, peak, last, used, stopped, lost, refusal = _series_passes(
+        log_x, None, (params.nu, 1.0), [_falling(params.alpha, k) for k in ks], points[:n_sum], cfg,
+        label, log_weight=log_weight)
+    if refusal is None and n_sum < points.size:
+        p = points[n_sum]
+        refusal = NonConvergent(f"{label(p)}: {ks[p // n_s]}! overflows a double")
     with np.errstate(all="ignore"):
-        while live.size:
-            ki, si = np.divmod(live, n_s)
-            k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
-            hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), cfg.max_terms)
-            # one row per term, one column per point
-            ratio = np.array([_coef_list(*falling[j], hi)[lo:hi] for j in k_on.tolist()]).T
-            lg = np.fromiter(itertools.islice(lg_row, hi - lo), float, hi - lo)
-            arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
-            try:
-                power = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
-            except OverflowError:  # such a power is inf
-                power = np.array([_exp_or_inf(x) for x in arg.ravel().tolist()])
-            power = power.reshape(arg.shape)
-            if k_on.size > 1:  # else the live points are the live s, in order
-                ratio = ratio[:, np.searchsorted(k_on, ki)]
-                power = power[:, np.searchsorted(s_on, si)]
-            term = np.where(ratio == 0.0, 0.0, power * ratio)  # 0 even where the power is inf
-            # a power below the normal range, or a weight past a double: sign * exp(arg + log|weight|)
-            odd = (power < _NORMAL_MIN) & (ratio != 0.0) | np.isinf(ratio)  # an inf power stays inf
-            for i, j in zip(*odd.nonzero()):
-                a_r, sign = params.alpha * (lo + i) + 1.0, np.broadcast_to(ratio, term.shape)[i, j]
-                log_weight = math.lgamma(a_r) - math.lgamma(a_r - ks[ki[j]])
-                term[i, j] = math.copysign(_exp_or_inf(arg[i, np.searchsorted(s_on, si[j])] + log_weight), sign)
-            fin, mag = np.isfinite(term), np.abs(term)
-            term[0] += total[live]  # each sum carried on from its partial sum
-            partial = np.cumsum(term, axis=0)
-            small = np.concatenate((runs[:, live], mag < cfg.rel_tol * np.abs(partial)))
-            # a sum stops at its third small term in a row, or is refused at a non-finite one
-            stop = small[:-2] & small[1:-1] & small[2:] | ~fin
-            done = stop.any(axis=0)
-            row, at = np.where(done, stop.argmax(axis=0), hi - lo - 1), np.arange(live.size)
-            total[live], last[live], used[live] = partial[row, at], mag[row, at], lo + row + 1
-            summed = np.arange(hi - lo)[:, None] <= row
-            peak[live] = np.maximum(peak[live], np.where(summed, mag, 0.0).max(axis=0))
-            runs[:, live] = small[-2:]
-            broke = ~fin[row, at]
-            fail = broke | ~done if hi == cfg.max_terms else broke
-            if fail.any():  # the points after the first refused one are dropped
-                i = fail.argmax()
-                first, done[i:] = live[i], True
-                refusal = (_not_finite(label(first), lo + row[i] + 1) if broke[i]
-                           else _no_convergence(label(first), cfg, total[first]))
-            live, lo = live[~done], hi
-        stopped = points[: np.searchsorted(points, first)]
         lead = np.array([(-1.0) ** k / math.factorial(k) for k in ks[:n_lead]])[stopped // n_s]
         err = np.abs(lead) * _error_estimate(last[stopped], peak[stopped], used[stopped])
-        lost = peak[stopped] / np.maximum(np.abs(total[stopped]), _TINY) > cfg.cancellation_limit
         fail = lost | (err > guard)
     if fail.any():  # a stopped sum before the first refused point fails its checks
         i = fail.argmax()
@@ -329,77 +262,115 @@ def governing_residual(
 
     The left side is the time-fractional Caputo derivative of P(count = k):
     method "series" applies the exact termwise rule to the power-series
-    representation, truncated after _SERIES_TERMS powers (NonConvergent
-    when the last kept term at t is not below rel_tol times the partial
-    sum); method "quadrature" integrates the derivative of the assembled
-    pmf directly, with the count series summed at every stencil point, and
-    is the coarser cross-check (fractional orders only).  The right side is
-    assembled from the fractional backward difference in k, the coupling
-    source terms, and the table at the horizon.  Small residuals certify
-    the closed forms against each other.
+    representation, _SERIES_TERMS powers and then as many more as it takes
+    for the last kept term at t to fall below rel_tol times the partial sum
+    (NonConvergent if none within max_terms); method "quadrature"
+    integrates the derivative of the assembled pmf directly, with the count
+    series summed at every stencil point, and is the coarser cross-check
+    (fractional orders only).  The right side is assembled from the
+    fractional backward difference in k, the coupling source terms, and the
+    table at the horizon.  Small residuals certify the closed forms against
+    each other.
     """
+    return _governing_residuals(params, t, [k], cfg, method)[0]
+
+
+def _governing_residuals(
+    params: StfpParams, t: float, ks, cfg: SpecfunConfig | None, method: str
+) -> list[float]:
+    """governing_residual at every k of ks, each with the bits of its own
+    call, from one pair of tables and, on the quadrature route, one stencil
+    call over all of ks.  A refusal raises what the call for the first k
+    refused on its own raises."""
+    ks = list(ks)
     if not 0.0 < t <= params.T:
         raise DomainError(f"t={t} outside (0, {params.T}]")
-    if k < 0:
-        raise DomainError(f"count index must be >= 0, got {k}")
+    for k in ks:
+        if k < 0:
+            raise DomainError(f"count index must be >= 0, got {k}")
     if method not in ("series", "quadrature"):
         raise DomainError(f"method must be 'series' or 'quadrature', got {method!r}")
-    cfg = cfg or DEFAULT_CONFIG
+    try:
+        return _residuals(params, t, ks, cfg or DEFAULT_CONFIG, method)
+    except ArithmeticError:
+        for k in ks[:-1]:  # raises at the first k refused on its own, if not the last
+            _residuals(params, t, [k], cfg or DEFAULT_CONFIG, method)
+        raise
+
+
+def _residuals(params: StfpParams, t: float, ks: list[int], cfg: SpecfunConfig, method: str) -> list[float]:
     a, nu, lam, T, rho = params.alpha, params.nu, params.lam, params.T, params.rho
     la = lam**a
     frac = F_stfp(params, t)
-    tbl_t, tbl_T = _tables(params, t, k, cfg, terminal=rho != 0.0)
+    tbl_t, tbl_T = _tables(params, t, max(ks), cfg, terminal=rho != 0.0)
 
     if method == "quadrature":
-        delta = 1.0 if k == 0 else 0.0
-        held = tbl_T[k] if rho != 0.0 else 0.0
+        delta = np.equal(ks, 0)[:, None] * 1.0
+        held = np.array([tbl_T[k] if rho != 0.0 else 0.0 for k in ks])[:, None]
         expo = nu / a
         use_run = _live_branches(frac, rho, False)[0]  # weight 1 - rho at every stencil point
 
-        def prob_at(s: np.ndarray) -> np.ndarray:
-            # the pmf entry at every stencil point at once; F_stfp per point
-            running = _count_series(params, s, [k], cfg)[0][0] if use_run else 0.0
+        def probs_at(s: np.ndarray) -> np.ndarray:
+            # one row of pmf entries per k at every stencil point at once; F_stfp per point
+            running = _count_series(params, s, ks, cfg)[0] if use_run else 0.0
             hold = np.array([x**expo for x in (s / T).tolist()])
             return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * held)
 
-        lhs = _caputo_quadrature(prob_at, nu, t)
+        lhs = _caputo_quadrature(probs_at, nu, t)
     else:
-        # power series in t of P(count = k); exponents nu*r from the running
-        # branch plus nu/alpha from the coupling weight (build() merges any
-        # collision, e.g. alpha = 1/2 puts nu/alpha on the r = 2 lattice point)
-        lead = (-1.0) ** k / math.factorial(k)
-        log_la = a * math.log(lam)
-        pairs: list[tuple[float, float]] = []
-        rows = zip(range(_SERIES_TERMS), _lgamma_row(nu, 1.0), _coef_row(*_falling(a, k)))
-        for r, lg_den, ratio in rows:
-            if ratio == 0.0:
-                continue
-            mag = _exp_or_inf(r * log_la - lg_den)
-            if mag == math.inf:
-                raise NonConvergent(f"residual series (k={k}, t={t}): term r={r} overflows")
-            pairs.append(((1.0 - rho) * lead * mag * ratio, nu * r))
-        at_t = [c * t**e for c, e in pairs]
-        tail = abs(at_t[-1]) if at_t else 0.0
-        if tail > cfg.rel_tol * abs(math.fsum(at_t)):
-            raise NonConvergent(
-                f"residual series (k={k}, t={t}): {_SERIES_TERMS} terms leave a tail of ~{tail:.2e}"
-            )
-        if rho != 0.0:
-            scale = rho * T ** (-nu / a)
-            if k == 0:
-                pairs.append((rho, 0.0))
-            delta = 1.0 if k == 0 else 0.0
-            pairs.append((scale * (tbl_T[k] - delta), nu / a))
-        lhs = caputo_derivative_series(PowerSeriesInT.build(pairs), nu, t)
+        lhs = [_series_lhs(params, t, k, tbl_T, cfg) for k in ks]
 
-    rhs = -la * frac_difference(tbl_t, a, k)
+    out = []
+    for k, left in zip(ks, lhs):
+        rhs = -la * frac_difference(tbl_t, a, k)
+        if rho != 0.0:
+            # Caputo weight of the activation profile t^(nu/alpha)
+            gfac = gamma_ratio_signed(nu / a + 1.0, nu / a - nu + 1.0)
+            delta = 1.0 if k == 0 else 0.0
+            rhs += la * rho * (1.0 - frac) * (-1.0) ** k * gen_binom(a, k)
+            rhs += rho * frac * (
+                la * frac_difference(tbl_T, a, k)
+                + t ** (-nu) * gfac * (tbl_T[k] - delta)
+            )
+        out.append(abs(left - rhs))
+    return out
+
+
+def _series_lhs(params: StfpParams, t: float, k: int, tbl_T, cfg: SpecfunConfig) -> float:
+    # Caputo derivative at t of the power series in t of P(count = k):
+    # exponents nu*r from the running branch plus nu/alpha from the coupling
+    # weight (build() merges any collision, e.g. alpha = 1/2 puts nu/alpha on
+    # the r = 2 lattice point)
+    a, nu, T, rho = params.alpha, params.nu, params.T, params.rho
+    lead = (-1.0) ** k / math.factorial(k)
+    log_la = a * math.log(params.lam)
+    pairs: list[tuple[float, float]] = []
+    at_t: list[float] = []
+    partial = None  # the sum at t, once the first _SERIES_TERMS are in
+    rows = zip(itertools.count(), _lgamma_row(nu, 1.0), _coef_row(*_falling(a, k)))
+    for r, lg_den, ratio in rows:
+        if r >= _SERIES_TERMS:
+            tail = abs(at_t[-1]) if at_t else 0.0
+            partial = math.fsum(at_t) if partial is None else partial
+            if not tail > cfg.rel_tol * abs(partial):
+                break
+            if r >= cfg.max_terms:
+                raise NonConvergent(
+                    f"residual series (k={k}, t={t}): {r} terms leave a tail of ~{tail:.2e}"
+                )
+        if ratio == 0.0:
+            continue
+        mag = _exp_or_inf(r * log_la - lg_den)
+        if mag == math.inf:
+            raise NonConvergent(f"residual series (k={k}, t={t}): term r={r} overflows")
+        pairs.append(((1.0 - rho) * lead * mag * ratio, nu * r))
+        at_t.append(pairs[-1][0] * t ** pairs[-1][1])
+        if partial is not None:
+            partial += at_t[-1]
     if rho != 0.0:
-        # Caputo weight of the activation profile t^(nu/alpha)
-        gfac = gamma_ratio_signed(nu / a + 1.0, nu / a - nu + 1.0)
+        scale = rho * T ** (-nu / a)
+        if k == 0:
+            pairs.append((rho, 0.0))
         delta = 1.0 if k == 0 else 0.0
-        rhs += la * rho * (1.0 - frac) * (-1.0) ** k * gen_binom(a, k)
-        rhs += rho * frac * (
-            la * frac_difference(tbl_T, a, k)
-            + t ** (-nu) * gfac * (tbl_T[k] - delta)
-        )
-    return abs(lhs - rhs)
+        pairs.append((scale * (tbl_T[k] - delta), nu / a))
+    return caputo_derivative_series(PowerSeriesInT.build(pairs), nu, t)

@@ -123,6 +123,23 @@ print("    " + ", ".join(fmt(v) for v in stfp_combo("0.8", "0.6", "0.3", 10)))
 print(")")
 
 
+def stfp_point(alpha, nu, lam, T, t, kmax):
+    # uncoupled pmf at one point, both routes
+    alpha, nu, lam, T, t = (mp.mpf(v) for v in (alpha, nu, lam, T, t))
+    cau = taylor_coeffs(lambda u: stfp_pgf(alpha, nu, lam, T, t, 0, u), kmax)
+    vals = []
+    for k in range(kmax + 1):
+        vb = stfp_mixture(alpha, nu, lam, T, t, 0, k)
+        assert abs(cau[k] - vb) / abs(vb) < mp.mpf("1e-14")
+        vals.append(vb)
+    return vals
+
+
+print("STFP_PMF_NU01 = (")
+print("    " + ", ".join(fmt(v) for v in stfp_point("0.3", "0.1", 1, 1, 1, 3)))
+print(")")
+
+
 # ---- fractional negative binomial family ----
 _srows = {}
 

@@ -4,9 +4,16 @@ import math
 
 import pytest
 
-from fraccount.cli import main
-from fraccount.fnegbin import Example31Profile, NegBinParams, pmf_negbin_r1
-from fraccount.stfpoisson import StfpParams, pmf
+from fraccount import specfun, stfpoisson
+from fraccount.cli import _verify_rows, main
+from fraccount.fnegbin import Example31Profile, F_negbin, NegBinParams, pgf_negbin, pmf_negbin_r1
+from fraccount.fracops import (
+    OperatorOAlphaSpec,
+    operator_O_alpha_on_log_powers,
+    operator_O_alpha_quadrature,
+)
+from fraccount.specfun import mittag_leffler
+from fraccount.stfpoisson import StfpParams, governing_residual, pmf
 
 
 def run_cli(argv, capsys):
@@ -116,6 +123,65 @@ def test_verify_all_pass(capsys):
     # rows arrive grouped by equation name in ascending order
     names = [row[0] for row in rows]
     assert names == sorted(names)
+
+
+def _public_residual(equation, point):
+    # a verify row's residual rebuilt from the public scalar APIs, one call
+    # per k and one integrand call per stencil point; the negbin identity is
+    # at p = 0.5, t = 0.5 as in the suite
+    kv = {key: float(val) for key, val in (item.rsplit("=", 1) for item in point.split(";"))}
+    if equation.startswith("governing_balance"):
+        params = StfpParams(alpha=kv["alpha"], nu=kv["nu"], lam=1.0, T=1.0, rho=kv["rho"])
+        method = equation.rsplit("_", 1)[1]
+        return governing_residual(params, kv["t"], int(kv["k"]), method=method)
+    if equation == "negbin_operator_identity":
+        index, rho, u = kv["alpha=nu"], kv["rho"], kv["u"]
+        nb = NegBinParams(p=0.5, r=1, alpha=index, nu=index, rho=rho, T=1.0,
+                          q_profile=Example31Profile(0.5))
+        level = 0.5 if rho == 1.0 else nb.q(0.5)
+        op = OperatorOAlphaSpec(alpha=index, a=1.0 / level, b=(level - 1.0) / level)
+        lhs = operator_O_alpha_quadrature(op, lambda v: pgf_negbin(nb, 0.5, v), u)
+        rhs = -pgf_negbin(nb, 0.5, u)
+        if rho == 1.0:
+            rhs += 1.0 - F_negbin(nb, 0.5)
+        return abs(lhs - rhs)
+    spec = OperatorOAlphaSpec(alpha=kv["alpha"], a=1.0, b=1.0)
+    if equation == "log_power_closed_vs_quadrature":
+        beta = kv["beta"]
+        quad = operator_O_alpha_quadrature(spec, lambda tau: math.log(1.0 + tau) ** beta, kv["z"])
+        return abs(operator_O_alpha_on_log_powers(spec, beta, kv["z"]) - quad)
+    alpha, gam = kv["alpha"], kv["gamma"]
+
+    def f(tau):
+        return mittag_leffler(alpha, 1.0, -gam * math.log(1.0 + tau) ** alpha).value
+
+    return abs(operator_O_alpha_quadrature(spec, f, kv["z"]) + gam * f(kv["z"]))
+
+
+def test_verify_rows_match_public_scalar_apis():
+    # the grouped residuals and array integrands give every row the bits of
+    # the public scalar calls
+    rows = _verify_rows()
+    assert len(rows) == 167
+    for equation, point, residual, _, _ in rows:
+        assert float(residual).hex() == _public_residual(equation, point).hex(), (equation, point)
+
+
+def test_verify_pass_work(monkeypatch):
+    # one count-series call per table and per stencil at each (params, t,
+    # route), and scalar Mittag-Leffler sums only outside the quadratures
+    calls = {"count": 0, "scalar": 0}
+
+    def counted(fn, key):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(stfpoisson, "_count_series", counted(stfpoisson._count_series, "count"))
+    monkeypatch.setattr(specfun, "_sum_series", counted(specfun._sum_series, "scalar"))
+    _verify_rows()
+    assert calls["count"] <= 54 and calls["scalar"] < 100
 
 
 def test_simulate_deterministic_under_seed(tmp_path):

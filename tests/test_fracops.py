@@ -1,12 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fraccount.errors import DomainError, QuadratureFailure
 from fraccount.fracops import (
     OperatorOAlphaSpec,
     PowerSeriesInT,
+    _caputo_quadrature,
+    _operator_quadrature,
     caputo_derivative_quadrature,
     caputo_derivative_series,
     frac_difference,
@@ -193,6 +196,40 @@ def test_operator_quadrature_matches_scalar_core(spec, f, z):
     )
     assert operator_O_alpha_quadrature(spec, got, z).hex() == ref.hex()
     assert len(points) == 882 and points == ref_points
+    # the array route: one call on the same points, in order, and the same bits
+    calls = []
+    many = _operator_quadrature(spec, lambda taus: calls.append(taus) or [f(x) for x in taus.tolist()], z)
+    assert many.hex() == ref.hex()
+    assert len(calls) == 1 and calls[0].tolist() == ref_points
+
+
+@pytest.mark.parametrize("spec, z", [
+    (OperatorOAlphaSpec(alpha=1.0, a=1.0, b=1.0), 1.5),
+    (OperatorOAlphaSpec(alpha=1.0, a=2.0, b=-1.0), 1.5),  # lower limit 1
+])
+def test_operator_quadrature_at_order_one_is_one_array_call(spec, z):
+    # (a/b + z) f'(z) from the backward stencil (z, z - h, z - 2h)
+    f = lambda tau: math.log(1.0 + tau) ** 0.9
+    got, points = _recorded(f)
+    want = operator_O_alpha_quadrature(spec, got, z)
+    calls = []
+    many = _operator_quadrature(spec, lambda taus: calls.append(taus) or [f(x) for x in taus.tolist()], z)
+    assert many.hex() == want.hex()
+    assert len(calls) == 1 and calls[0].tolist() == points and len(points) == 3
+
+
+def test_caputo_quadrature_integrates_each_row():
+    # rows of one array call keep the bits of their own calls, and the first
+    # row that fails its node-doubling check raises
+    fs = [lambda s: s**1.5, lambda s: math.sqrt(s) - 0.3 * s, lambda s: math.exp(-s) * s**0.4]
+    rows = _caputo_quadrature(lambda pts: np.array([[f(x) for x in pts.tolist()] for f in fs]), 0.6, 0.8)
+    assert [r.hex() for r in rows] == [caputo_derivative_quadrature(f, 0.6, 0.8).hex() for f in fs]
+    rough = lambda s: s**0.01  # mass below the deepest node
+    with pytest.raises(QuadratureFailure) as many:
+        _caputo_quadrature(lambda pts: np.array([[f(x) for x in pts.tolist()] for f in (fs[0], rough)]), 0.6, 0.8)
+    with pytest.raises(QuadratureFailure) as single:
+        caputo_derivative_quadrature(rough, 0.6, 0.8)
+    assert str(many.value) == str(single.value)
 
 
 # ---- fractional difference ----

@@ -12,6 +12,7 @@ from fraccount.errors import (
 )
 from fraccount.specfun import (
     FoxWrightSpec,
+    _mittag_leffler_many,
     SpecfunConfig,
     fox_wright,
     gamma_ratio_signed,
@@ -97,6 +98,55 @@ def test_ml_diagnostics_populated():
     assert got.terms_used > 3
     assert got.abs_error_estimate >= 0.0
     assert got.max_term_magnitude >= 1.0  # r=0 term is 1
+
+
+# ---- the array route ----
+
+def _ml_outcome(fn):
+    # hex of every value, or the refusal raised
+    try:
+        return [v.hex() for v in fn()]
+    except (CancellationLoss, NonConvergent) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+ML_MANY_POINTS = [
+    -6.0, -2.5, -1.0, -0.3, -1e-300, 0.0, -0.0, 1e-300, 1e-20, 0.25, 1.7, 3.0, 40.0,
+    # near overflow: at alpha = beta = 1 the largest power passes exp(709.0)
+    # from x ~ 713, and the sum is inf from x ~ 709.8
+    650.0, 709.5, 713.0, 713.6, 714.0, 800.0, 1e300,
+]
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.8, 1.0), (1.0, 1.0), (0.3, 1.7), (0.6, 1)])
+def test_ml_many_matches_scalar(alpha, beta):
+    # each point's value (or refusal) is its scalar call's, and the points
+    # that answer give the same bits in one array call
+    cfg = SpecfunConfig()
+    want = [_ml_outcome(lambda: [mittag_leffler(alpha, beta, x, cfg).value]) for x in ML_MANY_POINTS]
+    got = [_ml_outcome(lambda: _mittag_leffler_many(alpha, beta, [x], cfg).tolist()) for x in ML_MANY_POINTS]
+    assert got == want
+    answered = [x for x, w in zip(ML_MANY_POINTS, want) if isinstance(w, list)]
+    assert len(answered) >= 10
+    many = _mittag_leffler_many(alpha, beta, answered)
+    assert [v.hex() for v in many.tolist()] == [w[0] for w in want if isinstance(w, list)]
+
+
+def test_ml_many_refuses_as_the_first_refused_point():
+    with pytest.raises(CancellationLoss) as scalar:
+        mittag_leffler(0.6, 1, -8)
+    with pytest.raises(CancellationLoss) as many:
+        _mittag_leffler_many(0.6, 1, [0.5, -8, 1e300, -20])
+    assert str(many.value) == str(scalar.value)
+    assert str(scalar.value).startswith("mittag_leffler(0.6,1,-8): max term")
+    # a non-finite term first, then no stop within the budget
+    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 1.0, [0.2, 1e300, -8.0])) == (
+        "NonConvergent: mittag_leffler(0.5,1.0,1e+300): term 3 is not finite"
+    )
+    few = SpecfunConfig(max_terms=5)
+    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 1.0, [0.0, -1.0, 1e300], few)) == (
+        _ml_outcome(lambda: [mittag_leffler(0.5, 1.0, -1.0, few).value])
+    )
 
 
 # ---- three-parameter series ----

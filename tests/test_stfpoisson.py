@@ -279,15 +279,70 @@ def test_series_residual_overflow_is_a_numeric_failure():
     assert str(exc.value) == "residual series (k=0, t=1e-12): term r=74 overflows"
 
 
-def test_series_residual_refuses_a_truncated_tail():
-    # nu = 0.1: the table is accepted, but the r = 140 term of the running
-    # series at t = 1 is 3.7e-4, so 141 terms cannot back the residual
+def test_series_residual_runs_past_a_truncated_tail():
+    # nu = 0.1: the r = 140 term of the running series at t = 1 is 3.7e-4, so
+    # the sum runs on until its last kept term is below rel_tol times the sum
     params = StfpParams(alpha=0.5, nu=0.1, lam=1.2801761896398989, T=1.0, rho=0.0)
     assert pmf(params, 1.0, 0)[0] == 0.45468264423590954
-    with pytest.raises(NonConvergent) as exc:
-        governing_residual(params, 1.0, 0)
-    assert str(exc.value) == "residual series (k=0, t=1.0): 141 terms leave a tail of ~3.70e-04"
-    assert governing_residual(params, 1.0, 0, method="quadrature") < 1e-4
+    series = governing_residual(params, 1.0, 0)
+    quadrature = governing_residual(params, 1.0, 0, method="quadrature")
+    assert series <= 1e-6
+    assert quadrature <= 1e-3 and abs(quadrature - series) <= 1e-3
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.4, 1.0])
+def test_series_residual_past_141_terms_at_the_oracle_point(rho):
+    # alpha = 0.3, nu = 0.1, lam = 1, t = T = 1: each series residual needs
+    # more than 141 terms; the table at t = T is the frozen mpmath one
+    params = StfpParams(alpha=0.3, nu=0.1, lam=1.0, T=1.0, rho=rho)
+    table = pmf(params, 1.0, 3)
+    for got, want in zip(table.probs, FR.STFP_PMF_NU01):
+        assert abs(got - want) <= 1e-12
+    for k in range(4):
+        assert governing_residual(params, 1.0, k) <= 1e-6
+        assert governing_residual(params, 1.0, k, method="quadrature") <= 1e-3
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+@pytest.mark.parametrize("params", [
+    StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.4),
+    StfpParams(alpha=1.0, nu=0.5, lam=1.0, T=1.5, rho=0.0),
+    StfpParams(alpha=0.6, nu=0.8, lam=2.0, T=1.0, rho=1.0),
+    StfpParams(alpha=0.5, nu=0.5, lam=1.0, T=1.0, rho=0.3),  # nu/alpha on the r = 2 lattice point
+])
+def test_grouped_residuals_match_single_calls(core_calls, params, method):
+    # one call over k = 0..5 gives each k the bits of its own call, from one
+    # table call and, on the quadrature route, one stencil call
+    ks = [0, 1, 2, 3, 5]
+    for t in (0.4, 1.0):
+        want = [governing_residual(params, t, k, method=method).hex() for k in ks]
+        core_calls.per_call.clear()
+        got = stfpoisson._governing_residuals(params, t, ks, None, method)
+        assert [x.hex() for x in got] == want
+        assert len(core_calls.per_call) == 1 + (method == "quadrature" and params.rho != 1.0)
+
+
+def _refusal(fn):
+    with pytest.raises((CancellationLoss, NonConvergent)) as exc:
+        fn()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("params, t, ks, first", [
+    # the k = 2 table entry is refused; k = 0 and 1 answer on both routes
+    (StfpParams(alpha=0.5, nu=0.1, lam=1.0, T=1.0), 1.0, [0, 1, 2, 3], 2),
+    # the k = 171 table entry is refused, after the series of k = 0 overflows
+    (StfpParams(alpha=0.8, nu=0.5, lam=1e6, T=1.0), 1e-12, [0, 171], 0),
+    (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.4), 0.5, [0, 3, 171], 171),
+])
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+def test_grouped_residuals_refuse_as_the_first_refused_k(params, t, ks, first, method):
+    if (method, first) == ("quadrature", 0):
+        first = 171  # the quadrature route has no series to overflow
+    got = _refusal(lambda: stfpoisson._governing_residuals(params, t, ks, None, method))
+    assert got == _refusal(lambda: governing_residual(params, t, first, method=method))
+    for k in ks[: ks.index(first)]:  # each answers on its own
+        assert math.isfinite(governing_residual(params, t, k, method=method))
 
 
 def _series_outcome(fn):
