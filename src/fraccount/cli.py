@@ -45,9 +45,8 @@ from .weighted import (
 
 __all__ = ["main"]
 
-_FLOAT_KEYS = ("alpha", "nu", "lambda", "T", "t", "rho", "p")
-_INT_KEYS = ("r", "kmax", "paths", "seed")
-
+# the parameter set: each key is a flag (--key) and a config-file key, and
+# the type of its default is the type the flag parses
 _DEFAULTS: dict[str, float | int] = {
     "alpha": 1.0,
     "nu": 1.0,
@@ -60,17 +59,6 @@ _DEFAULTS: dict[str, float | int] = {
     "kmax": 20,
     "paths": 100_000,
     "seed": 12345,
-}
-
-# parameters each subcommand consumes; only these are echoed in the header
-_USED: dict[str, tuple[str, ...]] = {
-    "pmf": ("alpha", "nu", "lambda", "T", "t", "rho", "kmax"),
-    "pgf": ("alpha", "nu", "lambda", "T", "t", "rho"),
-    "figure1": ("lambda", "T", "t"),
-    "verify": (),
-    "simulate": ("alpha", "nu", "lambda", "T", "t", "rho", "paths", "seed"),
-    "negbin": ("alpha", "nu", "p", "r", "rho", "T", "t", "kmax"),
-    "weighted": ("lambda", "rho", "t", "kmax"),
 }
 
 # tables the verify suite runs; tolerances pinned here
@@ -97,7 +85,7 @@ def _g17(x: float) -> str:
 
 
 def _fmt(key: str, value) -> str:
-    return str(int(value)) if key in _INT_KEYS else _g17(value)
+    return str(int(value)) if isinstance(_DEFAULTS[key], int) else _g17(value)
 
 
 class _Usage(Exception):
@@ -119,7 +107,7 @@ def _read_config(path: str) -> dict[str, str]:
             raise _Usage(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FLOAT_KEYS and key not in _INT_KEYS:
+        if key not in _DEFAULTS:
             raise _Usage(f"{path}:{ln}: unknown parameter {key!r}")
         out[key] = value
     return out
@@ -130,11 +118,11 @@ def _resolve(ns: argparse.Namespace) -> dict[str, float | int]:
     if ns.config:
         for key, text in _read_config(ns.config).items():
             try:
-                resolved[key] = float(text) if key in _FLOAT_KEYS else int(text)
+                resolved[key] = type(_DEFAULTS[key])(text)
             except ValueError as exc:
                 raise _Usage(f"config parameter {key}={text!r} is not numeric") from exc
-    for key in _FLOAT_KEYS + _INT_KEYS:
-        flag = getattr(ns, key.replace("lambda", "lam"))
+    for key in _DEFAULTS:
+        flag = getattr(ns, key)
         if flag is not None:
             resolved[key] = flag
     return resolved
@@ -143,21 +131,12 @@ def _resolve(ns: argparse.Namespace) -> dict[str, float | int]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fraccount", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _USED:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--alpha", type=float, dest="alpha")
-        p.add_argument("--nu", type=float, dest="nu")
-        p.add_argument("--lambda", type=float, dest="lam")
-        p.add_argument("--T", type=float, dest="T")
-        p.add_argument("--t", type=float, dest="t")
-        p.add_argument("--rho", type=float, dest="rho")
-        p.add_argument("--p", type=float, dest="p")
-        p.add_argument("--r", type=int, dest="r")
-        p.add_argument("--kmax", type=int, dest="kmax")
-        p.add_argument("--paths", type=int, dest="paths")
-        p.add_argument("--seed", type=int, dest="seed")
-        p.add_argument("--out", dest="out")
-        p.add_argument("--config", dest="config")
+        for key, default in _DEFAULTS.items():
+            p.add_argument(f"--{key}", type=type(default), dest=key)
+        p.add_argument("--out")
+        p.add_argument("--config")
     return parser
 
 
@@ -217,7 +196,7 @@ def _verify_rows() -> list[tuple[str, str, str, str, str]]:
         params = StfpParams(alpha=alpha, nu=nu, lam=1.0, T=1.0, rho=rho)
         # k = 0..3 at each (t, route) in one call
         res = {
-            (method, t): _governing_residuals(params, t, range(4), None, method)
+            (method, t): _governing_residuals(params, t, range(4), method)
             for t in (0.3, 0.6, 1.0) for method in ("series", "quadrature")
         }
         for k in range(4):
@@ -292,6 +271,8 @@ def _cmd_simulate(P) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
 
 def _cmd_weighted(P) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     lam, rho, t, kmax = P["lambda"], P["rho"], P["t"], P["kmax"]
+    if not lam > 0.0:
+        raise DomainError(f"rate must be positive, got {lam}")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"the uniform-profile pool lives on [0,1]; t={t}")
     base = PmfTable.from_probs(
@@ -308,21 +289,23 @@ def _cmd_weighted(P) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     return ("section", "point", "value"), rows
 
 
-_COMMANDS: dict[str, Callable] = {
-    "pmf": _cmd_pmf,
-    "pgf": _cmd_pgf,
-    "figure1": _cmd_figure1,
-    "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-    "negbin": _cmd_negbin,
-    "weighted": _cmd_weighted,
+# each subcommand's handler and the parameters it consumes; only these are
+# echoed in the header
+_COMMANDS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "pmf": (_cmd_pmf, ("alpha", "nu", "lambda", "T", "t", "rho", "kmax")),
+    "pgf": (_cmd_pgf, ("alpha", "nu", "lambda", "T", "t", "rho")),
+    "figure1": (_cmd_figure1, ("lambda", "T", "t")),
+    "verify": (_cmd_verify, ()),
+    "simulate": (_cmd_simulate, ("alpha", "nu", "lambda", "T", "t", "rho", "paths", "seed")),
+    "negbin": (_cmd_negbin, ("alpha", "nu", "p", "r", "rho", "T", "t", "kmax")),
+    "weighted": (_cmd_weighted, ("lambda", "rho", "t", "kmax")),
 }
 
 
 def _render(subcommand: str, P: dict, columns: Sequence[str], rows) -> str:
     buf = io.StringIO()
     buf.write(f"# command={subcommand}\r\n")
-    for key in sorted(_USED[subcommand]):
+    for key in sorted(_COMMANDS[subcommand][1]):
         buf.write(f"# {key}={_fmt(key, P[key])}\r\n")
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(columns)
@@ -339,7 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         P = _resolve(ns)
-        columns, rows = _COMMANDS[ns.subcommand](P)
+        columns, rows = _COMMANDS[ns.subcommand][0](P)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
     _EPS,
-    DEFAULT_CONFIG,
     STIRLING_CAP,
     SpecfunConfig,
     _mittag_leffler_many,
@@ -43,6 +42,10 @@ __all__ = [
     "pmf_negbin_r1",
     "operator_residual_prop33",
 ]
+
+# the count series behind _core_pmf: its ratio check is lifted, since every
+# assembled entry is held to _CORE_ABS_GUARD instead
+_LIFTED = SpecfunConfig(cancellation_limit=1e300)
 
 # grid resolution for profile monotonicity/range validation
 _PROFILE_GRID = 33
@@ -201,30 +204,27 @@ def _pgf_branches(params: NegBinParams, t: float, us) -> tuple[float, float]:
     return qt, frac
 
 
-def pgf_negbin(
-    params: NegBinParams, t: float, u: float, cfg: SpecfunConfig | None = None
-) -> float:
+def pgf_negbin(params: NegBinParams, t: float, u: float) -> float:
     """Probability generating function at time t, |u| below the radius of
     convergence (see _pgf_branches).
 
     The continuation above u = 1 is taken with the signed log power, which
     is what the operator equations act on.  Returns exactly 1.0 at u = 1.
     """
-    cfg = cfg or DEFAULT_CONFIG
     qt, frac = _pgf_branches(params, t, [u])
     if u == 1.0:
         return 1.0
     a, nu, r = params.alpha, params.nu, params.r
 
     def transform(level: float) -> Callable[[], float]:
-        return lambda: mittag_leffler(nu, 1.0, _core_arg(level, a, u), cfg).value ** r
+        return lambda: mittag_leffler(nu, 1.0, _core_arg(level, a, u)).value ** r
 
     held = None if qt == params.p else transform(params.p)
     return _branch_transform(transform(qt), held, frac, params.rho)
 
 
-def _pgf_negbin_many(params: NegBinParams, t: float, us, cfg: SpecfunConfig) -> np.ndarray:
-    """pgf_negbin(params, t, u, cfg) at every u of us, with one
+def _pgf_negbin_many(params: NegBinParams, t: float, us) -> np.ndarray:
+    """pgf_negbin(params, t, u) at every u of us, with one
     _mittag_leffler_many call per live branch; _branch_transform mixes the
     arrays in the scalar operation order."""
     qt, frac = _pgf_branches(params, t, us)
@@ -234,7 +234,7 @@ def _pgf_negbin_many(params: NegBinParams, t: float, us, cfg: SpecfunConfig) -> 
 
     def transform(level: float) -> Callable[[], np.ndarray]:
         def values() -> np.ndarray:
-            base = _mittag_leffler_many(nu, 1.0, [_core_arg(level, a, u) for u in rest], cfg)
+            base = _mittag_leffler_many(nu, 1.0, [_core_arg(level, a, u) for u in rest])
             return np.array([b**r for b in base.tolist()])
         return values
 
@@ -243,8 +243,7 @@ def _pgf_negbin_many(params: NegBinParams, t: float, us, cfg: SpecfunConfig) -> 
     return out
 
 
-def _core_pmf(level: float, alpha: float, nu: float, K: int,
-              cfg: SpecfunConfig | None) -> Iterator[float]:
+def _core_pmf(level: float, alpha: float, nu: float, K: int) -> Iterator[float]:
     """Single-component pmf at success level q = level, for k = 0..K.
 
     A geometric law is Poisson(L) with log-series jumps, L = -log q: so is
@@ -266,9 +265,8 @@ def _core_pmf(level: float, alpha: float, nu: float, K: int,
         return
     n = min(K, STIRLING_CAP) + 1
     big_l, c = -math.log(level), 1.0 - level
-    loose = replace(cfg or DEFAULT_CONFIG, cancellation_limit=1e300)
     probs, errs = (col[:, 0] for col in _count_series(
-        StfpParams(alpha, nu, big_l, 1.0), [1.0], range(n), loose, guard=math.inf))
+        StfpParams(alpha, nu, big_l, 1.0), [1.0], range(n), _LIFTED, guard=math.inf))
     w = np.zeros(n)  # row k of the weights, 0 past h = k
     w[0] = 1.0
     for k in range(n):
@@ -288,13 +286,11 @@ def _core_pmf(level: float, alpha: float, nu: float, K: int,
         raise OutOfRange(f"k must be in [0, {STIRLING_CAP}], got {n}")
 
 
-def pmf_negbin_r1(
-    params: NegBinParams, t: float, K: int, cfg: SpecfunConfig | None = None
-) -> PmfTable:
+def pmf_negbin_r1(params: NegBinParams, t: float, K: int) -> PmfTable:
     """Probability table for the shape-1 process at time t, k = 0..K.
 
-    Only r = 1 has a manageable closed form; larger shapes go through the
-    generating function (or a convolution of shape-1 tables).  Each live
+    Only r = 1 has a closed form here; larger shapes raise UnsupportedR
+    and are reached through the generating function only.  Each live
     branch sums one count series; the held branch reuses the running
     branch's entries when q(t) equals p (t = T), and a branch of weight 0
     is not summed (the held one at t = 0).
@@ -307,18 +303,12 @@ def pmf_negbin_r1(
     qt = params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
     use_run, use_held = _live_branches(frac, rho, qt == params.p)
-    running = _core_pmf(qt, a, nu, K, cfg) if use_run else iter(())
-    held = _core_pmf(params.p, a, nu, K, cfg) if use_held and qt != params.p else None
+    running = _core_pmf(qt, a, nu, K) if use_run else iter(())
+    held = _core_pmf(params.p, a, nu, K) if use_held and qt != params.p else None
     return _branch_table(running, held, frac, rho, K)
 
 
-def operator_residual_prop33(
-    params: NegBinParams,
-    t: float,
-    rho: float,
-    u: float,
-    cfg: SpecfunConfig | None = None,
-) -> float:
+def operator_residual_prop33(params: NegBinParams, t: float, rho: float, u: float) -> float:
     """|LHS - RHS| of the generating-function operator equation at u.
 
     The log-kernel operator built from (a, b) = (1/level, (level-1)/level)
@@ -334,14 +324,13 @@ def operator_residual_prop33(
         raise DomainError("identity requires matching space and time indices")
     if rho not in (0.0, 1.0):
         raise DomainError(f"identity stated only for coupling 0 or 1, got {rho}")
-    cfg = cfg or DEFAULT_CONFIG
     work = replace(params, rho=rho)
     level = params.p if rho == 1.0 else params.q(t)
     if not 1.0 < u < _radius(level):
         raise DomainError(f"u={u} outside (1, {_radius(level)})")
     op = OperatorOAlphaSpec(alpha=params.alpha, a=1.0 / level, b=(level - 1.0) / level)
-    lhs = _operator_quadrature(op, lambda v: _pgf_negbin_many(work, t, v, cfg), u)
-    rhs = -pgf_negbin(work, t, u, cfg)
+    lhs = _operator_quadrature(op, lambda v: _pgf_negbin_many(work, t, v), u)
+    rhs = -pgf_negbin(work, t, u)
     if rho == 1.0:
         rhs += 1.0 - F_negbin(params, t)
     return abs(lhs - rhs)

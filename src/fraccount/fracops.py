@@ -49,9 +49,9 @@ class PowerSeriesInT:
         )
         prev = -1.0
         for c, e in self.terms:
-            if e < 0.0:
-                raise DomainError(f"exponent {e} is negative")
-            if e <= prev:
+            if not e >= 0.0:
+                raise DomainError(f"exponent {e} must be nonnegative")
+            if not e > prev:
                 raise DomainError(f"exponents must be strictly increasing, got {e} after {prev}")
             prev = e
 
@@ -80,7 +80,7 @@ def caputo_derivative_series(f: PowerSeriesInT, nu: float, t: float) -> float:
     """
     if not (0.0 < nu <= 1.0):
         raise DomainError(f"nu must be in (0,1], got {nu}")
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     out = []
     for c, mu in f.terms:
@@ -199,7 +199,7 @@ def _caputo_quadrature(f_many: Callable[[np.ndarray], Sequence], nu: float, t: f
     per function, and a list of derivatives comes back."""
     if not (0.0 < nu < 1.0):
         raise DomainError(f"nu must be strictly inside (0,1), got {nu}")
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     return _stable_quadrature(f_many, nu, t, "caputo_derivative_quadrature")
 
@@ -257,10 +257,10 @@ def _operator_quadrature(
     once, on the 882 stencil points mapped by tau = (e^w - a)/b with math.exp
     per point, or at alpha = 1 on the backward stencil (z, z-h, z-2h)."""
     lo = spec.lower_limit
-    if z <= lo:
+    if not z > lo:
         raise DomainError(f"z={z} is not above the lower limit {lo}")
     x = spec.a + spec.b * z
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"a + b*z = {x} must be positive")
     W = math.log(x)
     if W == 0.0:
@@ -302,13 +302,13 @@ def operator_O_alpha_on_log_powers(
     beta = 0 is the constant function and maps to 0 (the operator is
     regularized); requires a + b*z > 1 so the log power is real and positive.
     """
-    if beta <= -1.0:
+    if not beta > -1.0:
         raise DomainError(f"beta must exceed -1, got {beta}")
     lo = spec.lower_limit
-    if z <= lo:
+    if not z > lo:
         raise DomainError(f"z={z} is not above the lower limit {lo}")
     x = spec.a + spec.b * z
-    if x <= 1.0:
+    if not x > 1.0:
         raise DomainError(f"a + b*z = {x} must exceed 1 for a real log power")
     if beta == 0.0:
         return 0.0

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DomainError, TailCutoffUnreachable
 from .fnegbin import Example31Profile, NegBinParams, pmf_negbin_r1
 from .pmftable import PmfTable
-from .specfun import SpecfunConfig
 from .stfpoisson import StfpParams, pmf as stfp_pmf
 
 __all__ = [
@@ -129,7 +128,7 @@ class SimConfig:
             raise DomainError(f"need a positive path count, got {self.n_paths}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"coupling weight must lie in [0,1], got {self.rho}")
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
 
 
@@ -172,31 +171,26 @@ def build_count_table(
 
 
 def _sim_config(
-    pmf: Callable[..., PmfTable], params: StfpParams | NegBinParams, epoch_power: float,
-    seed: int, n_paths: int, cfg: SpecfunConfig | None,
+    pmf: Callable[..., PmfTable], params: StfpParams | NegBinParams, epoch_power: float, seed: int, n_paths: int
 ) -> SimConfig:
-    table = build_count_table(lambda K: pmf(params, params.T, K, cfg=cfg))
+    table = build_count_table(lambda K: pmf(params, params.T, K))
     return SimConfig(
         seed=seed, n_paths=n_paths, rho=params.rho, horizon=params.T,
         count_cdf=np.cumsum(np.asarray(table.probs, dtype=np.float64)), epoch_power=epoch_power,
     )
 
 
-def stfp_sim_config(
-    params: StfpParams, seed: int, n_paths: int, cfg: SpecfunConfig | None = None
-) -> SimConfig:
+def stfp_sim_config(params: StfpParams, seed: int, n_paths: int) -> SimConfig:
     """Simulator setup for the space-time fractional family.
 
     The pool-size law is the horizon pmf (coupling-independent there); the
     epoch quantile is t = T * y^(alpha/nu).
     """
     expo = params.alpha / params.nu
-    return _sim_config(stfp_pmf, params, expo, seed, n_paths, cfg)
+    return _sim_config(stfp_pmf, params, expo, seed, n_paths)
 
 
-def negbin_sim_config(
-    params: NegBinParams, seed: int, n_paths: int, cfg: SpecfunConfig | None = None
-) -> SimConfig:
+def negbin_sim_config(params: NegBinParams, seed: int, n_paths: int) -> SimConfig:
     """Simulator setup for the fractional negative binomial family.
 
     Only the paired hyperbolic success schedule has a closed-form epoch
@@ -204,7 +198,7 @@ def negbin_sim_config(
     """
     if not isinstance(params.q_profile, Example31Profile):
         raise DomainError("closed-form epoch quantile exists for the paired schedule only")
-    return _sim_config(pmf_negbin_r1, params, 1.0, seed, n_paths, cfg)
+    return _sim_config(pmf_negbin_r1, params, 1.0, seed, n_paths)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Special-function engine.
 
 Provides the series primitives the process modules are built on: the two- and
-three-parameter Mittag-Leffler functions, Fox-Wright sums, generalized binomial
-coefficients, a signed reciprocal gamma, and exact signed Stirling numbers of
-the first kind.
+three-parameter Mittag-Leffler functions, generalized binomial coefficients, a
+signed reciprocal gamma, and exact signed Stirling numbers of the first kind.
+Fox-Wright sums are here too; no process module calls them.
 
 Every infinite series here is summed the same way: each term is formed in log
 space with an explicit sign, so terms never overflow before the sum settles,
@@ -52,7 +52,9 @@ _CORE_ABS_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class SpecfunConfig:
-    """Knobs shared by every series evaluator.
+    """Knobs of the series primitives (mittag_leffler, gen_mittag_leffler,
+    fox_wright, _mittag_leffler_many) and of stfpoisson._count_series.  The
+    process functions take no config and run at DEFAULT_CONFIG.
 
     rel_tol: relative tail bound that ends summation.
     max_terms: hard budget before giving up.
@@ -68,7 +70,7 @@ class SpecfunConfig:
             raise InvalidSpec(f"rel_tol must be in (0,1), got {self.rel_tol}")
         if self.max_terms < 1:
             raise InvalidSpec(f"max_terms must be >= 1, got {self.max_terms}")
-        if self.cancellation_limit <= 1.0:
+        if not self.cancellation_limit > 1.0:
             raise InvalidSpec(
                 f"cancellation_limit must exceed 1, got {self.cancellation_limit}"
             )
@@ -164,6 +166,8 @@ def recip_gamma_signed(w: float) -> float:
     if w > 0.0:
         lg = math.lgamma(w)
         return math.exp(-lg) if -lg <= _EXP_MAX else math.inf
+    if not w > -math.inf:
+        raise DomainError(f"argument must be a real number, got {w}")
     if w == math.floor(w):
         return 0.0
     lg = math.lgamma(w)  # log|Gamma(w)|
@@ -180,8 +184,10 @@ def gamma_ratio_signed(a: float, b: float) -> float:
     denominator kills the ratio). Used for falling-factorial style ratios
     where forming either gamma alone would overflow.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError(f"numerator argument must be positive, got {a}")
+    if not b > -math.inf:
+        raise DomainError(f"denominator argument must be a real number, got {b}")
     if b <= 0.0 and b == math.floor(b):
         return 0.0
     arg = math.lgamma(a) - math.lgamma(b)
@@ -331,7 +337,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
 def _check_orders(alpha: float, beta: float) -> None:
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
 
 

@@ -160,21 +160,19 @@ def _count_series(
     return out, bound
 
 
-def _tables(params: StfpParams, t: float, K: int, cfg: SpecfunConfig, terminal: bool = False):
+def _tables(params: StfpParams, t: float, K: int, terminal: bool = False):
     """The table at t and, if terminal, at T, from one count-series call over the live branches."""
     frac, rho, T = F_stfp(params, t), params.rho, params.T
     use_run, use_held = _live_branches(frac, rho, t == T)
     apart = (use_held or terminal) and t != T  # the series at T, summed apart from t
-    cols = _count_series(params, np.array([t] * use_run + [T] * apart), range(K + 1), cfg)[0].T.tolist()
+    cols = _count_series(params, [t] * use_run + [T] * apart, range(K + 1), DEFAULT_CONFIG)[0].T.tolist()
     tbl = _branch_table(iter(cols[0] if use_run else ()), iter(cols[-1]) if apart else None, frac, rho, K)
     if not terminal:
         return tbl, None
     return tbl, tbl if t == T else _branch_table(iter(cols[-1]), None, 1.0, rho, K)
 
 
-def pgf(
-    params: StfpParams, t: float, u: float, cfg: SpecfunConfig | None = None
-) -> float:
+def pgf(params: StfpParams, t: float, u: float) -> float:
     """Probability generating function at time t, |u| <= 1.
 
     Mixture of the terminal transform (held branch) and the running
@@ -185,20 +183,17 @@ def pgf(
         raise DomainError(f"pgf argument must lie in [-1,1], got {u}")
     if u == 1.0:
         return 1.0
-    cfg = cfg or DEFAULT_CONFIG
     a, nu, lam, T = params.alpha, params.nu, params.lam, params.T
     w = (1.0 - u) ** a
 
     def transform(s: float) -> Callable[[], float]:
-        return lambda: mittag_leffler(nu, 1.0, -(lam**a) * (s**nu) * w, cfg).value
+        return lambda: mittag_leffler(nu, 1.0, -(lam**a) * (s**nu) * w).value
 
     held = None if t == T else transform(T)
     return _branch_transform(transform(t), held, F_stfp(params, t), params.rho)
 
 
-def pmf(
-    params: StfpParams, t: float, K: int, cfg: SpecfunConfig | None = None
-) -> PmfTable:
+def pmf(params: StfpParams, t: float, K: int) -> PmfTable:
     """Probability table P(count = k) for k = 0..K at time t.
 
     Assembled as (1-rho) * running + rho * [(1-F) at zero + F * terminal].
@@ -209,12 +204,10 @@ def pmf(
     _check_time(params, t)
     if K < 0:
         raise DomainError(f"truncation index must be >= 0, got {K}")
-    return _tables(params, t, K, cfg or DEFAULT_CONFIG)[0]
+    return _tables(params, t, K)[0]
 
 
-def joint_prob_kps(
-    nu: float, lam: float, T: float, t: float, cfg: SpecfunConfig | None = None
-) -> float:
+def joint_prob_kps(nu: float, lam: float, T: float, t: float) -> float:
     """P(one event by t, one by T) under renewal-style chaining.
 
     Product of the one-event weight on [0, t] and a no-further-event hold
@@ -222,20 +215,17 @@ def joint_prob_kps(
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"time index must lie in (0,1], got {nu}")
-    if lam <= 0.0 or T <= 0.0:
+    if not (lam > 0.0 and T > 0.0):
         raise DomainError("rate and horizon must be positive")
     if not 0.0 <= t <= T:
         raise DomainError(f"t={t} outside [0, {T}]")
-    cfg = cfg or DEFAULT_CONFIG
     x = lam * t**nu
-    one_event = x * gen_mittag_leffler(nu, nu + 1.0, 2.0, -x, cfg).value
-    hold = mittag_leffler(nu, 1.0, -lam * (T - t) ** nu, cfg).value
+    one_event = x * gen_mittag_leffler(nu, nu + 1.0, 2.0, -x).value
+    hold = mittag_leffler(nu, 1.0, -lam * (T - t) ** nu).value
     return one_event * hold
 
 
-def joint_prob_brb(
-    params: StfpParams, t: float, cfg: SpecfunConfig | None = None
-) -> float:
+def joint_prob_brb(params: StfpParams, t: float) -> float:
     """P(one event by t, one by T) for the pooled construction, rho = 0.
 
     Conditionally on a single terminal event the epoch is uniform on the
@@ -244,20 +234,13 @@ def joint_prob_brb(
     if params.rho != 0.0:
         raise DomainError("joint law implemented for the uncoupled case rho=0 only")
     _check_time(params, t)
-    cfg = cfg or DEFAULT_CONFIG
     nu, lam, T = params.nu, params.lam, params.T
     x = lam * T**nu
-    one_at_horizon = x * gen_mittag_leffler(nu, nu + 1.0, 2.0, -x, cfg).value
+    one_at_horizon = x * gen_mittag_leffler(nu, nu + 1.0, 2.0, -x).value
     return (t / T) * one_at_horizon
 
 
-def governing_residual(
-    params: StfpParams,
-    t: float,
-    k: int,
-    cfg: SpecfunConfig | None = None,
-    method: str = "series",
-) -> float:
+def governing_residual(params: StfpParams, t: float, k: int, method: str = "series") -> float:
     """|LHS - RHS| of the fractional balance equation at (t, k).
 
     The left side is the time-fractional Caputo derivative of P(count = k):
@@ -272,12 +255,10 @@ def governing_residual(
     table at the horizon.  Small residuals certify the closed forms against
     each other.
     """
-    return _governing_residuals(params, t, [k], cfg, method)[0]
+    return _governing_residuals(params, t, [k], method)[0]
 
 
-def _governing_residuals(
-    params: StfpParams, t: float, ks, cfg: SpecfunConfig | None, method: str
-) -> list[float]:
+def _governing_residuals(params: StfpParams, t: float, ks, method: str) -> list[float]:
     """governing_residual at every k of ks, each with the bits of its own
     call, from one pair of tables and, on the quadrature route, one stencil
     call over all of ks.  A refusal raises what the call for the first k
@@ -291,18 +272,18 @@ def _governing_residuals(
     if method not in ("series", "quadrature"):
         raise DomainError(f"method must be 'series' or 'quadrature', got {method!r}")
     try:
-        return _residuals(params, t, ks, cfg or DEFAULT_CONFIG, method)
+        return _residuals(params, t, ks, method)
     except ArithmeticError:
         for k in ks[:-1]:  # raises at the first k refused on its own, if not the last
-            _residuals(params, t, [k], cfg or DEFAULT_CONFIG, method)
+            _residuals(params, t, [k], method)
         raise
 
 
-def _residuals(params: StfpParams, t: float, ks: list[int], cfg: SpecfunConfig, method: str) -> list[float]:
+def _residuals(params: StfpParams, t: float, ks: list[int], method: str) -> list[float]:
     a, nu, lam, T, rho = params.alpha, params.nu, params.lam, params.T, params.rho
     la = lam**a
     frac = F_stfp(params, t)
-    tbl_t, tbl_T = _tables(params, t, max(ks), cfg, terminal=rho != 0.0)
+    tbl_t, tbl_T = _tables(params, t, max(ks), terminal=rho != 0.0)
 
     if method == "quadrature":
         delta = np.equal(ks, 0)[:, None] * 1.0
@@ -312,13 +293,13 @@ def _residuals(params: StfpParams, t: float, ks: list[int], cfg: SpecfunConfig, 
 
         def probs_at(s: np.ndarray) -> np.ndarray:
             # one row of pmf entries per k at every stencil point at once; F_stfp per point
-            running = _count_series(params, s, ks, cfg)[0] if use_run else 0.0
+            running = _count_series(params, s, ks, DEFAULT_CONFIG)[0] if use_run else 0.0
             hold = np.array([x**expo for x in (s / T).tolist()])
             return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * held)
 
         lhs = _caputo_quadrature(probs_at, nu, t)
     else:
-        lhs = [_series_lhs(params, t, k, tbl_T, cfg) for k in ks]
+        lhs = [_series_lhs(params, t, k, tbl_T) for k in ks]
 
     out = []
     for k, left in zip(ks, lhs):
@@ -336,7 +317,7 @@ def _residuals(params: StfpParams, t: float, ks: list[int], cfg: SpecfunConfig, 
     return out
 
 
-def _series_lhs(params: StfpParams, t: float, k: int, tbl_T, cfg: SpecfunConfig) -> float:
+def _series_lhs(params: StfpParams, t: float, k: int, tbl_T) -> float:
     # Caputo derivative at t of the power series in t of P(count = k):
     # exponents nu*r from the running branch plus nu/alpha from the coupling
     # weight (build() merges any collision, e.g. alpha = 1/2 puts nu/alpha on
@@ -352,9 +333,9 @@ def _series_lhs(params: StfpParams, t: float, k: int, tbl_T, cfg: SpecfunConfig)
         if r >= _SERIES_TERMS:
             tail = abs(at_t[-1]) if at_t else 0.0
             partial = math.fsum(at_t) if partial is None else partial
-            if not tail > cfg.rel_tol * abs(partial):
+            if not tail > DEFAULT_CONFIG.rel_tol * abs(partial):
                 break
-            if r >= cfg.max_terms:
+            if r >= DEFAULT_CONFIG.max_terms:
                 raise NonConvergent(
                     f"residual series (k={k}, t={t}): {r} terms leave a tail of ~{tail:.2e}"
                 )

@@ -156,7 +156,7 @@ def covariance_increment(lam: float, rho: float, s: float, t: float) -> float:
 
 
 def _check_cov_args(lam: float, rho: float, s: float, t: float) -> None:
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise DomainError(f"rate must be positive, got {lam}")
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"coupling weight must lie in [0,1], got {rho}")

@@ -1,0 +1,54 @@
+"""Fingerprint the CLI's output on a fixed list of invocations.
+
+Each invocation runs in a fresh interpreter against the package in this
+checkout's src/.  One line is printed per invocation: the argv, the exit
+code, and the sha256 of stdout and of stderr.  Run it on two checkouts and
+diff the outputs to show which invocations changed bytes.  The runtime needs
+numpy only; pytest does not collect this file.
+
+Usage: python3 tests/cli_outputs.py   (takes about half a minute)
+"""
+import hashlib
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+RUN = "import sys; from fraccount.cli import main; raise SystemExit(main(sys.argv[1:]))"
+
+SUBCOMMANDS = ("pmf", "pgf", "figure1", "verify", "simulate", "negbin", "weighted")
+# one coupled argument set; the simulator needs alpha = 1 to build its pool law
+COUPLED = ["--alpha", "0.8", "--nu", "0.6", "--lambda", "0.8", "--rho", "0.3", "--t", "0.4",
+           "--kmax", "12", "--p", "0.4"]
+COUPLED_SIM = ["--alpha", "1", "--nu", "0.7", "--lambda", "1.5", "--rho", "0.3", "--t", "0.4",
+               "--paths", "20000", "--seed", "7"]
+OVERFLOW = ["--alpha", "0.8", "--nu", "0.5", "--lambda", "300", "--t", "1"]
+
+INVOCATIONS = (
+    [[name] for name in SUBCOMMANDS]
+    + [[name, *(COUPLED_SIM if name == "simulate" else COUPLED)] for name in SUBCOMMANDS]
+    + [
+        ["pmf", "--lambda", "2", "--kmax", "170", "--t", "1"],
+        ["pmf", *OVERFLOW],
+        ["pgf", *OVERFLOW],
+        ["simulate", *OVERFLOW, "--paths", "100"],
+        ["negbin", "--r", "2"],
+        ["pmf", "--lambda", "x"],
+        ["weighted", "--lambda", "0"],
+        ["weighted", "--lambda", "-1"],
+        ["weighted", "--lambda", "nan"],
+        ["figure1", "--lambda", "nan"],
+    ]
+)
+
+
+def fingerprint(argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", RUN, *argv], capture_output=True, env=env)
+    out, err = (hashlib.sha256(b).hexdigest() for b in (done.stdout, done.stderr))
+    return f"{' '.join(argv)}\texit={done.returncode}\tstdout={out}\tstderr={err}"
+
+
+if __name__ == "__main__":
+    for argv in INVOCATIONS:
+        print(fingerprint(argv), flush=True)

@@ -284,6 +284,10 @@ def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     assert main(["pmf", "--alpha", "1.5"]) == 2  # out-of-domain parameter
+    # an out-of-domain or NaN rate is refused before any table is built
+    for lam in ("0", "-1", "nan"):
+        assert main(["weighted", "--lambda", lam]) == 2
+    assert main(["figure1", "--lambda", "nan"]) == 2
 
 
 def test_numeric_failure_exits_three(capsys):

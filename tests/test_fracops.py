@@ -360,3 +360,19 @@ def test_operator_domain_checks():
     neg = OperatorOAlphaSpec(alpha=0.5, a=2.0, b=-1.0)
     with pytest.raises(DomainError):
         operator_O_alpha_quadrature(neg, lambda tau: tau, 2.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: caputo_derivative_quadrature(lambda s: s, 0.5, math.nan),
+    lambda: caputo_derivative_series(PowerSeriesInT(((1.0, 1.0),)), 0.5, math.nan),
+    lambda: PowerSeriesInT(((1.0, math.nan),)),
+    lambda: operator_O_alpha_quadrature(OperatorOAlphaSpec(0.5, 1.0, math.nan), lambda tau: tau, 1.5),
+    lambda: operator_O_alpha_quadrature(OperatorOAlphaSpec(0.5, math.nan, 1.0), lambda tau: tau, 1.5),
+    lambda: operator_O_alpha_quadrature(OperatorOAlphaSpec(0.5, 1.0, 1.0), lambda tau: tau, math.nan),
+    lambda: operator_O_alpha_on_log_powers(OperatorOAlphaSpec(0.5, 1.0, 1.0), math.nan, 1.5),
+    lambda: operator_O_alpha_on_log_powers(OperatorOAlphaSpec(0.5, 1.0, 1.0), 0.5, math.nan),
+], ids=["caputo_quadrature_t", "caputo_series_t", "series_exponent", "operator_b", "operator_a",
+        "operator_z", "log_powers_beta", "log_powers_z"])
+def test_nan_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -12,6 +12,7 @@ from fraccount.mcsim import (
     Estimate,
     PathBatch,
     PathSample,
+    SimConfig,
     build_count_table,
     empirical_cov,
     empirical_joint_11,
@@ -337,3 +338,10 @@ class TestHelpers:
 
     def test_tv_distance_pads_supports(self):
         assert tv_distance([1.0], [0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("field", ["rho", "horizon"])
+def test_sim_config_rejects_nan(field):
+    kwargs = dict(seed=1, n_paths=10, rho=0.0, horizon=1.0, count_cdf=np.array([1.0]), epoch_power=1.0)
+    with pytest.raises(DomainError):
+        SimConfig(**{**kwargs, field: math.nan})

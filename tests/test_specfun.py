@@ -322,3 +322,18 @@ def test_config_validation():
         SpecfunConfig(max_terms=0)
     with pytest.raises(InvalidSpec):
         SpecfunConfig(cancellation_limit=0.5)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: gamma_ratio_signed(math.nan, 1.0), DomainError),
+    (lambda: gamma_ratio_signed(1.0, math.nan), DomainError),
+    (lambda: gamma_ratio_signed(1.0, -math.inf), DomainError),
+    (lambda: recip_gamma_signed(math.nan), DomainError),
+    (lambda: recip_gamma_signed(-math.inf), DomainError),
+    (lambda: mittag_leffler(0.5, math.nan, 1.0), DomainError),
+    (lambda: SpecfunConfig(cancellation_limit=math.nan), InvalidSpec),
+], ids=["ratio_numerator", "ratio_denominator", "ratio_denominator_-inf", "recip_gamma",
+        "recip_gamma_-inf", "ml_beta", "cancellation_limit"])
+def test_nan_arguments_are_refused(call, error):
+    with pytest.raises(error):
+        call()

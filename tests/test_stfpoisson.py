@@ -240,8 +240,8 @@ def test_count_series_failure_messages_pinned():
         "result has no trustworthy digits"
     )
     with pytest.raises(NonConvergent) as exc:
-        pmf(StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.3), 0.5, 3,
-            cfg=SpecfunConfig(max_terms=3))
+        stfpoisson._count_series(StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.3), [0.5, 1.0],
+                                 range(4), SpecfunConfig(max_terms=3))
     assert str(exc.value) == (
         "count series (k=0, s=0.5): no convergence within 3 terms (partial sum 0.656677)"
     )
@@ -317,7 +317,7 @@ def test_grouped_residuals_match_single_calls(core_calls, params, method):
     for t in (0.4, 1.0):
         want = [governing_residual(params, t, k, method=method).hex() for k in ks]
         core_calls.per_call.clear()
-        got = stfpoisson._governing_residuals(params, t, ks, None, method)
+        got = stfpoisson._governing_residuals(params, t, ks, method)
         assert [x.hex() for x in got] == want
         assert len(core_calls.per_call) == 1 + (method == "quadrature" and params.rho != 1.0)
 
@@ -339,7 +339,7 @@ def _refusal(fn):
 def test_grouped_residuals_refuse_as_the_first_refused_k(params, t, ks, first, method):
     if (method, first) == ("quadrature", 0):
         first = 171  # the quadrature route has no series to overflow
-    got = _refusal(lambda: stfpoisson._governing_residuals(params, t, ks, None, method))
+    got = _refusal(lambda: stfpoisson._governing_residuals(params, t, ks, method))
     assert got == _refusal(lambda: governing_residual(params, t, first, method=method))
     for k in ks[: ks.index(first)]:  # each answers on its own
         assert math.isfinite(governing_residual(params, t, k, method=method))
@@ -576,3 +576,11 @@ def test_governing_input_checks():
         governing_residual(p, 0.5, -1)
     with pytest.raises(DomainError):
         governing_residual(p, 0.5, 1, method="midpoint")
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 1.0, 1.0, 0.5), (0.5, math.nan, 1.0, 0.5), (0.5, 1.0, math.nan, 0.5), (0.5, 1.0, 1.0, math.nan),
+])
+def test_joint_prob_kps_rejects_nan(args):
+    with pytest.raises(DomainError):
+        joint_prob_kps(*args)

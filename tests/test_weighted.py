@@ -207,3 +207,12 @@ class TestCovariance:
             covariance_increment(1.0, 0.5, 0.2, 1.2)
         with pytest.raises(DomainError):
             covariance_corrected(0.0, 0.5, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("fn", [covariance_corrected, covariance_increment])
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.3, 0.2, 0.5), (1.0, math.nan, 0.2, 0.5), (1.0, 0.3, math.nan, 0.5), (1.0, 0.3, 0.2, math.nan),
+])
+def test_covariance_rejects_nan(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
