@@ -271,7 +271,7 @@ def _cmd_simulate(P) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
 
 def _cmd_weighted(P) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     lam, rho, t, kmax = P["lambda"], P["rho"], P["t"], P["kmax"]
-    if not lam > 0.0:
+    if not 0.0 < lam < math.inf:
         raise DomainError(f"rate must be positive, got {lam}")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"the uniform-profile pool lives on [0,1]; t={t}")

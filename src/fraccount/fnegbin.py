@@ -135,7 +135,7 @@ class NegBinParams:
             raise DomainError(f"time index must lie in (0,1], got {self.nu}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"coupling weight must lie in [0,1], got {self.rho}")
-        if not self.T > 0.0:
+        if not 0.0 < self.T < math.inf:
             raise DomainError(f"horizon must be positive, got {self.T}")
         qT = self.q_profile.value(self.T, self.T)
         if abs(qT - self.p) > _PROFILE_TOL:

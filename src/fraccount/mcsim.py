@@ -128,7 +128,7 @@ class SimConfig:
             raise DomainError(f"need a positive path count, got {self.n_paths}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"coupling weight must lie in [0,1], got {self.rho}")
-        if not self.horizon > 0.0:
+        if not 0.0 < self.horizon < math.inf:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
 
 

@@ -72,9 +72,9 @@ class StfpParams:
             raise DomainError(f"space index must lie in (0,1], got {self.alpha}")
         if not 0.0 < self.nu <= 1.0:
             raise DomainError(f"time index must lie in (0,1], got {self.nu}")
-        if not self.lam > 0.0:
+        if not 0.0 < self.lam < math.inf:
             raise DomainError(f"rate must be positive, got {self.lam}")
-        if not self.T > 0.0:
+        if not 0.0 < self.T < math.inf:
             raise DomainError(f"horizon must be positive, got {self.T}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"coupling weight must lie in [0,1], got {self.rho}")
@@ -215,7 +215,7 @@ def joint_prob_kps(nu: float, lam: float, T: float, t: float) -> float:
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"time index must lie in (0,1], got {nu}")
-    if not (lam > 0.0 and T > 0.0):
+    if not (0.0 < lam < math.inf and 0.0 < T < math.inf):
         raise DomainError("rate and horizon must be positive")
     if not 0.0 <= t <= T:
         raise DomainError(f"t={t} outside [0, {T}]")

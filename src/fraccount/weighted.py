@@ -10,11 +10,14 @@ for the uniform-profile Poisson pool live here as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DegenerateWeights, DomainError
+import numpy as np
+
+from .errors import DegenerateWeights, DomainError, NonConvergent
 from .pmftable import PmfTable
 
 __all__ = [
@@ -80,35 +83,56 @@ def q_kernel(k: int, n: int, F_t: float, rho: float) -> float:
     weight 1-rho plus an all-or-nothing branch with weight rho.
 
     The coupled branch puts mass only on k = 0 and k = n; an empty pool
-    counts zero surely.
+    counts zero surely.  One cell of the _kernel arrays the tables read.
     """
     if k < 0 or n < 0 or k > n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return float(_kernel(F_t, rho, k, n, lambda: float(math.comb(n, k))))
+
+
+@functools.lru_cache(maxsize=8)
+def _binomials(rows: int, cols: int) -> np.ndarray:
+    """Read-only float(C(n, k)), k < rows down and n < cols across.  The
+    largest comes first, so a table with one past a double fails at once."""
+    float(math.comb(cols - 1, min(rows - 1, (cols - 1) // 2)))
+    table = np.array([[float(math.comb(n, k)) for n in range(cols)] for k in range(rows)])
+    table.flags.writeable = False
+    return table
+
+
+def _kernel(F_t: float, rho: float, k, n, comb):
+    """q(k | n, F, rho) = ((1-rho) C(n,k)) F^k (1-F)^(n-k), + rho (1-F) at k = 0,
+    + rho F at k = n, 1 at n = 0, over ints or broadcast int arrays k, n (k > n is
+    meaningless); comb() gives C(n,k); Python powers, as np.power may round otherwise."""
     if not 0.0 <= F_t <= 1.0:
         raise DomainError(f"F must lie in [0,1], got {F_t}")
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"coupling weight must lie in [0,1], got {rho}")
-    if n == 0:
-        return 1.0
-    val = (1.0 - rho) * math.comb(n, k) * F_t**k * (1.0 - F_t) ** (n - k)
-    if k == 0:
-        val += rho * (1.0 - F_t)
-    if k == n:
-        val += rho * F_t
-    return val
+    try:
+        C = comb()
+    except OverflowError:
+        raise NonConvergent(f"a binomial coefficient C(n, k), n <= {np.max(n)}, overflows a double") from None
+    gap = np.maximum(n - k, 0)
+    F_k = np.array([F_t**j for j in range(np.asarray(k).max() + 1)])[k]
+    q = (1.0 - rho) * C * F_k * np.array([(1.0 - F_t) ** j for j in range(gap.max() + 1)])[gap]
+    q = np.where(k == 0, q + rho * (1.0 - F_t), q)
+    q = np.where(k == n, q + rho * F_t, q)
+    return np.where(n == 0, 1.0, q)
 
 
-def _kernel_sums(
-    base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int
-) -> tuple[list[float], list[float]]:
-    # numerator and denominator n-sums of the time-t weight ratio, k = 0..K
-    num, den = [], []
-    wvals = [_checked_weight(wf.w, n) for n in range(len(base_Mg))]
-    for k in range(K + 1):
-        qp = [(n, q_kernel(k, n, F_t, rho) * base_Mg[n]) for n in range(k, len(base_Mg))]
-        num.append(math.fsum(q * wvals[n] for n, q in qp))
-        den.append(math.fsum(q for _, q in qp))
-    return num, den
+def _pool_terms(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> tuple:
+    """q(k|n,F,rho) P(M=n), k = 0..min(K, N-1) down and n = 0..N-1 across, and the
+    weights w(n); _row_sums rounds row k over n >= k exactly (math.fsum), 0 past the pool."""
+    if K < 0:
+        raise DomainError(f"truncation index must be >= 0, got {K}")
+    w = np.array([_checked_weight(wf.w, n) for n in range(len(base_Mg))])
+    k, n = np.arange(min(K + 1, len(base_Mg)))[:, None], np.arange(len(base_Mg))
+    q = _kernel(F_t, rho, k, n, lambda: _binomials(len(k), len(n)))
+    return q * np.array(base_Mg.probs), w
+
+
+def _row_sums(terms: np.ndarray, K: int) -> list[float]:
+    return [math.fsum(row[k:]) for k, row in enumerate(terms.tolist())] + [0.0] * (K + 1 - len(terms))
 
 
 def weights_in_time(
@@ -120,25 +144,20 @@ def weights_in_time(
     size; a constant weight gives a constant vector, and at F = 1 the ratio
     reduces to w itself.
     """
-    if K < 0:
-        raise DomainError(f"truncation index must be >= 0, got {K}")
-    num, den = _kernel_sums(base_Mg, wf, F_t, rho, K)
-    out = []
-    for k, (a, b) in enumerate(zip(num, den)):
+    terms, w = _pool_terms(base_Mg, wf, F_t, rho, K)
+    num, den = _row_sums(terms * w, K), _row_sums(terms, K)
+    for k, b in enumerate(den):
         if not b > 0.0:
             raise DegenerateWeights(f"kernel average at k={k} is {b}; ratio undefined")
-        out.append(a / b)
-    return out
+    return [a / b for a, b in zip(num, den)]
 
 
 def weighted_process_pmf(
     base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int
 ) -> PmfTable:
     """Time-t law of the weighted pool: sum_n q(k|n,F,rho) P(M=n) w(n) / E[w]."""
-    if K < 0:
-        raise DomainError(f"truncation index must be >= 0, got {K}")
-    num, _ = _kernel_sums(base_Mg, wf, F_t, rho, K)
-    return PmfTable.from_probs([a / wf.normalizer for a in num])
+    terms, w = _pool_terms(base_Mg, wf, F_t, rho, K)
+    return PmfTable.from_probs([a / wf.normalizer for a in _row_sums(terms * w, K)])
 
 
 def covariance_corrected(lam: float, rho: float, s: float, t: float) -> float:
@@ -156,7 +175,7 @@ def covariance_increment(lam: float, rho: float, s: float, t: float) -> float:
 
 
 def _check_cov_args(lam: float, rho: float, s: float, t: float) -> None:
-    if not lam > 0.0:
+    if not 0.0 < lam < math.inf:
         raise DomainError(f"rate must be positive, got {lam}")
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"coupling weight must lie in [0,1], got {rho}")

@@ -38,6 +38,15 @@ INVOCATIONS = (
         ["weighted", "--lambda", "-1"],
         ["weighted", "--lambda", "nan"],
         ["figure1", "--lambda", "nan"],
+        # the weighted-pool kernel at its edges: F = 1, full coupling, a
+        # truncation past the 201-entry base, and a wider pool late in time
+        ["weighted", "--t", "1", "--rho", "0.3"],
+        ["weighted", "--rho", "1"],
+        ["weighted", "--kmax", "250"],
+        ["weighted", "--lambda", "4", "--t", "0.9"],
+        ["weighted", "--lambda", "inf"],
+        ["pmf", "--lambda", "inf"],
+        ["pmf", "--T", "inf"],
     ]
 )
 

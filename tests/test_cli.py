@@ -284,10 +284,13 @@ def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     assert main(["pmf", "--alpha", "1.5"]) == 2  # out-of-domain parameter
-    # an out-of-domain or NaN rate is refused before any table is built
-    for lam in ("0", "-1", "nan"):
+    # an out-of-domain, NaN or infinite rate is refused before any table is built
+    for lam in ("0", "-1", "nan", "inf"):
         assert main(["weighted", "--lambda", lam]) == 2
     assert main(["figure1", "--lambda", "nan"]) == 2
+    # so are an infinite rate and an infinite horizon of the process
+    assert main(["pmf", "--lambda", "inf"]) == 2
+    assert main(["pmf", "--T", "inf"]) == 2
 
 
 def test_numeric_failure_exits_three(capsys):

@@ -80,6 +80,11 @@ def test_params_validation():
             NegBinParams(**kw)
 
 
+def test_params_reject_infinite_horizon():
+    with pytest.raises(DomainError, match="horizon must be positive"):
+        NegBinParams(p=0.4, r=1, alpha=0.8, nu=0.5, rho=0.3, T=math.inf, q_profile=PROFILE)
+
+
 def test_params_reject_inconsistent_horizon():
     # schedule ends at 0.4, so p must be 0.4
     with pytest.raises(InvalidProfile):

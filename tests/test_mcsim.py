@@ -345,3 +345,10 @@ def test_sim_config_rejects_nan(field):
     kwargs = dict(seed=1, n_paths=10, rho=0.0, horizon=1.0, count_cdf=np.array([1.0]), epoch_power=1.0)
     with pytest.raises(DomainError):
         SimConfig(**{**kwargs, field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["rho", "horizon"])
+def test_sim_config_rejects_inf(field):
+    kwargs = dict(seed=1, n_paths=10, rho=0.0, horizon=1.0, count_cdf=np.array([1.0]), epoch_power=1.0)
+    with pytest.raises(DomainError):
+        SimConfig(**{**kwargs, field: math.inf})

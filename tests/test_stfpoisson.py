@@ -584,3 +584,15 @@ def test_governing_input_checks():
 def test_joint_prob_kps_rejects_nan(args):
     with pytest.raises(DomainError):
         joint_prob_kps(*args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: StfpParams(1.0, 1.0, math.inf, 1.0),
+    lambda: StfpParams(1.0, 1.0, 1.0, math.inf),
+    lambda: pmf(StfpParams(1.0, 1.0, math.inf, 1.0), 0.5, 3),
+    lambda: joint_prob_kps(0.5, math.inf, 1.0, 0.5),
+    lambda: joint_prob_kps(0.5, 1.0, math.inf, 0.5),
+])
+def test_infinite_rate_or_horizon_rejected(call):
+    with pytest.raises(DomainError):
+        call()

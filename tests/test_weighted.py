@@ -2,10 +2,14 @@ import math
 
 import pytest
 
-from fraccount.errors import DegenerateWeights, DomainError
+import numpy as np
+
+from fraccount.errors import DegenerateWeights, DomainError, NonConvergent
 from fraccount.pmftable import PmfTable
 from fraccount.weighted import (
     WeightFn,
+    _binomials,
+    _kernel,
     covariance_corrected,
     covariance_increment,
     q_kernel,
@@ -216,3 +220,109 @@ class TestCovariance:
 def test_covariance_rejects_nan(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn", [covariance_corrected, covariance_increment])
+@pytest.mark.parametrize("args", [
+    (math.inf, 0.3, 0.2, 0.5), (1.0, math.inf, 0.2, 0.5), (1.0, 0.3, math.inf, 0.5), (1.0, 0.3, 0.2, math.inf),
+])
+def test_covariance_rejects_inf(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+# ---- the array kernel against the per-term double sum ----
+
+def _reference_q(k, n, F, rho):
+    # the scalar kernel, term by term in the order the array pass keeps
+    if n == 0:
+        return 1.0
+    val = (1.0 - rho) * math.comb(n, k) * F**k * (1.0 - F) ** (n - k)
+    if k == 0:
+        val += rho * (1.0 - F)
+    if k == n:
+        val += rho * F
+    return val
+
+
+def _reference_sums(base, w, F, rho, K):
+    num, den = [], []
+    for k in range(K + 1):
+        qp = [(n, _reference_q(k, n, F, rho) * base[n]) for n in range(k, len(base))]
+        num.append(math.fsum(q * w(n) for n, q in qp))
+        den.append(math.fsum(q for _, q in qp))
+    return num, den
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _grid_weight(k):
+    return float(k * k + 1)
+
+
+@pytest.mark.parametrize("N", [1, 41, 201])
+@pytest.mark.parametrize("F", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+def test_tables_match_per_term_double_sum_bit_for_bit(N, F, rho):
+    base = poisson_table(1.3, N - 1)
+    wf = WeightFn.from_base(_grid_weight, base)
+    for K in (0, 5, 20, N + 10):
+        num, den = _reference_sums(base, _grid_weight, F, rho, K)
+        got = weighted_process_pmf(base, wf, F, rho, K)
+        assert _hex(got.probs) == _hex(a / wf.normalizer for a in num)
+        zero = next((k for k, b in enumerate(den) if not b > 0.0), None)
+        if zero is None:
+            assert _hex(weights_in_time(base, wf, F, rho, K)) == _hex(a / b for a, b in zip(num, den))
+        else:
+            with pytest.raises(DegenerateWeights, match=f"kernel average at k={zero} is"):
+                weights_in_time(base, wf, F, rho, K)
+
+
+@pytest.mark.parametrize("F", [0.0, 0.37, 1.0, -0.0])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+def test_q_kernel_is_a_cell_of_the_array(F, rho):
+    k, n = np.arange(41)[:, None], np.arange(61)
+    grid = _kernel(F, rho, k, n, lambda: _binomials(41, 61))
+    for kk in range(41):
+        for nn in range(kk, 61):
+            cell = q_kernel(kk, nn, F, rho)
+            assert cell.hex() == float(grid[kk, nn]).hex() == _reference_q(kk, nn, F, rho).hex()
+
+
+def test_refusal_order():
+    base = poisson_table(1.0, 40)
+    bad_at_3 = WeightFn(w=lambda k: -1.0 if k == 3 else 1.0, normalizer=1.0)
+    good = WeightFn.from_base(lambda k: 1.0, base)
+    with pytest.raises(DomainError, match="truncation index"):
+        weighted_process_pmf(base, bad_at_3, math.nan, 0.3, -1)
+    for fn in (weighted_process_pmf, weights_in_time):
+        # the first bad weight comes before a bad F
+        with pytest.raises(DegenerateWeights, match="weight at k=3"):
+            fn(base, bad_at_3, math.nan, 0.3, 5)
+        # a NaN F is a domain error, and comes before a bad rho
+        with pytest.raises(DomainError, match="F must lie in"):
+            fn(base, good, math.nan, 2.0, 5)
+        with pytest.raises(DomainError, match="coupling weight"):
+            fn(base, good, 0.5, math.nan, 5)
+    # a zero kernel average is refused at the first k that has one
+    with pytest.raises(DegenerateWeights, match="kernel average at k=1 is 0.0"):
+        weights_in_time(base, good, 0.0, 0.3, 5)
+    with pytest.raises(DegenerateWeights, match="kernel average at k=41 is 0.0"):
+        weights_in_time(base, good, 0.5, 0.3, 45)
+
+
+def test_binomial_past_a_double_is_non_convergent():
+    base = PmfTable.from_probs(
+        [math.exp(-300.0 + k * math.log(300.0) - math.lgamma(k + 1)) for k in range(1200)]
+    )
+    wf = WeightFn.from_base(lambda k: float(k), base)
+    with pytest.raises(NonConvergent, match="binomial coefficient"):
+        weighted_process_pmf(base, wf, 0.5, 0.3, 600)
+    with pytest.raises(NonConvergent, match="binomial coefficient"):
+        q_kernel(600, 1199, 0.5, 0.3)
+    # the rows a shallow table reads all fit a double
+    num, _ = _reference_sums(base, lambda k: float(k), 0.5, 0.3, 20)
+    got = weighted_process_pmf(base, wf, 0.5, 0.3, 20)
+    assert _hex(got.probs) == _hex(a / wf.normalizer for a in num)
