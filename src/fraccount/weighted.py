@@ -10,9 +10,9 @@ for the uniform-profile Poisson pool live here as well.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -83,41 +83,42 @@ def q_kernel(k: int, n: int, F_t: float, rho: float) -> float:
     weight 1-rho plus an all-or-nothing branch with weight rho.
 
     The coupled branch puts mass only on k = 0 and k = n; an empty pool
-    counts zero surely.  One cell of the _kernel arrays the tables read.
+    counts zero surely.  One cell of _kernel, the formula the tables read.
     """
     if k < 0 or n < 0 or k > n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return float(_kernel(F_t, rho, k, n, lambda: float(math.comb(n, k))))
+    return float(_kernel(F_t, rho, k, n))
 
 
-@functools.lru_cache(maxsize=8)
-def _binomials(rows: int, cols: int) -> np.ndarray:
-    """Read-only float(C(n, k)), k < rows down and n < cols across.  The
-    largest comes first, so a table with one past a double fails at once."""
-    float(math.comb(cols - 1, min(rows - 1, (cols - 1) // 2)))
-    table = np.array([[float(math.comb(n, k)) for n in range(cols)] for k in range(rows)])
-    table.flags.writeable = False
-    return table
+def _binomials(k, n):
+    """float(C(n, k)) at ints k, n, or for k = 0..K down and n = 0..N-1 across, row k the exact
+    running sums of row k-1; a table converts its largest entry first, so one past a double fails early."""
+    try:
+        if np.ndim(n) == 0:
+            return float(math.comb(n, k))
+        float(math.comb(n.size - 1, min(k.size - 1, (n.size - 1) // 2)))
+        row = [1] * n.size
+        return np.array([row] + [row := [0, *accumulate(row)][:-1] for _ in range(k.size - 1)], dtype=float)
+    except OverflowError:
+        raise NonConvergent(f"a binomial coefficient C(n, k), n <= {np.max(n)}, overflows a double") from None
 
 
-def _kernel(F_t: float, rho: float, k, n, comb):
-    """q(k | n, F, rho) = ((1-rho) C(n,k)) F^k (1-F)^(n-k), + rho (1-F) at k = 0,
-    + rho F at k = n, 1 at n = 0, over ints or broadcast int arrays k, n (k > n is
-    meaningless); comb() gives C(n,k); Python powers, as np.power may round otherwise."""
+def _kernel(F_t: float, rho: float, k, n):
+    """q(k | n, F, rho) = ((1-rho) C(n,k)) F^k (1-F)^(n-k), + rho (1-F) at k = 0, + rho F at
+    k = n, 1 at n = 0, over ints or broadcast int arrays k, n (k > n is meaningless)."""
     if not 0.0 <= F_t <= 1.0:
         raise DomainError(f"F must lie in [0,1], got {F_t}")
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"coupling weight must lie in [0,1], got {rho}")
-    try:
-        C = comb()
-    except OverflowError:
-        raise NonConvergent(f"a binomial coefficient C(n, k), n <= {np.max(n)}, overflows a double") from None
-    gap = np.maximum(n - k, 0)
-    F_k = np.array([F_t**j for j in range(np.asarray(k).max() + 1)])[k]
-    q = (1.0 - rho) * C * F_k * np.array([(1.0 - F_t) ** j for j in range(gap.max() + 1)])[gap]
+    q = (1.0 - rho) * _binomials(k, n) * _powers(F_t, k) * _powers(1.0 - F_t, np.maximum(n - k, 0))
     q = np.where(k == 0, q + rho * (1.0 - F_t), q)
     q = np.where(k == n, q + rho * F_t, q)
     return np.where(n == 0, 1.0, q)
+
+
+def _powers(x: float, j):
+    # x**j, each power in use formed once, in Python: np.power may round otherwise
+    return x ** int(j) if np.ndim(j) == 0 else np.array([x**e for e in range(j.max() + 1)])[j]
 
 
 def _pool_terms(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> tuple:
@@ -127,17 +128,14 @@ def _pool_terms(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int)
         raise DomainError(f"truncation index must be >= 0, got {K}")
     w = np.array([_checked_weight(wf.w, n) for n in range(len(base_Mg))])
     k, n = np.arange(min(K + 1, len(base_Mg)))[:, None], np.arange(len(base_Mg))
-    q = _kernel(F_t, rho, k, n, lambda: _binomials(len(k), len(n)))
-    return q * np.array(base_Mg.probs), w
+    return _kernel(F_t, rho, k, n) * np.array(base_Mg.probs), w
 
 
 def _row_sums(terms: np.ndarray, K: int) -> list[float]:
     return [math.fsum(row[k:]) for k, row in enumerate(terms.tolist())] + [0.0] * (K + 1 - len(terms))
 
 
-def weights_in_time(
-    base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int
-) -> list[float]:
+def weights_in_time(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> list[float]:
     """Raw time-t weight ratios for k = 0..K, defined up to a positive scalar.
 
     Ratio of the w-weighted to the unweighted kernel average over the pool
@@ -152,9 +150,7 @@ def weights_in_time(
     return [a / b for a, b in zip(num, den)]
 
 
-def weighted_process_pmf(
-    base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int
-) -> PmfTable:
+def weighted_process_pmf(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> PmfTable:
     """Time-t law of the weighted pool: sum_n q(k|n,F,rho) P(M=n) w(n) / E[w]."""
     terms, w = _pool_terms(base_Mg, wf, F_t, rho, K)
     return PmfTable.from_probs([a / wf.normalizer for a in _row_sums(terms * w, K)])

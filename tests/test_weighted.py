@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -8,7 +9,6 @@ from fraccount.errors import DegenerateWeights, DomainError, NonConvergent
 from fraccount.pmftable import PmfTable
 from fraccount.weighted import (
     WeightFn,
-    _binomials,
     _kernel,
     covariance_corrected,
     covariance_increment,
@@ -284,11 +284,23 @@ def test_tables_match_per_term_double_sum_bit_for_bit(N, F, rho):
 @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
 def test_q_kernel_is_a_cell_of_the_array(F, rho):
     k, n = np.arange(41)[:, None], np.arange(61)
-    grid = _kernel(F, rho, k, n, lambda: _binomials(41, 61))
+    grid = _kernel(F, rho, k, n)
     for kk in range(41):
         for nn in range(kk, 61):
             cell = q_kernel(kk, nn, F, rho)
             assert cell.hex() == float(grid[kk, nn]).hex() == _reference_q(kk, nn, F, rho).hex()
+
+
+@pytest.mark.parametrize("k", [0, 3, 10**7 - 1, 10**7])
+def test_q_kernel_on_a_large_pool_forms_only_its_own_powers(k):
+    tracemalloc.start()
+    try:
+        cell = q_kernel(k, 10**7, 0.999999, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cell.hex() == _reference_q(k, 10**7, 0.999999, 0.3).hex()
+    assert peak < 100_000
 
 
 def test_refusal_order():
