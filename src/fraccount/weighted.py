@@ -110,15 +110,15 @@ def _kernel(F_t: float, rho: float, k, n):
         raise DomainError(f"F must lie in [0,1], got {F_t}")
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"coupling weight must lie in [0,1], got {rho}")
-    q = (1.0 - rho) * _binomials(k, n) * _powers(F_t, k) * _powers(1.0 - F_t, np.maximum(n - k, 0))
+    q = (1.0 - rho) * _binomials(k, n) * _powers(F_t, k) * _powers(1.0 - F_t, n - k)
     q = np.where(k == 0, q + rho * (1.0 - F_t), q)
     q = np.where(k == n, q + rho * F_t, q)
     return np.where(n == 0, 1.0, q)
 
 
 def _powers(x: float, j):
-    # x**j, each power in use formed once, in Python: np.power may round otherwise
-    return x ** int(j) if np.ndim(j) == 0 else np.array([x**e for e in range(j.max() + 1)])[j]
+    # x**j (x**0 at j < 0), each power in use formed once, in Python: np.power may round otherwise
+    return x**j if np.ndim(j) == 0 else np.array([x**e for e in range(j.max() + 1)])[np.maximum(j, 0)]
 
 
 def _pool_terms(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> tuple:

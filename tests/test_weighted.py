@@ -291,15 +291,15 @@ def test_q_kernel_is_a_cell_of_the_array(F, rho):
             assert cell.hex() == float(grid[kk, nn]).hex() == _reference_q(kk, nn, F, rho).hex()
 
 
-@pytest.mark.parametrize("k", [0, 3, 10**7 - 1, 10**7])
-def test_q_kernel_on_a_large_pool_forms_only_its_own_powers(k):
+@pytest.mark.parametrize("k, n", [(0, 10**7), (3, 10**7), (10**7 - 1, 10**7), (10**7, 10**7), (3, 10**20)])
+def test_q_kernel_on_a_large_pool_forms_only_its_own_powers(k, n):
     tracemalloc.start()
     try:
-        cell = q_kernel(k, 10**7, 0.999999, 0.3)
+        cell = q_kernel(k, n, 0.999999, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cell.hex() == _reference_q(k, 10**7, 0.999999, 0.3).hex()
+    assert cell.hex() == _reference_q(k, n, 0.999999, 0.3).hex()
     assert peak < 100_000
 
 
