@@ -132,39 +132,35 @@ class SimConfig:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
 
 
-def build_count_table(
-    pmf_at: Callable[[int], PmfTable],
-    tail_cutoff: float = DEFAULT_TAIL_CUTOFF,
-    k_max: int = K_MAX,
-) -> PmfTable:
-    """Grow a pool-size table by doubling K until its tail mass is below the
-    cutoff.
+def build_count_table(pmf_at: Callable[[int], PmfTable]) -> PmfTable:
+    """Grow a pool-size table by doubling K until its tail mass is below
+    DEFAULT_TAIL_CUTOFF.
 
     Doubling starts at a small K, so a light-tailed law is accepted before
     its table reaches the deep entries where a series may lose its digits.
     Heavy polynomial tails are projected ahead from the observed decay rate;
-    if the projected K exceeds k_max the build fails loudly rather than
+    if the projected K exceeds K_MAX the build fails loudly rather than
     simulate a silently truncated law.
     """
     k = 16
     prev_tail = None
     while True:
-        table = pmf_at(min(k, k_max))
+        table = pmf_at(min(k, K_MAX))
         tail = table.tail_mass
-        if tail <= tail_cutoff:
+        if tail <= DEFAULT_TAIL_CUTOFF:
             return table
-        if k >= k_max:
+        if k >= K_MAX:
             raise TailCutoffUnreachable(
-                f"tail mass {tail:.3e} above cutoff {tail_cutoff:.3e} at K={k_max}"
+                f"tail mass {tail:.3e} above cutoff {DEFAULT_TAIL_CUTOFF:.3e} at K={K_MAX}"
             )
         if prev_tail is not None and tail > 0.5 * prev_tail:
             # slower than 1/K decay: project the K needed and bail early
             rate = max(-math.log2(tail / prev_tail), 1e-6)
-            log2_projected = math.log2(k) + math.log2(tail / tail_cutoff) / rate
-            if log2_projected > math.log2(k_max):
+            log2_projected = math.log2(k) + math.log2(tail / DEFAULT_TAIL_CUTOFF) / rate
+            if log2_projected > math.log2(K_MAX):
                 raise TailCutoffUnreachable(
                     f"tail decay rate {rate:.3f} projects K≈2^{log2_projected:.1f} "
-                    f"to reach cutoff {tail_cutoff:.3e}; cap is {k_max}"
+                    f"to reach cutoff {DEFAULT_TAIL_CUTOFF:.3e}; cap is {K_MAX}"
                 )
         prev_tail = tail
         k *= 2

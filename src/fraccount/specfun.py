@@ -10,11 +10,13 @@ space with an explicit sign, so terms never overflow before the sum settles,
 and the result is returned together with its convergence diagnostics rather
 than as a bare float.
 
-Coefficients that do not depend on a series' argument live in rows computed
-once per index set, grown lazily and kept in a small bounded cache: lgamma
-lattice rows lgamma(slope*r + offset) for the Mittag-Leffler sums, signed
-falling-factorial rows for the STFP count series.  A row holds the exact
-expression a term would form inline, so the terms and sums are the same bits.
+Coefficients that do not depend on a series' argument live in rows
+coef(a, b, r), stored in blocks of 64 consecutive r under one
+functools.lru_cache (_block) and read by slice (_row) or in order
+(_row_iter): lgamma lattice rows lgamma(slope*r + offset) for the
+Mittag-Leffler sums, signed falling-factorial rows for the STFP count series.
+A row holds the exact expression a term would form inline, so the terms and
+sums are the same bits.
 
 Sums over many arguments at once go through one array pass loop,
 _series_passes, with two callers: the STFP count series
@@ -28,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -199,47 +200,33 @@ def gamma_ratio_signed(a: float, b: float) -> float:
 
 # ---- argument-free coefficient rows ----
 
-_ROW_CACHE_SIZE = 512
-
-_rows: dict[tuple, list[float]] = {}
-_rows_lock = threading.Lock()
+_BLOCK = 64
 
 
-def _coef_list(key: tuple, coef: Callable[[int], float], n: int) -> list[float]:
-    """The row coef(0), coef(1), ... for the index set key, holding at least
-    n values; read it by slice, never write it.  Each value is computed once,
-    under the lock, into a row cached for at most _ROW_CACHE_SIZE keys (the
-    oldest row is dropped first)."""
-    row = _rows.get(key)
-    if row is None:
-        with _rows_lock:
-            if key not in _rows and len(_rows) >= _ROW_CACHE_SIZE:
-                del _rows[next(iter(_rows))]
-            row = _rows.setdefault(key, [])
-    if len(row) < n:
-        with _rows_lock:
-            row.extend(coef(r) for r in range(len(row), n))
+@functools.lru_cache(maxsize=1024)
+def _block(coef: Callable[..., float], a: float, b: float, i: int) -> tuple[float, ...]:
+    """coef(a, b, r) for the _BLOCK indices r of block i.  A block never
+    changes, so two threads building one at once build the same floats."""
+    return tuple(coef(a, b, r) for r in range(i * _BLOCK, (i + 1) * _BLOCK))
+
+
+def _row(coef: Callable[..., float], a: float, b: float, lo: int, hi: int) -> tuple[float, ...]:
+    """coef(a, b, r) for lo <= r < hi, read from the blocks."""
+    i, j = divmod(lo, _BLOCK)
+    row = _block(coef, a, b, i)[j : j + hi - lo]
+    while len(row) < hi - lo:
+        i += 1
+        row += _block(coef, a, b, i)[: hi - lo - len(row)]
     return row
 
 
-def _coef_row(key: tuple, coef: Callable[[int], float]) -> Iterator[float]:
-    """coef(0), coef(1), ... read from _coef_list in doubling pieces."""
-
-    def pieces(lo: int) -> Iterator[list[float]]:
-        while True:
-            hi = max(2 * lo, 32)
-            yield _coef_list(key, coef, hi)[lo:hi]
-            lo = hi
-
-    row = _rows.get(key)
-    if row is None:
-        row = _coef_list(key, coef, 0)
-    n = len(row)  # the values known now are read in place
-    return itertools.chain(itertools.islice(row, n), itertools.chain.from_iterable(pieces(n)))
+def _row_iter(coef: Callable[..., float], a: float, b: float) -> Iterator[float]:
+    """coef(a, b, 0), coef(a, b, 1), ... read block by block."""
+    return itertools.chain.from_iterable(map(functools.partial(_block, coef, a, b), itertools.count()))
 
 
-def _lgamma_row(slope: float, offset: float) -> Iterator[float]:
-    return _coef_row(("lgamma", slope, offset), lambda r: math.lgamma(slope * r + offset))
+def _lgamma(slope: float, offset: float, r: int) -> float:
+    return math.lgamma(slope * r + offset)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -263,31 +250,34 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
     """The one array loop of the series sums: at every point p = j*n + c of
     points (ascending, n = len(log_x)) the sum over r of w_j(r) times
     (-1)^r (where neg[c]) times exp(r*log_x[c] - lgamma(slope*r + offset)),
-    lg_key = (slope, offset).  rows holds the (key, coef) of each weight row
-    for _coef_list, None the one row w = 1; neg may be None.
+    lg_key = (slope, offset).  rows holds the (coef, a, b) of each weight row
+    w_j(r) = coef(a, b, r) for _row, None the one row w = 1; neg may be None.
 
     Each pass adds a block of terms to every live point: math.exp forms each
     power once per live column (inf past cut), and np.cumsum carries each
     partial sum on in order, as _sum_series adds.  With rows, a term whose
     power is below the normal range, or whose weight is inf, is formed as
-    sign * exp(exponent + log_weight(j, r)).  A sum stops at its third term
-    in a row below rel_tol times the partial sum; a point is refused for a
-    non-finite term or no stop within max_terms, and later points are
-    dropped.  Returns the partial sum, max term, last term and terms used
-    per point, the points stopped before the first refused one, which of
-    those fail the cancellation limit, and the refusal (or None).
+    sign * exp(exponent + log_weight(j, r)).  A sum stops at its third small
+    term in a row: below rel_tol times the partial sum, or, with rows,
+    exactly 0 where its weight is not (an underflowed power), so a sum whose
+    partial sum is subnormal or 0 stops too, while a prefix of weight-0
+    (annihilated) terms never stops one.  A point is
+    refused for a non-finite term or no stop within max_terms, and later
+    points are dropped.  Returns the partial sum, max term, last term and
+    terms used per point, the points stopped before the first refused one,
+    which of those fail the cancellation limit, and the refusal (or None).
     """
     n = len(log_x)
     total, peak, last, used = np.zeros((4, n * len(rows or [1])))
     runs = np.zeros((2, total.size), dtype=bool)
-    live, lo, first, refusal, lg_row = points, 0, total.size, None, _lgamma_row(*lg_key)
+    live, lo, first, refusal = points, 0, total.size, None
     with np.errstate(all="ignore"):
         while live.size:
             ki, si = np.divmod(live, n)
             k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
             hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), cfg.max_terms)
             # one row per term, one column per point
-            lg = np.fromiter(itertools.islice(lg_row, hi - lo), float, hi - lo)
+            lg = np.array(_row(_lgamma, *lg_key, lo, hi))
             arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
             try:
                 power = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
@@ -298,8 +288,11 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
                 power[arg > cut] = math.inf
             if neg is not None:  # odd r at a negative argument
                 power[1 - lo % 2::2, neg[s_on]] *= -1.0
+            # mittag_leffler's leading terms may underflow before the series grows, so with
+            # rows None, as there, no 0 term is small for being 0
+            underflow = False
             if rows is not None:
-                ratio = np.array([_coef_list(*rows[j], hi)[lo:hi] for j in k_on.tolist()]).T
+                ratio = np.array([_row(*rows[j], lo, hi) for j in k_on.tolist()]).T
                 if k_on.size > 1:  # else the live points are the live columns, in order
                     ratio = ratio[:, np.searchsorted(k_on, ki)]
                     power = power[:, np.searchsorted(s_on, si)]
@@ -309,10 +302,12 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
                 for i, j in zip(*odd.nonzero()):
                     x = arg[i, np.searchsorted(s_on, si[j])] + log_weight(ki[j], lo + i)
                     term[i, j] = math.copysign(_exp_or_inf(x), np.broadcast_to(ratio, term.shape)[i, j])
+                underflow = (term == 0.0) & (ratio != 0.0)  # not a term whose weight is 0
             fin, mag = np.isfinite(term), np.abs(term)
             term[0] += total[live]  # each sum carried on from its partial sum
             partial = np.cumsum(term, axis=0)
-            small = np.concatenate((runs[:, live], mag < cfg.rel_tol * np.abs(partial)))
+            # a term that underflowed to 0 is small whatever the partial sum
+            small = np.concatenate((runs[:, live], (mag < cfg.rel_tol * np.abs(partial)) | underflow))
             # a sum stops at its third small term in a row, or is refused at a non-finite one
             stop = small[:-2] & small[1:-1] & small[2:] | ~fin
             done = stop.any(axis=0)
@@ -358,7 +353,7 @@ def mittag_leffler(
     sign_x = 1.0 if x > 0.0 else -1.0
 
     def terms():
-        for r, lg_den in enumerate(_lgamma_row(alpha, beta)):
+        for r, lg_den in enumerate(_row_iter(_lgamma, alpha, beta)):
             lg = r * log_ax - lg_den
             if lg > _EXP_MAX:
                 yield math.inf
@@ -411,7 +406,7 @@ def gen_mittag_leffler(
     def terms():
         log_poch = 0.0  # log |(gamma)^(r)|
         sign_poch = 1.0
-        rows = zip(_lgamma_row(1.0, 1.0), _lgamma_row(alpha, beta))
+        rows = zip(_row_iter(_lgamma, 1.0, 1.0), _row_iter(_lgamma, alpha, beta))
         for r, (lg_fact, lg_den) in enumerate(rows):
             if r > 0:
                 f = gamma + r - 1

@@ -31,10 +31,10 @@ from .specfun import (
     DEFAULT_CONFIG,
     SpecfunConfig,
     _cancelled,
-    _coef_row,
     _error_estimate,
     _exp_or_inf,
-    _lgamma_row,
+    _lgamma,
+    _row_iter,
     _series_passes,
     gamma_ratio_signed,
     gen_binom,
@@ -91,11 +91,9 @@ def F_stfp(params: StfpParams, t: float) -> float:
     return (t / params.T) ** (params.nu / params.alpha)
 
 
-def _falling(a: float, k: int) -> tuple[tuple, Callable[[int], float]]:
-    # key and coefficient of the row (-1)^r * Gamma(a r + 1) / Gamma(a r + 1 - k), r = 0, 1, ...
-    return (
-        ("falling", a, k), lambda r: (-1.0) ** r * gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
-    )
+def _falling(a: float, k: int, r: int) -> float:
+    # term r of the row (-1)^r * Gamma(a r + 1) / Gamma(a r + 1 - k), r = 0, 1, ...
+    return (-1.0) ** r * gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
 
 
 # terms r = 0..140 of the running branch's power series in the series route
@@ -134,7 +132,7 @@ def _count_series(
     n_lead = next((i for i, k in enumerate(ks) if k > 170), len(ks))  # 171! is past a double
     n_sum = np.searchsorted(points, n_lead * n_s)
     total, peak, last, used, stopped, lost, refusal = _series_passes(
-        log_x, None, (params.nu, 1.0), [_falling(params.alpha, k) for k in ks], points[:n_sum], cfg,
+        log_x, None, (params.nu, 1.0), [(_falling, params.alpha, k) for k in ks], points[:n_sum], cfg,
         label, log_weight=log_weight)
     if refusal is None and n_sum < points.size:
         p = points[n_sum]
@@ -328,7 +326,7 @@ def _series_lhs(params: StfpParams, t: float, k: int, tbl_T) -> float:
     pairs: list[tuple[float, float]] = []
     at_t: list[float] = []
     partial = None  # the sum at t, once the first _SERIES_TERMS are in
-    rows = zip(itertools.count(), _lgamma_row(nu, 1.0), _coef_row(*_falling(a, k)))
+    rows = zip(itertools.count(), _row_iter(_lgamma, nu, 1.0), _row_iter(_falling, a, k))
     for r, lg_den, ratio in rows:
         if r >= _SERIES_TERMS:
             tail = abs(at_t[-1]) if at_t else 0.0

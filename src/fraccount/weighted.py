@@ -60,11 +60,14 @@ class WeightFn:
     @classmethod
     def from_base(cls, w: Callable[[int], float], base: PmfTable) -> "WeightFn":
         contrib = [_checked_weight(w, k) * base[k] for k in range(len(base))]
-        half = math.fsum(contrib[: (len(contrib) + 1) // 2])
+        cut = (len(contrib) + 1) // 2
+        half = math.fsum(contrib[:cut])
         full = math.fsum(contrib)
         if not (math.isfinite(full) and full > 0.0):
             raise DegenerateWeights(f"normalizer over truncated support is {full}")
-        if abs(full - half) > _STABILITY_TOL * abs(full):
+        # the weights answer only for the shift the base's own halves do not show
+        own = 1.0 - math.fsum(base.probs[:cut]) / base.head_mass()
+        if (full - half) / full - own > _STABILITY_TOL:
             raise DegenerateWeights(
                 "normalizer not stable under truncation "
                 f"(half {half}, full {full}); weights grow too fast for this table"

@@ -1,19 +1,20 @@
 """Fingerprint the CLI's output on a fixed list of invocations.
 
-Each invocation runs in a fresh interpreter against the package in this
-checkout's src/.  One line is printed per invocation: the argv, the exit
-code, and the sha256 of stdout and of stderr.  Run it on two checkouts and
-diff the outputs to show which invocations changed bytes.  The runtime needs
-numpy only; pytest does not collect this file.
+Each invocation runs in a fresh interpreter against the package in the
+given src directory, by default this checkout's src/.  One line is printed
+per invocation: the argv, the exit code, and the sha256 of stdout and of
+stderr.  Run it against two src trees and diff the outputs to show which
+invocations changed bytes.  The runtime needs numpy only; pytest does not
+collect this file.
 
-Usage: python3 tests/cli_outputs.py   (takes about half a minute)
+Usage: python3 tests/cli_outputs.py [SRC_DIR]   (takes about half a minute)
 """
 import hashlib
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DEFAULT_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 RUN = "import sys; from fraccount.cli import main; raise SystemExit(main(sys.argv[1:]))"
 
 SUBCOMMANDS = ("pmf", "pgf", "figure1", "verify", "simulate", "negbin", "weighted")
@@ -29,6 +30,8 @@ INVOCATIONS = (
     + [[name, *(COUPLED_SIM if name == "simulate" else COUPLED)] for name in SUBCOMMANDS]
     + [
         ["pmf", "--lambda", "2", "--kmax", "170", "--t", "1"],
+        # deep entries whose partial sums are subnormal
+        ["pmf", "--lambda", "0.01", "--kmax", "170"],
         ["pmf", *OVERFLOW],
         ["pgf", *OVERFLOW],
         ["simulate", *OVERFLOW, "--paths", "100"],
@@ -51,13 +54,14 @@ INVOCATIONS = (
 )
 
 
-def fingerprint(argv: list[str]) -> str:
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+def fingerprint(argv: list[str], src: str) -> str:
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", RUN, *argv], capture_output=True, env=env)
     out, err = (hashlib.sha256(b).hexdigest() for b in (done.stdout, done.stderr))
     return f"{' '.join(argv)}\texit={done.returncode}\tstdout={out}\tstderr={err}"
 
 
 if __name__ == "__main__":
+    src = os.path.abspath(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_SRC
     for argv in INVOCATIONS:
-        print(fingerprint(argv), flush=True)
+        print(fingerprint(argv, src), flush=True)

@@ -1,6 +1,6 @@
-"""Argument-free coefficient rows: the cached evaluators must return the same
-bits as forming every coefficient inside its term, from a cold and a warm cache,
-under concurrent growth, and with the cache kept within its bound."""
+"""Argument-free coefficient rows: the block store must return the same bits
+as forming every coefficient inside its term, from a cold and a warm store,
+under concurrent reads, and with the store kept within its bound."""
 
 import itertools
 import math
@@ -197,40 +197,36 @@ def reference():
     return _collect(ref_mittag_leffler, ref_gen_mittag_leffler, ref_pmf, ref_governing)
 
 
-def test_rows_are_bit_identical_to_per_term_formulas(reference, monkeypatch):
+def test_rows_are_bit_identical_to_per_term_formulas(reference):
     # alpha = 0.4 at x = -5 is refused; the refusal must not move either
     assert sum(v.startswith("raises") for v in reference[0]) == 3
-    monkeypatch.setattr(specfun, "_rows", {})
-    assert _snapshot() == reference  # every row built on the way
-    assert specfun._rows
-    assert _snapshot() == reference  # every row read back from the cache
+    specfun._block.cache_clear()
+    assert _snapshot() == reference  # every block built on the way
+    assert specfun._block.cache_info().currsize
+    assert _snapshot() == reference  # every block read back from the store
 
 
-# ---- growth under concurrency and the cache bound ----
+# ---- concurrent reads and the store's bound ----
 
 def test_concurrent_growth_matches_serial_row():
-    def coef(r):
-        return math.lgamma(0.37 * r + 0.11)
-
+    coef = specfun._lgamma
     n = 4000
-    serial = [coef(r) for r in range(n)]
 
-    def race(key):
-        # four threads read the same row at once, each growing it as it goes,
-        # two through the iterator and two by slice
+    def race(a, b):
+        # four threads read the same fresh row at once, two by slices of 24
+        # terms (some straddle two blocks) and two through the iterator
         results = [None] * 4
         start = threading.Barrier(4)
 
-        def grow(i):
+        def read(i):
             start.wait()
-            if i % 2:  # slices of 16 terms, as the STFP count series reads them
-                pieces = (specfun._coef_list(key, coef, lo + 16)[lo:lo + 16]
-                          for lo in range(0, n, 16))
+            if i % 2:
+                pieces = (specfun._row(coef, a, b, lo, min(lo + 24, n)) for lo in range(0, n, 24))
                 results[i] = list(itertools.chain.from_iterable(pieces))
             else:
-                results[i] = list(itertools.islice(specfun._coef_row(key, coef), n))
+                results[i] = list(itertools.islice(specfun._row_iter(coef, a, b), n))
 
-        threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
         for th in threads:
             th.start()
         for th in threads:
@@ -242,19 +238,22 @@ def test_concurrent_growth_matches_serial_row():
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(5):
-            key = ("concurrency test", trial)
-            assert all(res == serial for res in race(key))
-            # the whole row, not only the prefix read: a lost lock appends duplicates
-            whole = specfun._rows.pop(key)
-            assert whole == [coef(r) for r in range(len(whole))]
+            a, b = 0.37, 0.11 + trial / 1000.0  # a row no other test reads
+            serial = [coef(a, b, r) for r in range(n)]
+            assert all(res == serial for res in race(a, b))
     finally:
         sys.setswitchinterval(old)
 
 
-def test_cache_stays_within_bound(monkeypatch):
-    monkeypatch.setattr(specfun, "_rows", {})
-    for i in range(3 * specfun._ROW_CACHE_SIZE):
-        specfun._lgamma_row(1.0 + i / 7.0, 1.0)
-        assert len(specfun._rows) <= specfun._ROW_CACHE_SIZE
-    # evicted keys are rebuilt on demand with the same values
+def test_cache_stays_within_bound():
+    bound = specfun._block.cache_info().maxsize
+    first = specfun._block(specfun._lgamma, 0.5, 1.0, 3)
+    for i in range(3 * bound):
+        specfun._block(specfun._lgamma, 1.0 + i / 7.0, 1.0, 0)
+        assert specfun._block.cache_info().currsize <= bound
+    # the first block was evicted, and is rebuilt on demand with the same values
+    misses = specfun._block.cache_info().misses
+    assert specfun._block(specfun._lgamma, 0.5, 1.0, 3) == first
+    assert specfun._block.cache_info().misses == misses + 1
+    assert first == tuple(math.lgamma(0.5 * r + 1.0) for r in range(3 * 64, 4 * 64))
     assert mittag_leffler(0.5, 1.0, -0.7).value == ref_mittag_leffler(0.5, 1.0, -0.7)

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fraccount import mcsim
 from fraccount.errors import DomainError, TailCutoffUnreachable
 from fraccount.fnegbin import Example31Profile, NegBinParams, TableProfile, pmf_negbin_r1
 from fraccount.mcsim import (
@@ -188,10 +189,8 @@ class TestSampling:
 
 class TestCountTable:
     def test_doubles_until_cutoff(self):
-        tbl = build_count_table(
-            lambda K: stfp_pmf(classical(1.0, 0.0), 1.0, K), tail_cutoff=1e-10
-        )
-        assert tbl.tail_mass <= 1e-10
+        tbl = build_count_table(lambda K: stfp_pmf(classical(1.0, 0.0), 1.0, K))
+        assert tbl.tail_mass <= DEFAULT_TAIL_CUTOFF == 1e-10
 
     def test_light_tail_built_before_deep_entries(self):
         # the tail is below the cutoff by K=32; deeper entries lose their digits
@@ -200,13 +199,14 @@ class TestCountTable:
         assert tbl.tail_mass <= DEFAULT_TAIL_CUTOFF
         stfp_sim_config(params, seed=1, n_paths=10)
 
-    def test_cap_triggers_failure(self):
+    def test_cap_triggers_failure(self, monkeypatch):
         # a flat pmf over many states cannot reach the cutoff under the cap
         def flat(K: int) -> PmfTable:
             return PmfTable.from_probs([1.0 / 4096] * (K + 1))
 
-        with pytest.raises(TailCutoffUnreachable):
-            build_count_table(flat, tail_cutoff=1e-10, k_max=512)
+        monkeypatch.setattr(mcsim, "K_MAX", 512)
+        with pytest.raises(TailCutoffUnreachable, match="cap is 512"):
+            build_count_table(flat)
 
 
 class TestEstimators:

@@ -132,6 +132,14 @@ def test_ml_many_matches_scalar(alpha, beta):
     assert [v.hex() for v in many.tolist()] == [w[0] for w in want if isinstance(w, list)]
 
 
+def test_ml_many_leading_underflow_does_not_stop_the_sum():
+    # at beta = 200 the leading terms underflow to 0 before the series grows
+    # past a double: counted as small, they would stop the sum at 0
+    want = "NonConvergent: mittag_leffler(0.5,200.0,1000000.0): term 143 is not finite"
+    assert _ml_outcome(lambda: [mittag_leffler(0.5, 200.0, 1e6).value]) == want
+    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 200.0, [1e6]).tolist()) == want
+
+
 def test_ml_many_refuses_as_the_first_refused_point():
     with pytest.raises(CancellationLoss) as scalar:
         mittag_leffler(0.6, 1, -8)

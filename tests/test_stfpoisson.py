@@ -470,6 +470,31 @@ def test_deep_light_tailed_tables_match_poisson(lam, K):
     assert tbl.probs[:65] == pmf(StfpParams(alpha=1.0, nu=1.0, lam=lam, T=1.0), 1.0, 64).probs
 
 
+def test_underflowed_terms_stop_a_sum_with_a_subnormal_partial_sum():
+    # entries past k~136 are ~1e-500: their partial sums are subnormal, so
+    # rel_tol times them is 0, and only terms that underflow to 0 stop them
+    tbl = pmf(StfpParams(alpha=1.0, nu=1.0, lam=0.01, T=1.0), 0.5, 170)
+    for k in range(171):
+        want = math.exp(-0.005 + k * math.log(0.005) - math.lgamma(k + 1.0))
+        assert abs(tbl[k] - want) <= 1e-15, k
+
+
+def test_annihilated_prefix_never_stops_a_sum():
+    # at alpha = 1 the weights of entry 8 vanish for r < 8; at s = 5e-51 every
+    # later term underflows too, and the sum stops at 0 with no error
+    params = StfpParams(alpha=1.0, nu=1.0, lam=1.0, T=1.0)
+    got, err = stfpoisson._count_series(params, [0.5, 5e-51], [8], DEFAULT_CONFIG)
+    assert got[0, 0] == pytest.approx(math.exp(-0.5) * 0.5**8 / math.factorial(8), rel=1e-13)
+    assert got[0, 1] == 0.0 and err[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_quadrature_residual_stops_where_every_term_underflows(lam):
+    # the stencil reaches s ~ 5e-51, where every term of entry 8 is 0
+    params = StfpParams(alpha=1.0, nu=0.8, lam=lam, T=1.0)
+    assert governing_residual(params, 1.0, 8, method="quadrature") <= 1e-13
+
+
 def test_pmf_normalization_light_tail():
     # classical-in-space grids: tail must be numerically negligible
     for nu in (0.5, 0.8, 1.0):

@@ -97,6 +97,15 @@ class TestWeightFn:
         with pytest.raises(DegenerateWeights):
             WeightFn.from_base(lambda k: math.exp(0.25 * k * k), base)
 
+    def test_base_truncation_is_not_blamed_on_the_weights(self):
+        # the base alone shifts ~1e-8 between its halves at K=20: a constant
+        # weight shifts no more and is accepted; growing weights still refuse
+        base = poisson_table(1.0, 20)
+        assert WeightFn.from_base(lambda k: 1.0, base).normalizer == base.head_mass()
+        for w in (lambda k: float(k), lambda k: float(k) ** 3, math.exp):
+            with pytest.raises(DegenerateWeights, match="weights grow too fast"):
+                WeightFn.from_base(w, base)
+
     def test_nonfinite_weight_rejected(self):
         base = poisson_table(1.0, 20)
         with pytest.raises(DegenerateWeights):
