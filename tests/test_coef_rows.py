@@ -255,5 +255,5 @@ def test_cache_stays_within_bound():
     misses = specfun._block.cache_info().misses
     assert specfun._block(specfun._lgamma, 0.5, 1.0, 3) == first
     assert specfun._block.cache_info().misses == misses + 1
-    assert first == tuple(math.lgamma(0.5 * r + 1.0) for r in range(3 * 64, 4 * 64))
+    assert first == tuple(math.lgamma(0.5 * r + 1.0) for r in range(3 * specfun._BLOCK, 4 * specfun._BLOCK))
     assert mittag_leffler(0.5, 1.0, -0.7).value == ref_mittag_leffler(0.5, 1.0, -0.7)
