@@ -27,7 +27,6 @@ from .specfun import (
     _CORE_ABS_GUARD,
     _EPS,
     STIRLING_CAP,
-    SpecfunConfig,
     _mittag_leffler_many,
     mittag_leffler,
 )
@@ -42,10 +41,6 @@ __all__ = [
     "pmf_negbin_r1",
     "operator_residual_prop33",
 ]
-
-# the count series behind _core_pmf: its ratio check is lifted, since every
-# assembled entry is held to _CORE_ABS_GUARD instead
-_LIFTED = SpecfunConfig(cancellation_limit=1e300)
 
 # grid resolution for profile monotonicity/range validation
 _PROFILE_GRID = 33
@@ -266,7 +261,7 @@ def _core_pmf(level: float, alpha: float, nu: float, K: int) -> Iterator[float]:
     n = min(K, STIRLING_CAP) + 1
     big_l, c = -math.log(level), 1.0 - level
     probs, errs = (col[:, 0] for col in _count_series(
-        StfpParams(alpha, nu, big_l, 1.0), [1.0], range(n), _LIFTED, guard=math.inf))
+        StfpParams(alpha, nu, big_l, 1.0), [1.0], range(n), lifted=True))
     w = np.zeros(n)  # row k of the weights, 0 past h = k
     w[0] = 1.0
     for k in range(n):

@@ -8,7 +8,11 @@ Fox-Wright sums are here too; no process module calls them.
 Every infinite series here is summed the same way: each term is formed in log
 space with an explicit sign, so terms never overflow before the sum settles,
 and the result is returned together with its convergence diagnostics rather
-than as a bare float.
+than as a bare float.  One policy holds for every sum, the module constants
+_REL_TOL, _MAX_TERMS and _CANCELLATION_LIMIT, read at call time; only
+fox_wright takes a SpecfunConfig, to set its cancellation limit.  A term is
+infinite only where math.exp overflows, and a sum whose partial sum is not
+finite is refused.
 
 Coefficients that do not depend on a series' argument live in rows
 coef(a, b, r), stored in blocks of 64 consecutive r under one
@@ -51,26 +55,22 @@ _EXP_MAX = 709.0  # log of the largest finite double, rounded down
 _CORE_ABS_GUARD = 1e-12
 
 
+# the series policy (see _sum_series), read at call time
+_REL_TOL = 1e-12
+_MAX_TERMS = 10000
+_CANCELLATION_LIMIT = 1e8
+
+
 @dataclass(frozen=True)
 class SpecfunConfig:
-    """Knobs of the series primitives (mittag_leffler, gen_mittag_leffler,
-    fox_wright, _mittag_leffler_many) and of stfpoisson._count_series.  The
-    process functions take no config and run at DEFAULT_CONFIG.
-
-    rel_tol: relative tail bound that ends summation.
-    max_terms: hard budget before giving up.
-    cancellation_limit: largest tolerated ratio max|term| / |sum|.
+    """The one series knob a caller may set, taken by fox_wright alone:
+    cancellation_limit, the largest tolerated ratio max|term| / |sum|.
+    Every other series runs at the module's policy constants.
     """
 
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-    cancellation_limit: float = 1e8
+    cancellation_limit: float = _CANCELLATION_LIMIT
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0):
-            raise InvalidSpec(f"rel_tol must be in (0,1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise InvalidSpec(f"max_terms must be >= 1, got {self.max_terms}")
         if not self.cancellation_limit > 1.0:
             raise InvalidSpec(
                 f"cancellation_limit must exceed 1, got {self.cancellation_limit}"
@@ -90,13 +90,16 @@ class SeriesValue:
     max_term_magnitude: float
 
 
-def _sum_series(terms, cfg: SpecfunConfig, what: str, *parts) -> SeriesValue:
+def _sum_series(terms, what: str, *parts, limit: float | None = None) -> SeriesValue:
     """Adaptive summation shared by all series.
 
     Stops after three consecutive terms that are strictly below
-    rel_tol * |partial sum|; the strict inequality means an all-zero prefix
-    (annihilated leading terms) never triggers a premature stop.  The label
-    in error messages is what.format(*parts), formatted only on failure.
+    _REL_TOL * |partial sum|; the strict inequality means an all-zero prefix
+    (annihilated leading terms) never triggers a premature stop.  A partial
+    sum that is not finite (an overflowing term or sum) is refused, and so is
+    a max term past limit (by default _CANCELLATION_LIMIT) times the sum.
+    The label in error messages is what.format(*parts), formatted only on
+    failure.
     """
     total = 0.0
     max_mag = 0.0
@@ -105,31 +108,31 @@ def _sum_series(terms, cfg: SpecfunConfig, what: str, *parts) -> SeriesValue:
     used = 0
     for term in terms:
         used += 1
-        if used > cfg.max_terms:
-            raise _no_convergence(what.format(*parts), cfg, total)
-        if not math.isfinite(term):
-            raise _not_finite(what.format(*parts), used)
+        if used > _MAX_TERMS:
+            raise _no_convergence(what.format(*parts), total)
         total += term
+        if not math.isfinite(total):
+            raise _not_finite(what.format(*parts), used)
         mag = abs(term)
         if mag > max_mag:
             max_mag = mag
-        if mag < cfg.rel_tol * abs(total):
+        if mag < _REL_TOL * abs(total):
             small_run += 1
             last_mag = mag
             if small_run >= 3:
                 break
         else:
             small_run = 0
-    if max_mag / max(abs(total), _TINY) > cfg.cancellation_limit:
+    if max_mag / max(abs(total), _TINY) > (_CANCELLATION_LIMIT if limit is None else limit):
         raise _cancelled(what.format(*parts), max_mag, total)
     return SeriesValue(total, _error_estimate(last_mag, max_mag, used), used, max_mag)
 
 
 # the refusals and error estimate of _sum_series, shared with the array sums
 # of stfpoisson (numbers or arrays alike)
-def _no_convergence(label: str, cfg: SpecfunConfig, total: float) -> NonConvergent:
+def _no_convergence(label: str, total: float) -> NonConvergent:
     return NonConvergent(
-        f"{label}: no convergence within {cfg.max_terms} terms (partial sum {total:.6g})"
+        f"{label}: no convergence within {_MAX_TERMS} terms (partial sum {total:.6g})"
     )
 
 
@@ -246,7 +249,7 @@ _POWERS, _PASS = 1024, 8
 _NORMAL_MIN = np.finfo(float).tiny
 
 
-def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, log_weight=None):
+def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
     """The one array loop of the series sums: at every point p = j*n + c of
     points (ascending, n = len(log_x)) the sum over r of w_j(r) times
     (-1)^r (where neg[c]) times exp(r*log_x[c] - lgamma(slope*r + offset)),
@@ -254,18 +257,19 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
     w_j(r) = coef(a, b, r) for _row, None the one row w = 1; neg may be None.
 
     Each pass adds a block of terms to every live point: math.exp forms each
-    power once per live column (inf past cut), and np.cumsum carries each
-    partial sum on in order, as _sum_series adds.  With rows, a term whose
-    power is below the normal range, or whose weight is inf, is formed as
-    sign * exp(exponent + log_weight(j, r)).  A sum stops at its third small
-    term in a row: below rel_tol times the partial sum, or, with rows,
-    exactly 0 where its weight is not (an underflowed power), so a sum whose
-    partial sum is subnormal or 0 stops too, while a prefix of weight-0
-    (annihilated) terms never stops one.  A point is
-    refused for a non-finite term or no stop within max_terms, and later
-    points are dropped.  Returns the partial sum, max term, last term and
-    terms used per point, the points stopped before the first refused one,
-    which of those fail the cancellation limit, and the refusal (or None).
+    power once per live column (inf where it overflows), and np.cumsum
+    carries each partial sum on in order, as _sum_series adds.  With rows, a
+    term whose power is below the normal range, or whose weight is inf, is
+    formed as sign * exp(exponent + log_weight(j, r)).  A sum stops at its
+    third small term in a row: below _REL_TOL times the partial sum, or, with
+    rows, exactly 0 where its weight is not (an underflowed power), so a sum
+    whose partial sum is subnormal or 0 stops too, while a prefix of weight-0
+    (annihilated) terms never stops one.  A point is refused for a partial
+    sum that is not finite (an overflowing term or sum) or no stop within
+    _MAX_TERMS, and later points are dropped.  Returns the partial sum, max
+    term, last term and terms used per point, the points stopped before the
+    first refused one, which of those fail the cancellation limit, and the
+    refusal (or None).
     """
     n = len(log_x)
     total, peak, last, used = np.zeros((4, n * len(rows or [1])))
@@ -275,7 +279,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
         while live.size:
             ki, si = np.divmod(live, n)
             k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
-            hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), cfg.max_terms)
+            hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), _MAX_TERMS)
             # one row per term, one column per point
             lg = np.array(_row(_lgamma, *lg_key, lo, hi))
             arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
@@ -284,8 +288,6 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
             except OverflowError:  # such a power is inf
                 power = np.array([_exp_or_inf(x) for x in arg.ravel().tolist()])
             term = power = power.reshape(arg.shape)
-            if cut < math.inf:
-                power[arg > cut] = math.inf
             if neg is not None:  # odd r at a negative argument
                 power[1 - lo % 2::2, neg[s_on]] *= -1.0
             # mittag_leffler's leading terms may underflow before the series grows, so with
@@ -303,12 +305,13 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
                     x = arg[i, np.searchsorted(s_on, si[j])] + log_weight(ki[j], lo + i)
                     term[i, j] = math.copysign(_exp_or_inf(x), np.broadcast_to(ratio, term.shape)[i, j])
                 underflow = (term == 0.0) & (ratio != 0.0)  # not a term whose weight is 0
-            fin, mag = np.isfinite(term), np.abs(term)
+            mag = np.abs(term)
             term[0] += total[live]  # each sum carried on from its partial sum
             partial = np.cumsum(term, axis=0)
+            fin = np.isfinite(partial)
             # a term that underflowed to 0 is small whatever the partial sum
-            small = np.concatenate((runs[:, live], (mag < cfg.rel_tol * np.abs(partial)) | underflow))
-            # a sum stops at its third small term in a row, or is refused at a non-finite one
+            small = np.concatenate((runs[:, live], (mag < _REL_TOL * np.abs(partial)) | underflow))
+            # a sum stops at its third small term in a row, or is refused at a non-finite partial sum
             stop = small[:-2] & small[1:-1] & small[2:] | ~fin
             done = stop.any(axis=0)
             row, at = np.where(done, stop.argmax(axis=0), hi - lo - 1), np.arange(live.size)
@@ -317,15 +320,15 @@ def _series_passes(log_x, neg, lg_key, rows, points, cfg, label, cut=math.inf, l
             peak[live] = np.maximum(peak[live], np.where(summed, mag, 0.0).max(axis=0))
             runs[:, live] = small[-2:]
             broke = ~fin[row, at]
-            fail = broke | ~done if hi == cfg.max_terms else broke
+            fail = broke | ~done if hi == _MAX_TERMS else broke
             if fail.any():  # the points after the first refused one are dropped
                 i = fail.argmax()
                 first, done[i:] = live[i], True
                 refusal = (_not_finite(label(first), lo + row[i] + 1) if broke[i]
-                           else _no_convergence(label(first), cfg, total[first]))
+                           else _no_convergence(label(first), total[first]))
             live, lo = live[~done], hi
         stopped = points[: np.searchsorted(points, first)]
-        lost = peak[stopped] / np.maximum(np.abs(total[stopped]), _TINY) > cfg.cancellation_limit
+        lost = peak[stopped] / np.maximum(np.abs(total[stopped]), _TINY) > _CANCELLATION_LIMIT
     return total, peak, last, used, stopped, lost, refusal
 
 
@@ -336,15 +339,12 @@ def _check_orders(alpha: float, beta: float) -> None:
         raise DomainError(f"beta must be positive, got {beta}")
 
 
-def mittag_leffler(
-    alpha: float, beta: float, x: float, cfg: SpecfunConfig | None = None
-) -> SeriesValue:
+def mittag_leffler(alpha: float, beta: float, x: float) -> SeriesValue:
     """Two-parameter Mittag-Leffler sum_r x^r / Gamma(alpha r + beta).
 
     alpha in (0, 1], beta > 0. Reduces to exp(x) at alpha = beta = 1.
     """
     _check_orders(alpha, beta)
-    cfg = cfg or DEFAULT_CONFIG
 
     if x == 0.0:
         return SeriesValue(recip_gamma_signed(beta), 0.0, 1, abs(recip_gamma_signed(beta)))
@@ -354,17 +354,16 @@ def mittag_leffler(
 
     def terms():
         for r, lg_den in enumerate(_row_iter(_lgamma, alpha, beta)):
-            lg = r * log_ax - lg_den
-            if lg > _EXP_MAX:
+            try:
+                yield (sign_x ** r) * math.exp(r * log_ax - lg_den)
+            except OverflowError:
                 yield math.inf
-                return
-            yield (sign_x ** r) * math.exp(lg)
 
-    return _sum_series(terms(), cfg, "mittag_leffler({},{},{})", alpha, beta, x)
+    return _sum_series(terms(), "mittag_leffler({},{},{})", alpha, beta, x)
 
 
-def _mittag_leffler_many(alpha: float, beta: float, xs, cfg: SpecfunConfig | None = None) -> np.ndarray:
-    """mittag_leffler(alpha, beta, x, cfg).value at every x of xs, bit for
+def _mittag_leffler_many(alpha: float, beta: float, xs) -> np.ndarray:
+    """mittag_leffler(alpha, beta, x).value at every x of xs, bit for
     bit, from one _series_passes call (math.log per x, each term formed as
     mittag_leffler forms it).  The first refused x, in order, raises what its
     scalar call raises."""
@@ -378,8 +377,7 @@ def _mittag_leffler_many(alpha: float, beta: float, xs, cfg: SpecfunConfig | Non
         return "mittag_leffler({},{},{})".format(alpha, beta, given[p])
 
     total, peak, _, _, stopped, lost, refusal = _series_passes(
-        log_x, x < 0.0, (alpha, beta), None, (~zero).nonzero()[0], cfg or DEFAULT_CONFIG, label,
-        cut=_EXP_MAX)
+        log_x, x < 0.0, (alpha, beta), None, (~zero).nonzero()[0], label)
     if lost.any():
         p = stopped[lost.argmax()]
         raise _cancelled(label(p), peak[p], total[p])
@@ -388,9 +386,7 @@ def _mittag_leffler_many(alpha: float, beta: float, xs, cfg: SpecfunConfig | Non
     return np.where(zero, recip_gamma_signed(beta), total)
 
 
-def gen_mittag_leffler(
-    alpha: float, beta: float, gamma: float, x: float, cfg: SpecfunConfig | None = None
-) -> SeriesValue:
+def gen_mittag_leffler(alpha: float, beta: float, gamma: float, x: float) -> SeriesValue:
     """Three-parameter Mittag-Leffler sum with rising-factorial weights:
     sum_r (gamma)^(r) x^r / (r! Gamma(alpha r + beta)).
 
@@ -398,7 +394,6 @@ def gen_mittag_leffler(
     truncates the rising factorial and the series becomes a polynomial.
     """
     _check_orders(alpha, beta)
-    cfg = cfg or DEFAULT_CONFIG
 
     log_ax = math.log(abs(x)) if x != 0.0 else 0.0
     sign_x = 1.0 if x >= 0.0 else -1.0
@@ -420,13 +415,12 @@ def gen_mittag_leffler(
             if x == 0.0 and r > 0:
                 yield 0.0
                 continue
-            lg = log_poch + r * log_ax - lg_fact - lg_den
-            if lg > _EXP_MAX:
+            try:
+                yield sign_poch * (sign_x ** r) * math.exp(log_poch + r * log_ax - lg_fact - lg_den)
+            except OverflowError:
                 yield math.inf
-                return
-            yield sign_poch * (sign_x ** r) * math.exp(lg)
 
-    return _sum_series(terms(), cfg, "gen_mittag_leffler({},{},{},{})", alpha, beta, gamma, x)
+    return _sum_series(terms(), "gen_mittag_leffler({},{},{},{})", alpha, beta, gamma, x)
 
 
 @dataclass(frozen=True)
@@ -463,8 +457,8 @@ def fox_wright(spec: FoxWrightSpec, z: float, cfg: SpecfunConfig | None = None) 
 
     A lower gamma hitting a pole zeroes that term (reciprocal gamma is entire);
     an upper gamma hitting a pole makes the sum undefined and raises InvalidSpec.
+    cfg may set the cancellation limit; the rest of the policy is the module's.
     """
-    cfg = cfg or DEFAULT_CONFIG
     log_az = math.log(abs(z)) if z != 0.0 else 0.0
     sign_z = 1.0 if z >= 0.0 else -1.0
 
@@ -485,20 +479,19 @@ def fox_wright(spec: FoxWrightSpec, z: float, cfg: SpecfunConfig | None = None) 
                 return 0.0
             lg -= math.lgamma(w)
             sign *= _gamma_sign(w)
-        if lg > _EXP_MAX:
+        try:
+            return sign * math.exp(lg)
+        except OverflowError:
             return math.inf
-        return sign * math.exp(lg)
 
     if z == 0.0:
         # only j = 0 contributes
         v = term_at(0)
         return SeriesValue(v, 0.0, 1, abs(v))
 
-    def terms():
-        for j in itertools.count():
-            yield term_at(j)
-
-    return _sum_series(terms(), cfg, "fox_wright(margin={0.margin},z={1})", spec, z)
+    limit = None if cfg is None else cfg.cancellation_limit
+    return _sum_series(map(term_at, itertools.count()), "fox_wright(margin={0.margin},z={1})", spec, z,
+                       limit=limit)
 
 
 def gen_binom(alpha: float, j: int) -> float:

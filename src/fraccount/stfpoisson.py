@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .errors import CancellationLoss, DomainError, NonConvergent
 from .fracops import (
     PowerSeriesInT,
@@ -28,8 +29,6 @@ from .fracops import (
 from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
-    DEFAULT_CONFIG,
-    SpecfunConfig,
     _cancelled,
     _error_estimate,
     _exp_or_inf,
@@ -102,7 +101,7 @@ _SERIES_TERMS = 141
 
 
 def _count_series(
-    params: StfpParams, s: np.ndarray, ks, cfg: SpecfunConfig, guard: float = _CORE_ABS_GUARD
+    params: StfpParams, s: np.ndarray, ks, *, lifted: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uncoupled pmf entry k at elapsed time s for every k in ks and point of
     s, and the absolute error bound of each, both of shape (len(ks), len(s)):
@@ -110,10 +109,11 @@ def _count_series(
     (-1)^k/k! sum_r (lam^alpha s^nu)^r / Gamma(nu r + 1) * (falling row of k),
     summed by specfun._series_passes with one falling weight row per k.
 
-    A point is refused for a non-finite term (an overflowing power
-    included), no stop within max_terms, a max term past cancellation_limit
-    times the sum, or an absolute error past guard; the first refused point
-    in row-major order (k, then s) raises.
+    A point is refused for a partial sum that is not finite (an overflowing
+    power included), no stop within the term budget, and, unless lifted, a
+    max term past the cancellation limit times the sum or an absolute error
+    past _CORE_ABS_GUARD; the first refused point in row-major order (k,
+    then s) raises.  A lifted caller holds the entries to its own bound.
     """
     s, ks = np.asarray(s, dtype=float), list(ks)
     n_s, zero = len(s), s == 0.0
@@ -132,15 +132,15 @@ def _count_series(
     n_lead = next((i for i, k in enumerate(ks) if k > 170), len(ks))  # 171! is past a double
     n_sum = np.searchsorted(points, n_lead * n_s)
     total, peak, last, used, stopped, lost, refusal = _series_passes(
-        log_x, None, (params.nu, 1.0), [(_falling, params.alpha, k) for k in ks], points[:n_sum], cfg,
-        label, log_weight=log_weight)
+        log_x, None, (params.nu, 1.0), [(_falling, params.alpha, k) for k in ks], points[:n_sum], label,
+        log_weight=log_weight)
     if refusal is None and n_sum < points.size:
         p = points[n_sum]
         refusal = NonConvergent(f"{label(p)}: {ks[p // n_s]}! overflows a double")
     with np.errstate(all="ignore"):
         lead = np.array([(-1.0) ** k / math.factorial(k) for k in ks[:n_lead]])[stopped // n_s]
         err = np.abs(lead) * _error_estimate(last[stopped], peak[stopped], used[stopped])
-        fail = lost | (err > guard)
+        fail = np.zeros_like(lost) if lifted else lost | (err > _CORE_ABS_GUARD)
     if fail.any():  # a stopped sum before the first refused point fails its checks
         i = fail.argmax()
         p = stopped[i]
@@ -163,7 +163,7 @@ def _tables(params: StfpParams, t: float, K: int, terminal: bool = False):
     frac, rho, T = F_stfp(params, t), params.rho, params.T
     use_run, use_held = _live_branches(frac, rho, t == T)
     apart = (use_held or terminal) and t != T  # the series at T, summed apart from t
-    cols = _count_series(params, [t] * use_run + [T] * apart, range(K + 1), DEFAULT_CONFIG)[0].T.tolist()
+    cols = _count_series(params, [t] * use_run + [T] * apart, range(K + 1))[0].T.tolist()
     tbl = _branch_table(iter(cols[0] if use_run else ()), iter(cols[-1]) if apart else None, frac, rho, K)
     if not terminal:
         return tbl, None
@@ -244,8 +244,8 @@ def governing_residual(params: StfpParams, t: float, k: int, method: str = "seri
     The left side is the time-fractional Caputo derivative of P(count = k):
     method "series" applies the exact termwise rule to the power-series
     representation, _SERIES_TERMS powers and then as many more as it takes
-    for the last kept term at t to fall below rel_tol times the partial sum
-    (NonConvergent if none within max_terms); method "quadrature"
+    for the last kept term at t to fall below the series tolerance times the
+    partial sum (NonConvergent if none within the term budget); method "quadrature"
     integrates the derivative of the assembled pmf directly, with the count
     series summed at every stencil point, and is the coarser cross-check
     (fractional orders only).  The right side is assembled from the
@@ -291,7 +291,7 @@ def _residuals(params: StfpParams, t: float, ks: list[int], method: str) -> list
 
         def probs_at(s: np.ndarray) -> np.ndarray:
             # one row of pmf entries per k at every stencil point at once; F_stfp per point
-            running = _count_series(params, s, ks, DEFAULT_CONFIG)[0] if use_run else 0.0
+            running = _count_series(params, s, ks)[0] if use_run else 0.0
             hold = np.array([x**expo for x in (s / T).tolist()])
             return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * held)
 
@@ -331,9 +331,9 @@ def _series_lhs(params: StfpParams, t: float, k: int, tbl_T) -> float:
         if r >= _SERIES_TERMS:
             tail = abs(at_t[-1]) if at_t else 0.0
             partial = math.fsum(at_t) if partial is None else partial
-            if not tail > DEFAULT_CONFIG.rel_tol * abs(partial):
+            if not tail > specfun._REL_TOL * abs(partial):
                 break
-            if r >= DEFAULT_CONFIG.max_terms:
+            if r >= specfun._MAX_TERMS:
                 raise NonConvergent(
                     f"residual series (k={k}, t={t}): {r} terms leave a tail of ~{tail:.2e}"
                 )

@@ -19,7 +19,6 @@ from fraccount.fracops import (
 )
 from fraccount.pmftable import PmfTable
 from fraccount.specfun import (
-    DEFAULT_CONFIG,
     _sum_series,
     gamma_ratio_signed,
     gen_binom,
@@ -39,13 +38,12 @@ def ref_mittag_leffler(alpha, beta, x):
 
     def terms():
         for r in itertools.count():
-            lg = r * log_ax - math.lgamma(alpha * r + beta)
-            if lg > specfun._EXP_MAX:
+            try:
+                yield (sign_x ** r) * math.exp(r * log_ax - math.lgamma(alpha * r + beta))
+            except OverflowError:
                 yield math.inf
-                return
-            yield (sign_x ** r) * math.exp(lg)
 
-    return _sum_series(terms(), DEFAULT_CONFIG, f"mittag_leffler({alpha},{beta},{x})").value
+    return _sum_series(terms(), f"mittag_leffler({alpha},{beta},{x})").value
 
 
 def ref_gen_mittag_leffler(alpha, beta, gamma, x):
@@ -68,13 +66,13 @@ def ref_gen_mittag_leffler(alpha, beta, gamma, x):
                 yield 0.0
                 continue
             lg = log_poch + r * log_ax - math.lgamma(r + 1) - math.lgamma(alpha * r + beta)
-            if lg > specfun._EXP_MAX:
+            try:
+                yield sign_poch * (sign_x ** r) * math.exp(lg)
+            except OverflowError:
                 yield math.inf
-                return
-            yield sign_poch * (sign_x ** r) * math.exp(lg)
 
     what = f"gen_mittag_leffler({alpha},{beta},{gamma},{x})"
-    return _sum_series(terms(), DEFAULT_CONFIG, what).value
+    return _sum_series(terms(), what).value
 
 
 def ref_core(params, s, k):
@@ -93,7 +91,7 @@ def ref_core(params, s, k):
                 mag = math.exp(r * log_x - math.lgamma(nu * r + 1.0))
                 yield (-1.0) ** r * mag * ratio
 
-    return lead * _sum_series(terms(), DEFAULT_CONFIG, "ref").value
+    return lead * _sum_series(terms(), "ref").value
 
 
 def ref_pmf(params, t, K):

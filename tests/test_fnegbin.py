@@ -242,9 +242,9 @@ def _count_series_calls(monkeypatch):
     calls = []
     real = fnegbin._count_series
 
-    def counted(params, s, ks, cfg, **kw):
+    def counted(params, s, ks, **kw):
         calls.append(params.lam)
-        return real(params, s, ks, cfg, **kw)
+        return real(params, s, ks, **kw)
 
     monkeypatch.setattr(fnegbin, "_count_series", counted)
     return calls

@@ -1,8 +1,10 @@
 import concurrent.futures
 import math
+from dataclasses import replace
 
 import pytest
 
+from fraccount import specfun
 from fraccount.errors import (
     CancellationLoss,
     DomainError,
@@ -11,6 +13,7 @@ from fraccount.errors import (
     OutOfRange,
 )
 from fraccount.specfun import (
+    DEFAULT_CONFIG,
     FoxWrightSpec,
     _mittag_leffler_many,
     SpecfunConfig,
@@ -22,6 +25,7 @@ from fraccount.specfun import (
     recip_gamma_signed,
     stirling_first,
 )
+from fraccount.stfpoisson import StfpParams, _count_series
 
 import _frozen as FR
 
@@ -57,9 +61,10 @@ def test_ml_domain_errors(alpha, beta):
         mittag_leffler(alpha, beta, -1.0)
 
 
-def test_ml_term_budget():
+def test_ml_term_budget(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
     with pytest.raises(NonConvergent):
-        mittag_leffler(0.5, 1.0, -1.0, SpecfunConfig(max_terms=5))
+        mittag_leffler(0.5, 1.0, -1.0)
 
 
 def test_ml_cancellation_guard():
@@ -68,9 +73,8 @@ def test_ml_cancellation_guard():
         mittag_leffler(1.0, 1.0, -60.0)
 
 
-def test_series_failure_messages_pinned():
+def test_series_failure_messages_pinned(monkeypatch):
     # labels are formatted only when a series fails; the text stays exact
-    few = SpecfunConfig(max_terms=3)
     with pytest.raises(CancellationLoss) as exc:
         mittag_leffler(0.6, 1.0, -10.0)
     assert str(exc.value) == (
@@ -78,19 +82,20 @@ def test_series_failure_messages_pinned():
         "result has no trustworthy digits"
     )
     with pytest.raises(NonConvergent) as exc:
-        gen_mittag_leffler(0.5, 1.5, 2.0, -0.75, few)
+        mittag_leffler(1.0, 1.0, 1e300)
+    assert str(exc.value) == "mittag_leffler(1.0,1.0,1e+300): term 3 is not finite"
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
+    with pytest.raises(NonConvergent) as exc:
+        gen_mittag_leffler(0.5, 1.5, 2.0, -0.75)
     assert str(exc.value) == (
         "gen_mittag_leffler(0.5,1.5,2.0,-0.75): no convergence within 3 terms "
         "(partial sum 0.897806)"
     )
     with pytest.raises(NonConvergent) as exc:
-        fox_wright(FoxWrightSpec(((1.0, 0.5),), ((1.0, 0.5),)), 0.3, few)
+        fox_wright(FoxWrightSpec(((1.0, 0.5),), ((1.0, 0.5),)), 0.3)
     assert str(exc.value) == (
         "fox_wright(margin=0.0,z=0.3): no convergence within 3 terms (partial sum 1.345)"
     )
-    with pytest.raises(NonConvergent) as exc:
-        mittag_leffler(1.0, 1.0, 1e300)
-    assert str(exc.value) == "mittag_leffler(1.0,1.0,1e+300): term 3 is not finite"
 
 
 def test_ml_diagnostics_populated():
@@ -122,9 +127,8 @@ ML_MANY_POINTS = [
 def test_ml_many_matches_scalar(alpha, beta):
     # each point's value (or refusal) is its scalar call's, and the points
     # that answer give the same bits in one array call
-    cfg = SpecfunConfig()
-    want = [_ml_outcome(lambda: [mittag_leffler(alpha, beta, x, cfg).value]) for x in ML_MANY_POINTS]
-    got = [_ml_outcome(lambda: _mittag_leffler_many(alpha, beta, [x], cfg).tolist()) for x in ML_MANY_POINTS]
+    want = [_ml_outcome(lambda: [mittag_leffler(alpha, beta, x).value]) for x in ML_MANY_POINTS]
+    got = [_ml_outcome(lambda: _mittag_leffler_many(alpha, beta, [x]).tolist()) for x in ML_MANY_POINTS]
     assert got == want
     answered = [x for x, w in zip(ML_MANY_POINTS, want) if isinstance(w, list)]
     assert len(answered) >= 10
@@ -140,7 +144,7 @@ def test_ml_many_leading_underflow_does_not_stop_the_sum():
     assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 200.0, [1e6]).tolist()) == want
 
 
-def test_ml_many_refuses_as_the_first_refused_point():
+def test_ml_many_refuses_as_the_first_refused_point(monkeypatch):
     with pytest.raises(CancellationLoss) as scalar:
         mittag_leffler(0.6, 1, -8)
     with pytest.raises(CancellationLoss) as many:
@@ -151,10 +155,75 @@ def test_ml_many_refuses_as_the_first_refused_point():
     assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 1.0, [0.2, 1e300, -8.0])) == (
         "NonConvergent: mittag_leffler(0.5,1.0,1e+300): term 3 is not finite"
     )
-    few = SpecfunConfig(max_terms=5)
-    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 1.0, [0.0, -1.0, 1e300], few)) == (
-        _ml_outcome(lambda: [mittag_leffler(0.5, 1.0, -1.0, few).value])
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 1.0, [0.0, -1.0, 1e300])) == (
+        _ml_outcome(lambda: [mittag_leffler(0.5, 1.0, -1.0).value])
     )
+
+
+def test_overflowing_partial_sum_is_refused():
+    # every term of E_{0.5,200}(50) is finite, but the partial sum passes a
+    # double at term 2618: both routes refuse, neither returns inf
+    want = "NonConvergent: mittag_leffler(0.5,200.0,50.0): term 2618 is not finite"
+    assert _ml_outcome(lambda: [mittag_leffler(0.5, 200.0, 50.0).value]) == want
+    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 200.0, [50.0]).tolist()) == want
+    # so do the three-parameter and Fox-Wright sums, which returned inf too
+    assert _ml_outcome(lambda: [gen_mittag_leffler(1.0, 2.0, 2.0, 720.0).value]) == (
+        "NonConvergent: gen_mittag_leffler(1.0,2.0,2.0,720.0): term 617 is not finite")
+    assert _ml_outcome(lambda: [fox_wright(FoxWrightSpec(((1.0, 1.0),), ((1.0, 1.0),)), 713.0).value]) == (
+        "NonConvergent: fox_wright(margin=0.0,z=713.0): term 668 is not finite")
+
+
+# (alpha, beta, x) whose largest term has an exponent of ~709.4: past 709,
+# yet finite in math.exp, which is the one overflow rule of every series
+NEAR_OVERFLOW = [(1.0, 1.0, 713.604052), (0.5, 1.0, 26.713368), (0.8, 1.0, 191.763467),
+                 (0.6, 1.7, 51.731042), (0.3, 1.0, 7.178558), (1.0, 20.0, 841.658709)]
+
+
+@pytest.mark.parametrize("alpha, beta, x", NEAR_OVERFLOW)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_largest_term_just_below_overflow(alpha, beta, x, sign):
+    x *= sign
+    exponent = max(r * math.log(abs(x)) - math.lgamma(alpha * r + beta) for r in range(5000))
+    assert 709.0 < exponent <= 709.78
+    want = _ml_outcome(lambda: [mittag_leffler(alpha, beta, x).value])
+    assert _ml_outcome(lambda: _mittag_leffler_many(alpha, beta, [x]).tolist()) == want
+    # at x > 0 the sum passes a double; at x < 0 the finite max term, past
+    # exp(709), dwarfs the sum
+    if sign > 0.0:
+        assert want.startswith("NonConvergent: ") and want.endswith(" is not finite")
+    else:
+        assert want.startswith(f"CancellationLoss: mittag_leffler({alpha},{beta},{x}): max term 1.23e+308")
+
+
+# ---- the series the traced benchmark sums (bench/layers.py) ----
+
+BENCH_U_GRID = [(i - 10) / 10.0 for i in range(20)]  # the CLI's pgf grid, u < 1
+BENCH_NU_GRID = [i / 20.0 for i in range(1, 21)]  # the CLI's figure1 grid
+
+
+def test_bench_mittag_leffler_calls_answer():
+    # the STFP pgf arguments at alpha = 0.8, nu = 0.6, lam = 1, t = 0.5
+    for u in BENCH_U_GRID:
+        got = mittag_leffler(0.6, 1.0, -(0.5 ** 0.6) * (1.0 - u) ** 0.8)
+        assert math.isfinite(got.value) and 3 <= got.terms_used < 100
+    for v in BENCH_NU_GRID:
+        got = gen_mittag_leffler(v, v + 1.0, 2.0, -(0.5 ** v))
+        assert math.isfinite(got.value) and got.terms_used >= 3
+
+
+def test_bench_fox_wright_specs_match_the_count_series():
+    # h = 1..40 at the level p = 0.5 of a K=40 negbin table, cancellation
+    # limit lifted: (-1)^h/h! times each sum is the STFP count entry h at
+    # rate -log p and time 1
+    alpha, nu, rate = 0.8, 0.6, -math.log(0.5)
+    lifted = replace(DEFAULT_CONFIG, cancellation_limit=1e300)
+    entries = _count_series(StfpParams(alpha, nu, rate, 1.0), [1.0], range(41))[0][:, 0]
+    for h in range(1, 41):
+        spec = FoxWrightSpec(upper=((1.0, alpha), (1.0, 1.0)), lower=((1.0 - h, alpha), (1.0, nu)))
+        got = fox_wright(spec, -(rate ** alpha), lifted)
+        assert got.terms_used >= 3
+        assert (-1.0) ** h / math.factorial(h) * got.value == pytest.approx(entries[h], rel=1e-13, abs=0.0)
 
 
 # ---- three-parameter series ----
@@ -324,10 +393,6 @@ def test_gamma_ratio_signed():
 # ---- configuration ----
 
 def test_config_validation():
-    with pytest.raises(InvalidSpec):
-        SpecfunConfig(rel_tol=0.0)
-    with pytest.raises(InvalidSpec):
-        SpecfunConfig(max_terms=0)
     with pytest.raises(InvalidSpec):
         SpecfunConfig(cancellation_limit=0.5)
 

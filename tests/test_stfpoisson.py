@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fraccount import stfpoisson
+from fraccount import specfun, stfpoisson
 from fraccount.errors import CancellationLoss, DomainError, NonConvergent
-from fraccount.specfun import DEFAULT_CONFIG, SpecfunConfig
 from fraccount.stfpoisson import (
     StfpParams,
     F_stfp,
@@ -158,11 +157,11 @@ def core_calls(monkeypatch):
     calls.per_call = []
     count_series = stfpoisson._count_series
 
-    def counted(p, s, ks, cfg):
+    def counted(p, s, ks, **kw):
         points = collections.Counter(itertools.product(np.asarray(s, dtype=float).tolist(), ks))
         calls.update(points)
         calls.per_call.append(points)
-        return count_series(p, s, ks, cfg)
+        return count_series(p, s, ks, **kw)
 
     monkeypatch.setattr(stfpoisson, "_count_series", counted)
     return calls
@@ -232,16 +231,17 @@ def test_governing_residual_sums_each_count_series_once(core_calls, method):
         assert residual <= (1e-6 if method == "series" else 1e-3)
 
 
-def test_count_series_failure_messages_pinned():
+def test_count_series_failure_messages_pinned(monkeypatch):
     with pytest.raises(CancellationLoss) as exc:
         pmf(StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0, rho=0.3), 1.0, 3)
     assert str(exc.value) == (
         "count series (k=0, s=1.0): max term 1.48e+16 dwarfs sum -104; "
         "result has no trustworthy digits"
     )
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
     with pytest.raises(NonConvergent) as exc:
         stfpoisson._count_series(StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.3), [0.5, 1.0],
-                                 range(4), SpecfunConfig(max_terms=3))
+                                 range(4))
     assert str(exc.value) == (
         "count series (k=0, s=0.5): no convergence within 3 terms (partial sum 0.656677)"
     )
@@ -255,12 +255,12 @@ def test_count_series_overflow_is_a_numeric_failure():
     # the powers of terms 3 and 4 overflow; term 3 has a zero falling ratio
     # and is exactly 0, so term 4 is the first that is not finite
     with pytest.raises(NonConvergent) as exc:
-        stfpoisson._count_series(StfpParams(1.0, 1.0, 1e160, 1.0), [1.0], [3], DEFAULT_CONFIG)
+        stfpoisson._count_series(StfpParams(1.0, 1.0, 1e160, 1.0), [1.0], [3])
     assert str(exc.value) == "count series (k=3, s=1.0): term 4 is not finite"
 
 
 def test_count_series_power_just_below_overflow():
-    # the largest power is exp(709.4): past _EXP_MAX, yet finite in math.exp,
+    # the largest power is exp(709.4): past 709, yet finite in math.exp,
     # so the sum runs on and is refused for cancellation with that max term
     with pytest.raises(CancellationLoss) as exc:
         pmf(StfpParams(alpha=1.0, nu=1.0, lam=713.604052, T=1.0), 1.0, 0)
@@ -357,24 +357,30 @@ def _series_outcome(fn):
 SERIES_POINTS = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 300)])
 
 
+def _patch(monkeypatch, cfg):
+    # cfg: the (specfun constant, value) pairs a case runs at; () is the policy itself
+    for name, value in cfg:
+        monkeypatch.setattr(specfun, name, value)
+
+
 # the refusal each many-point case raises; the others return every entry
 MANY_POINT_REFUSALS = {
-    (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), 1, DEFAULT_CONFIG):
+    (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), 1, ()):
         "CancellationLoss: pmf entry k=1 at s=1.0 carries absolute error ~1.06e-12; "
         "no trustworthy digits at probability scale",
-    (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 1, SpecfunConfig(max_terms=20)):
+    (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 1, (("_MAX_TERMS", 20),)):
         "NonConvergent: count series (k=1, s=0.2030917620904739): no convergence within 20 terms "
         "(partial sum -0.192055)",
-    (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 2, SpecfunConfig(cancellation_limit=1.5)):
+    (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 2, (("_CANCELLATION_LIMIT", 1.5),)):
         "CancellationLoss: count series (k=2, s=0.307818214256508): max term 0.24 dwarfs sum 0.156; "
         "result has no trustworthy digits",
-    (StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0), 0, DEFAULT_CONFIG):
+    (StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0), 0, ()):
         "CancellationLoss: pmf entry k=0 at s=0.16496480740980207 carries absolute error ~1.09e-12; "
         "no trustworthy digits at probability scale",
-    (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), 2, DEFAULT_CONFIG):
+    (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), 2, ()):
         "NonConvergent: count series (k=2, s=1e-09): term 332 is not finite",
     # math.exp overflows on a term before the stop rule fires
-    (StfpParams(alpha=0.8, nu=0.5, lam=300.0, T=1.0), 0, DEFAULT_CONFIG):
+    (StfpParams(alpha=0.8, nu=0.5, lam=300.0, T=1.0), 0, ()):
         "NonConvergent: count series (k=0, s=1.0): term 275 is not finite",
 }
 
@@ -382,23 +388,24 @@ MANY_POINT_REFUSALS = {
 @pytest.mark.parametrize(
     "params, k, cfg, s",
     [
-        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 0, DEFAULT_CONFIG, SERIES_POINTS),
-        (StfpParams(alpha=0.6, nu=0.8, lam=1.0, T=1.0), 3, DEFAULT_CONFIG, SERIES_POINTS),
-        (StfpParams(alpha=1.0, nu=0.5, lam=1.0, T=1.0), 2, DEFAULT_CONFIG, SERIES_POINTS),
-        (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), 1, DEFAULT_CONFIG, SERIES_POINTS),
-        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 1, SpecfunConfig(max_terms=20), SERIES_POINTS),
-        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 2, SpecfunConfig(cancellation_limit=1.5),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 0, (), SERIES_POINTS),
+        (StfpParams(alpha=0.6, nu=0.8, lam=1.0, T=1.0), 3, (), SERIES_POINTS),
+        (StfpParams(alpha=1.0, nu=0.5, lam=1.0, T=1.0), 2, (), SERIES_POINTS),
+        (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), 1, (), SERIES_POINTS),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 1, (("_MAX_TERMS", 20),), SERIES_POINTS),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), 2, (("_CANCELLATION_LIMIT", 1.5),),
          SERIES_POINTS),
-        (StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0), 0, DEFAULT_CONFIG, SERIES_POINTS),
-        (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), 2, DEFAULT_CONFIG, SERIES_POINTS),
-        (StfpParams(alpha=0.8, nu=0.5, lam=300.0, T=1.0), 0, DEFAULT_CONFIG, np.array([1.0, 0.5])),
+        (StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0), 0, (), SERIES_POINTS),
+        (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), 2, (), SERIES_POINTS),
+        (StfpParams(alpha=0.8, nu=0.5, lam=300.0, T=1.0), 0, (), np.array([1.0, 0.5])),
     ],
 )
-def test_count_series_many_points_match_scalar_route(params, k, cfg, s):
+def test_count_series_many_points_match_scalar_route(monkeypatch, params, k, cfg, s):
     # the quadrature's many-point call against the per-term scalar reference,
     # point by point: same bits, or the refusal of the first refused point
     want = MANY_POINT_REFUSALS.get((params, k, cfg)) or [ref_core(params, x, k).hex() for x in s.tolist()]
-    assert _series_outcome(lambda: stfpoisson._count_series(params, s, [k], cfg)[0][0]) == want
+    _patch(monkeypatch, cfg)
+    assert _series_outcome(lambda: stfpoisson._count_series(params, s, [k])[0][0]) == want
 
 
 def test_count_series_many_points_without_scalar_route():
@@ -408,12 +415,12 @@ def test_count_series_many_points_without_scalar_route():
     params = StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0)
     s = np.array([0.2, 0.5, 1.0])
     with pytest.raises(CancellationLoss) as exc:
-        stfpoisson._count_series(params, s, [1], DEFAULT_CONFIG)
+        stfpoisson._count_series(params, s, [1])
     assert str(exc.value) == (
         "pmf entry k=1 at s=1.0 carries absolute error ~1.06e-12; "
         "no trustworthy digits at probability scale"
     )
-    got, err = stfpoisson._count_series(params, s[:2], [1], DEFAULT_CONFIG)
+    got, err = stfpoisson._count_series(params, s[:2], [1])
     assert [x.hex() for x in got[0]] == [ref_core(params, x, 1).hex() for x in (0.2, 0.5)]
     # each entry's absolute error bound comes back beside it, within the guard
     assert 0.0 < err.max() <= 1e-12
@@ -422,27 +429,28 @@ def test_count_series_many_points_without_scalar_route():
 @pytest.mark.parametrize(
     "params, cfg",
     [
-        (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), DEFAULT_CONFIG),
-        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), SpecfunConfig(max_terms=20)),
-        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), SpecfunConfig(cancellation_limit=1.5)),
-        (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), DEFAULT_CONFIG),
+        (StfpParams(alpha=0.8, nu=0.6, lam=3.0, T=1.0), ()),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), (("_MAX_TERMS", 20),)),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), (("_CANCELLATION_LIMIT", 1.5),)),
+        (StfpParams(alpha=0.5, nu=0.2, lam=1e6, T=1.0), ()),
         # a cancellation refused after the sum, before a later no-convergence
-        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), SpecfunConfig(max_terms=20, cancellation_limit=1.5)),
+        (StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0), (("_MAX_TERMS", 20), ("_CANCELLATION_LIMIT", 1.5))),
     ],
 )
-def test_count_series_grid_refuses_in_row_major_order(params, cfg):
+def test_count_series_grid_refuses_in_row_major_order(monkeypatch, params, cfg):
     # a (k, s) grid returns every entry of its one-point calls, or raises the
     # refusal of the first refused point taken k by k, then s by s
+    _patch(monkeypatch, cfg)
     ks, s = range(5), SERIES_POINTS[::10]
     want = None
     for k in ks:
         for x in s:
-            got = _series_outcome(lambda: stfpoisson._count_series(params, [x], [k], cfg)[0][0])
+            got = _series_outcome(lambda: stfpoisson._count_series(params, [x], [k])[0][0])
             if isinstance(got, str):
                 want = want or got
-    grid = _series_outcome(lambda: stfpoisson._count_series(params, s, ks, cfg)[0].ravel())
+    grid = _series_outcome(lambda: stfpoisson._count_series(params, s, ks)[0].ravel())
     if want is None:
-        want = [_series_outcome(lambda: stfpoisson._count_series(params, [x], [k], cfg)[0][0])[0]
+        want = [_series_outcome(lambda: stfpoisson._count_series(params, [x], [k])[0][0])[0]
                 for k in ks for x in s]
     assert grid == want
 
@@ -450,11 +458,11 @@ def test_count_series_grid_refuses_in_row_major_order(params, cfg):
 def test_count_series_weight_past_a_double_is_refused():
     # 171! overflows a double: refused where s > 0, exact 0 at s = 0
     params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0)
-    got, err = stfpoisson._count_series(params, [0.0], [0, 171], DEFAULT_CONFIG)
+    got, err = stfpoisson._count_series(params, [0.0], [0, 171])
     assert got.tolist() == [[1.0], [0.0]]
     assert err.tolist() == [[0.0], [0.0]]  # exact at s = 0
     with pytest.raises(NonConvergent) as exc:
-        stfpoisson._count_series(params, [0.0, 0.5], [0, 171], DEFAULT_CONFIG)
+        stfpoisson._count_series(params, [0.0, 0.5], [0, 171])
     assert str(exc.value) == "count series (k=171, s=0.5): 171! overflows a double"
 
 
@@ -483,7 +491,7 @@ def test_annihilated_prefix_never_stops_a_sum():
     # at alpha = 1 the weights of entry 8 vanish for r < 8; at s = 5e-51 every
     # later term underflows too, and the sum stops at 0 with no error
     params = StfpParams(alpha=1.0, nu=1.0, lam=1.0, T=1.0)
-    got, err = stfpoisson._count_series(params, [0.5, 5e-51], [8], DEFAULT_CONFIG)
+    got, err = stfpoisson._count_series(params, [0.5, 5e-51], [8])
     assert got[0, 0] == pytest.approx(math.exp(-0.5) * 0.5**8 / math.factorial(8), rel=1e-13)
     assert got[0, 1] == 0.0 and err[0, 1] == 0.0
 
