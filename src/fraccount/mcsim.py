@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -215,23 +216,26 @@ class PathBatch:
 
     def counts_at(self, t: float) -> np.ndarray:
         """N(t) for every path, as exact integers."""
-        if not 0.0 <= t <= self.horizon:
-            raise DomainError(f"time {t} outside [0, {self.horizon}]")
         if t == self.horizon:
             return self.pool_sizes()  # every epoch falls by the horizon
-        # hits[j] counts the epochs before position j that fall by t, so a
-        # path's count is the difference of hits at its two offsets
-        hits = np.zeros(len(self.times) + 1, dtype=np.int64)
-        np.cumsum(self.times <= t, dtype=np.int64, out=hits[1:])
-        return hits[self.offsets[1:]] - hits[self.offsets[:-1]]
+        return self._path_sums(self._falls_by(t))
+
+    def _falls_by(self, t: float) -> np.ndarray:
+        if not 0.0 <= t <= self.horizon:
+            raise DomainError(f"time {t} outside [0, {self.horizon}]")
+        return self.times <= t
+
+    def _path_sums(self, per_epoch: np.ndarray) -> np.ndarray:
+        # a path's sum is the difference of the prefix sums at its two offsets
+        hits = np.empty(len(per_epoch) + 1, dtype=np.int64)
+        hits[0] = 0
+        np.cumsum(per_epoch, dtype=np.int64, out=hits[1:])
+        return np.diff(hits.take(self.offsets))
 
     def path(self, i: int) -> PathSample:
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-        return PathSample(
-            m=hi - lo,
-            event_times=tuple(float(x) for x in self.times[lo:hi]),
-            common_flag=bool(self.common[i]),
-        )
+        times = tuple(self.times[lo:hi].tolist())
+        return PathSample(m=hi - lo, event_times=times, common_flag=bool(self.common[i]))
 
 
 def _simulate_indices(cfg: SimConfig, path_index: np.ndarray) -> PathBatch:
@@ -298,11 +302,10 @@ class EmpiricalPmf:
 
 def empirical_pmf(batch: PathBatch, t: float) -> EmpiricalPmf:
     """Histogram of N(t) across paths with a per-bin uncertainty width."""
-    counts = batch.counts_at(t)
-    hist = np.bincount(counts)
+    hist = np.bincount(batch.counts_at(t)).tolist()
     n = batch.n_paths
-    table = PmfTable.from_probs([int(c) / n for c in hist])
-    hw = tuple(wilson_halfwidth(int(c), n) for c in hist)
+    table = PmfTable.from_probs([c / n for c in hist])
+    hw = tuple(wilson_halfwidth(c, n) for c in hist)
     return EmpiricalPmf(table=table, halfwidths=hw, n_paths=n)
 
 
@@ -315,46 +318,42 @@ class Estimate:
 def empirical_cov(batch: PathBatch, s: float, t: float) -> Estimate:
     """Sample covariance of (N(s), N(t)) with a leave-one-out standard error.
 
-    Totals are exact integers, so the estimate is independent of path order;
-    the leave-one-out numerators stay below 2^53 for any realistic run and
-    are therefore exact in doubles as well.
+    The estimate and its jackknife are exact integer sums over the distinct
+    (N(s), N(t)) cells, weighted by their path counts, so both are
+    independent of path order and each is rounded once, to a float.
     """
     n = batch.n_paths
     if n < 3:
         raise DomainError("need at least 3 paths for a covariance standard error")
-    x = batch.counts_at(s)
-    y = batch.counts_at(t)
-    xy = x * y
-    sx = int(x.sum())
-    sy = int(y.sum())
-    sxy = int(xy.sum())
+    # each path's cell key N(s)*w + N(t), w past every pool size, is one path sum; the keys
+    # are counted densely while that stays a few times the path count, as distinct keys past it
+    w = int(batch.pool_sizes().max()) + 1
+    per_epoch = np.multiply(batch._falls_by(s), w, dtype=np.min_scalar_type(w + 1))
+    per_epoch += batch._falls_by(t)
+    key = batch._path_sums(per_epoch)
+    if int(key.max()) < 4 * n:
+        keys = np.flatnonzero(hist := np.bincount(key))
+        paths = hist[keys]
+    else:
+        keys, paths = np.unique(key, return_counts=True)
+    cells = [(c, *divmod(k, w)) for k, c in zip(keys.tolist(), paths.tolist())]
+    sx, sy, sxy = map(sum, zip(*[(c * i, c * j, c * i * j) for c, i, j in cells]))
     value = (sxy * n - sx * sy) / (n * (n - 1))
-
-    # leave-one-out sums, formed in place so few path-sized arrays live at once
-    m = n - 1
-    sxy_i = np.subtract(sxy, xy, out=xy)
-    sx_i = np.subtract(sx, x, out=x)
-    sy_i = np.subtract(sy, y, out=y)
-    sxy_i *= m
-    sx_i *= sy_i
-    sxy_i -= sx_i
-    loo = sxy_i / (m * (m - 1))
-    dev = loo - loo.mean()
-    stderr = math.sqrt((n - 1) / n * float(np.dot(dev, dev)))
-    return Estimate(value=float(value), stderr=stderr)
+    # without one path of cell (i, j) the estimate is loo / ((n-1)(n-2)); the standard
+    # error is (n-1)/n times the squared deviations of those estimates from their mean
+    loo = [(c, (sxy - i * j) * (n - 1) - (sx - i) * (sy - j)) for c, i, j in cells]
+    s1, s2 = map(sum, zip(*[(c * v, c * v * v) for c, v in loo]))
+    stderr = math.sqrt((n - 1) * (n * s2 - s1 * s1) / (n * (n - 1) * (n - 2)) ** 2)
+    return Estimate(value=value, stderr=stderr)
 
 
 def empirical_joint_11(batch: PathBatch, t: float, horizon: float) -> float:
     """Fraction of paths with exactly one event by t and one by the horizon."""
     hits = (batch.counts_at(t) == 1) & (batch.counts_at(horizon) == 1)
-    return int(hits.sum()) / batch.n_paths
+    return np.count_nonzero(hits) / batch.n_paths
 
 
 def tv_distance(a: PmfTable | Sequence[float], b: PmfTable | Sequence[float]) -> float:
     """Total-variation distance over the union of the two supports."""
-    pa = list(a.probs) if isinstance(a, PmfTable) else list(a)
-    pb = list(b.probs) if isinstance(b, PmfTable) else list(b)
-    width = max(len(pa), len(pb))
-    pa += [0.0] * (width - len(pa))
-    pb += [0.0] * (width - len(pb))
-    return 0.5 * math.fsum(abs(u - v) for u, v in zip(pa, pb))
+    pa, pb = (p.probs if isinstance(p, PmfTable) else p for p in (a, b))
+    return 0.5 * math.fsum(abs(u - v) for u, v in zip_longest(pa, pb, fillvalue=0.0))

@@ -112,7 +112,7 @@ def _sum_series(terms, what: str, *parts, limit: float | None = None) -> SeriesV
             raise _no_convergence(what.format(*parts), total)
         total += term
         if not math.isfinite(total):
-            raise _not_finite(what.format(*parts), used)
+            raise _not_finite(what.format(*parts), used, term)
         mag = abs(term)
         if mag > max_mag:
             max_mag = mag
@@ -136,8 +136,9 @@ def _no_convergence(label: str, total: float) -> NonConvergent:
     )
 
 
-def _not_finite(label: str, used: int) -> NonConvergent:
-    return NonConvergent(f"{label}: term {used} is not finite")
+def _not_finite(label: str, used: int, term: float) -> NonConvergent:
+    what = "partial sum at term" if math.isfinite(term) else "term"
+    return NonConvergent(f"{label}: {what} {used} is not finite")
 
 
 def _cancelled(label: str, max_mag: float, total: float) -> CancellationLoss:
@@ -324,7 +325,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
             if fail.any():  # the points after the first refused one are dropped
                 i = fail.argmax()
                 first, done[i:] = live[i], True
-                refusal = (_not_finite(label(first), lo + row[i] + 1) if broke[i]
+                refusal = (_not_finite(label(first), lo + row[i] + 1, mag[row[i], i]) if broke[i]
                            else _no_convergence(label(first), total[first]))
             live, lo = live[~done], hi
         stopped = points[: np.searchsorted(points, first)]

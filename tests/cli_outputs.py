@@ -35,6 +35,10 @@ INVOCATIONS = (
         ["pmf", *OVERFLOW],
         ["pgf", *OVERFLOW],
         ["simulate", *OVERFLOW, "--paths", "100"],
+        # the estimator's count below the horizon, with most paths coupled,
+        # and at the horizon, where the count is the pool size
+        ["simulate", *COUPLED_SIM[:6], "--rho", "0.8", "--t", "0.6", "--paths", "20000", "--seed", "11"],
+        ["simulate", *COUPLED_SIM[:8], "--t", "1", "--paths", "20000", "--seed", "5"],
         ["negbin", "--r", "2"],
         ["pmf", "--lambda", "x"],
         ["weighted", "--lambda", "0"],

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -42,6 +43,38 @@ def assert_sorted_within_paths(batch: PathBatch) -> None:
 
 def sha256(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def cov_reference(batch: PathBatch, s: float, t: float) -> Estimate:
+    """empirical_cov path by path in exact rationals, rounded once at the end."""
+    x = [batch.path(i).count_at(s) for i in range(batch.n_paths)]
+    y = [batch.path(i).count_at(t) for i in range(batch.n_paths)]
+    n, m = len(x), len(x) - 1
+    sx, sy, sxy = sum(x), sum(y), sum(a * b for a, b in zip(x, y))
+    loo = [Fraction((sxy - a * b) * m - (sx - a) * (sy - b), m * (m - 1)) for a, b in zip(x, y)]
+    mean = sum(loo) / n
+    var = Fraction(n - 1, n) * sum((v - mean) ** 2 for v in loo)
+    return Estimate(value=float(Fraction(sxy * n - sx * sy, n * m)), stderr=math.sqrt(float(var)))
+
+
+def hex_estimate(est: Estimate) -> tuple[str, str]:
+    return est.value.hex(), est.stderr.hex()
+
+
+def batch_from_pools(pools: list[np.ndarray], common: np.ndarray, horizon: float = 1.0) -> PathBatch:
+    offsets = np.zeros(len(pools) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in pools], out=offsets[1:])
+    times = np.concatenate(pools) if pools else np.zeros(0)
+    return PathBatch(horizon=horizon, offsets=offsets, times=times, common=common)
+
+
+# a hand-built batch with empty pools between the full ones
+HAND_BATCH = PathBatch(
+    horizon=1.0,
+    offsets=np.array([0, 0, 2, 2, 3, 3], dtype=np.int64),
+    times=np.array([0.0, 0.7, 1.0]),
+    common=np.zeros(5, dtype=bool),
+)
 
 
 NEGBIN_SIM = NegBinParams(
@@ -289,6 +322,44 @@ class TestEstimators:
         ana = pmf_negbin_r1(params, 0.5, len(emp.table) - 1)
         assert tv_distance(emp.table, ana) < 5e-3
 
+    @pytest.mark.parametrize("s, t", [(0.0, 0.7), (0.3, 1.0), (0.7, 0.3), (1.0, 1.0)])
+    def test_cov_hand_batch_is_exact(self, s, t):
+        assert hex_estimate(empirical_cov(HAND_BATCH, s, t)) == hex_estimate(cov_reference(HAND_BATCH, s, t))
+
+    def test_cov_simulated_batch_is_exact(self):
+        batch = simulate_paths(stfp_sim_config(classical(2.0, 0.4), seed=515, n_paths=1500))
+        for s, t in ((0.3, 0.7), (0.9, 0.2), (0.5, 1.0)):
+            got = empirical_cov(batch, s, t)
+            assert hex_estimate(got) == hex_estimate(cov_reference(batch, s, t))
+            assert got.value != 0.0 and got.stderr > 0.0
+
+    def test_cov_wide_grid_is_exact(self, monkeypatch):
+        # a pool of a few thousand epochs: a dense histogram of the cells would
+        # hold millions of entries for 8 paths, so the distinct cells are counted
+        rng = np.random.default_rng(8)
+        sizes = (0, 1, 3, 2_999, 3_000, 7, 0, 40)
+        pools = [np.sort(rng.random(v)) for v in sizes]
+        batch = batch_from_pools(pools, np.zeros(len(pools), dtype=bool))
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
+        for s, t in ((0.25, 0.8), (0.8, 0.25), (0.5, 1.0)):
+            assert hex_estimate(empirical_cov(batch, s, t)) == hex_estimate(cov_reference(batch, s, t))
+        assert len(calls) == 3
+
+    def test_cov_independent_of_path_order(self):
+        batch = simulate_paths(stfp_sim_config(classical(1.0, 0.3), seed=61, n_paths=20_000))
+        order = np.random.default_rng(3).permutation(batch.n_paths)
+        pools = [batch.times[batch.offsets[i]:batch.offsets[i + 1]] for i in order]
+        shuffled = batch_from_pools(pools, batch.common[order])
+        for s, t in ((0.3, 0.7), (0.6, 0.6), (0.2, 1.0)):
+            assert hex_estimate(empirical_cov(shuffled, s, t)) == hex_estimate(empirical_cov(batch, s, t))
+
+    def test_cov_value_pinned(self):
+        # the value's bits are those of the per-path float jackknife it replaced
+        batch = simulate_paths(stfp_sim_config(classical(1.0, 0.3), seed=2024, n_paths=20_000))
+        assert empirical_cov(batch, 0.3, 0.7).value.hex() == "0x1.4c7f9d9ecc1eep-2"
+
     def test_cov_requires_enough_paths(self):
         cfg = stfp_sim_config(classical(1.0, 0.0), seed=3, n_paths=2)
         with pytest.raises(DomainError):
@@ -297,13 +368,7 @@ class TestEstimators:
     def test_counts_at_matches_per_path_count(self):
         batch = simulate_paths(stfp_sim_config(classical(1.0, 0.3), seed=11, n_paths=300))
         assert (batch.pool_sizes() == 0).any()
-        hand = PathBatch(
-            horizon=1.0,
-            offsets=np.array([0, 0, 2, 2, 3, 3], dtype=np.int64),
-            times=np.array([0.0, 0.7, 1.0]),
-            common=np.zeros(5, dtype=bool),
-        )
-        for b in (batch, hand):
+        for b in (batch, HAND_BATCH):
             for t in (0.0, 0.3, 0.7, b.horizon):
                 got = b.counts_at(t)
                 assert got.dtype == np.int64
@@ -314,6 +379,9 @@ class TestEstimators:
         cfg = stfp_sim_config(classical(1.0, 0.0), seed=3, n_paths=10)
         with pytest.raises(DomainError):
             simulate_paths(cfg).counts_at(1.5)
+        for s, t in ((0.2, 1.5), (-0.1, 0.5), (math.nan, 0.5)):
+            with pytest.raises(DomainError):
+                empirical_cov(simulate_paths(cfg), s, t)
 
 
 class TestHelpers:

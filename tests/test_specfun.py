@@ -163,15 +163,16 @@ def test_ml_many_refuses_as_the_first_refused_point(monkeypatch):
 
 def test_overflowing_partial_sum_is_refused():
     # every term of E_{0.5,200}(50) is finite, but the partial sum passes a
-    # double at term 2618: both routes refuse, neither returns inf
-    want = "NonConvergent: mittag_leffler(0.5,200.0,50.0): term 2618 is not finite"
+    # double at term 2618: both routes refuse, neither returns inf, and the
+    # refusal names the partial sum, not the term
+    want = "NonConvergent: mittag_leffler(0.5,200.0,50.0): partial sum at term 2618 is not finite"
     assert _ml_outcome(lambda: [mittag_leffler(0.5, 200.0, 50.0).value]) == want
     assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 200.0, [50.0]).tolist()) == want
     # so do the three-parameter and Fox-Wright sums, which returned inf too
     assert _ml_outcome(lambda: [gen_mittag_leffler(1.0, 2.0, 2.0, 720.0).value]) == (
-        "NonConvergent: gen_mittag_leffler(1.0,2.0,2.0,720.0): term 617 is not finite")
+        "NonConvergent: gen_mittag_leffler(1.0,2.0,2.0,720.0): partial sum at term 617 is not finite")
     assert _ml_outcome(lambda: [fox_wright(FoxWrightSpec(((1.0, 1.0),), ((1.0, 1.0),)), 713.0).value]) == (
-        "NonConvergent: fox_wright(margin=0.0,z=713.0): term 668 is not finite")
+        "NonConvergent: fox_wright(margin=0.0,z=713.0): partial sum at term 668 is not finite")
 
 
 # (alpha, beta, x) whose largest term has an exponent of ~709.4: past 709,
@@ -191,7 +192,8 @@ def test_largest_term_just_below_overflow(alpha, beta, x, sign):
     # at x > 0 the sum passes a double; at x < 0 the finite max term, past
     # exp(709), dwarfs the sum
     if sign > 0.0:
-        assert want.startswith("NonConvergent: ") and want.endswith(" is not finite")
+        assert want.startswith("NonConvergent: ") and ": partial sum at term " in want
+        assert want.endswith(" is not finite")
     else:
         assert want.startswith(f"CancellationLoss: mittag_leffler({alpha},{beta},{x}): max term 1.23e+308")
 
