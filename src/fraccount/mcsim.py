@@ -325,8 +325,8 @@ def empirical_cov(batch: PathBatch, s: float, t: float) -> Estimate:
     n = batch.n_paths
     if n < 3:
         raise DomainError("need at least 3 paths for a covariance standard error")
-    # each path's cell key N(s)*w + N(t), w past every pool size, is one path sum; the keys
-    # are counted densely while that stays a few times the path count, as distinct keys past it
+    # a path's cell key N(s)*w + N(t), w past every pool size, sums w*[e <= s] + [e <= t] over its
+    # epochs e; keys are counted densely while that stays a few times the path count, else as distinct
     w = int(batch.pool_sizes().max()) + 1
     per_epoch = np.multiply(batch._falls_by(s), w, dtype=np.min_scalar_type(w + 1))
     per_epoch += batch._falls_by(t)
