@@ -7,14 +7,18 @@ three-component mixture law the closed forms describe, which is what the
 empirical estimators here cross-check.
 
 Randomness is counter-based: every uniform is a pure function of
-(seed, path_index, draw_index), so results are bit-for-bit reproducible no
-matter how paths are batched or parallelized.  Aggregation uses integer
-sums only.
+(seed, path_index, draw_index).  A batch is drawn in blocks of 2^16 paths,
+on as many threads as the process has CPUs, with no setting; its bytes
+depend on neither the block size nor the thread count.  Aggregation uses
+integer sums only.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Sequence
@@ -54,6 +58,7 @@ _CTR_BRANCH = 0
 _CTR_COUNT = 1
 _CTR_TIMES = 2
 
+_BLOCK = 1 << 16  # paths per block; a batch is drawn block by block
 DEFAULT_TAIL_CUTOFF = 1e-10
 K_MAX = 10**6
 
@@ -82,13 +87,12 @@ def _draw_offset(counter: int) -> np.uint64:
     return np.uint64(int(_GOLDEN) * (counter + 1) % 2**64)
 
 
-def _unit_uniform(word: np.ndarray) -> np.ndarray:
-    """Uniform in [0,1) from a key-plus-offset word, mixed in place."""
+def _word53(word: np.ndarray) -> np.ndarray:
+    """53-bit draw word from a key-plus-offset word, mixed in place; the
+    uniform it stands for is word * 2^-53, in [0,1)."""
     word = _mix64(word)
     word >>= np.uint64(11)
-    unit = word.astype(np.float64)
-    unit *= _U64_TO_UNIT
-    return unit
+    return word
 
 
 @dataclass(frozen=True)
@@ -233,43 +237,79 @@ class PathBatch:
         return np.diff(hits.take(self.offsets))
 
     def path(self, i: int) -> PathSample:
+        if not 0 <= i < len(self.offsets) - 1:
+            raise DomainError(f"path index {i} outside [0, {len(self.offsets) - 1})")
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         times = tuple(self.times[lo:hi].tolist())
         return PathSample(m=hi - lo, event_times=times, common_flag=bool(self.common[i]))
 
 
-def _simulate_indices(cfg: SimConfig, path_index: np.ndarray) -> PathBatch:
-    key = _path_keys(cfg.seed, np.asarray(path_index, dtype=np.uint64))
-    common = _unit_uniform(key + _draw_offset(_CTR_BRANCH)) < cfg.rho
-    m = np.searchsorted(cfg.count_cdf, _unit_uniform(key + _draw_offset(_CTR_COUNT)), side="right")
-    # mass beyond the table is below the construction cutoff; pin it to the top
-    np.minimum(m, len(cfg.count_cdf) - 1, out=m)
-    starts = np.zeros(len(m) + 1, dtype=np.int64)
-    np.cumsum(m, out=starts[1:])
-    total = int(starts[-1])
+def _draw_pools(cfg: SimConfig, index: np.ndarray, common: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Keys of one block of paths; writes their branches into `common` and pool sizes into `m`.
+    A uniform is w * 2^-53 exactly, so u < x just when w < ceil(x * 2^53)."""
+    key = _path_keys(cfg.seed, index)
+    branch, count = _word53(key + np.array([[_draw_offset(_CTR_BRANCH)], [_draw_offset(_CTR_COUNT)]]))
+    np.less(branch, np.uint64(math.ceil(cfg.rho * 2.0**53)), out=common)
+    # no cut for the table's last entry: mass past the table is below the cutoff and takes the top size
+    m[:] = np.searchsorted(np.ceil(cfg.count_cdf[:-1] * 2.0**53).astype(np.uint64), count, side="right")
+    return key
 
+
+def _draw_epochs(cfg: SimConfig, key: np.ndarray, common: np.ndarray, starts: np.ndarray, times: np.ndarray) -> None:
+    """Writes the sorted epochs of one block of paths into `times`; its
+    pools start at `starts` (from 0, one past the last pool last)."""
+    total = len(times)
     # epoch draw words: counter _CTR_TIMES + slot in an independent pool,
     # _CTR_TIMES for every epoch of a common one
-    owner = np.repeat(np.arange(len(m)), m)
+    owner = np.cumsum(np.bincount(starts[1:-1], minlength=total + 1)[:total])
     word = np.arange(total, dtype=np.uint64)
     word -= starts[owner].view(np.uint64)
     word *= ~common[owner]
     word += np.uint64(_CTR_TIMES + 1)
     word *= _GOLDEN
     word += key[owner]
-    times = cfg.horizon * _unit_uniform(word) ** cfg.epoch_power
+    unit = _word53(word).astype(np.float64)
+    unit *= _U64_TO_UNIT
+    unit **= cfg.epoch_power  # in place, by the same power routine as `unit ** p`
+    np.multiply(unit, cfg.horizon, out=times)
 
     # only independent pools of two or more epochs can be out of order (a
     # common pool repeats one epoch); sort the pools of each size as one block
+    m = np.diff(starts)
     pools = np.flatnonzero((m >= 2) & ~common)
+    if not len(pools):
+        return
     sizes = m[pools]
     # small unsigned keys let the stable argsort run as a radix sort
     pools = pools[np.argsort(sizes.astype(np.min_scalar_type(len(cfg.count_cdf))), kind="stable")]
     per_size = np.bincount(sizes)
     sizes = np.flatnonzero(per_size)
-    for v, group in zip(sizes, np.split(pools, np.cumsum(per_size[sizes])[:-1])):
-        rows = starts[group][:, None] + np.arange(v)
+    ends = np.cumsum(per_size[sizes]).tolist()
+    for v, lo, hi in zip(sizes.tolist(), [0, *ends], ends):
+        rows = starts[pools[lo:hi]][:, None] + np.arange(v)
         times[rows] = np.sort(times[rows], axis=1)
+
+
+def _workers() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _simulate_indices(cfg: SimConfig, path_index: np.ndarray) -> PathBatch:
+    # blocks of _BLOCK paths on a thread per CPU, one block inline: every block's
+    # pool sizes first, which fix the offsets, then its epochs into its slice of times
+    spans = [(lo, min(lo + _BLOCK, len(path_index))) for lo in range(0, len(path_index), _BLOCK)]
+    los, his = zip(*spans)
+    workers = min(_workers(), len(spans)) if len(spans) > 1 else 1
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        common = np.empty(len(path_index), dtype=bool)
+        starts = np.zeros(len(path_index) + 1, dtype=np.int64)
+        keys = list(run(lambda lo, hi: _draw_pools(cfg, path_index[lo:hi], common[lo:hi], starts[lo + 1:hi + 1]),
+                        los, his))
+        np.cumsum(starts, out=starts)
+        times = np.empty(int(starts[-1]))
+        list(run(lambda key, lo, hi: _draw_epochs(cfg, key, common[lo:hi], starts[lo:hi + 1] - starts[lo],
+                                                  times[starts[lo]:starts[hi]]), keys, los, his))
     return PathBatch(horizon=cfg.horizon, offsets=starts, times=times, common=common)
 
 

@@ -39,6 +39,8 @@ INVOCATIONS = (
         # and at the horizon, where the count is the pool size
         ["simulate", *COUPLED_SIM[:6], "--rho", "0.8", "--t", "0.6", "--paths", "20000", "--seed", "11"],
         ["simulate", *COUPLED_SIM[:8], "--t", "1", "--paths", "20000", "--seed", "5"],
+        # a batch of three simulation blocks
+        ["simulate", *COUPLED_SIM[:10], "--paths", "150000", "--seed", "13"],
         ["negbin", "--r", "2"],
         ["pmf", "--lambda", "x"],
         ["weighted", "--lambda", "0"],

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -154,6 +155,14 @@ class TestSampling:
         assert batch.n_paths == 1 and batch.pool_sizes().max() <= 1
         assert batch.offsets.tolist() == [0, len(batch.times)]
         assert sample_path(cfg, 0) == batch.path(0)
+
+    def test_path_refuses_index_outside_batch(self):
+        cfg = stfp_sim_config(classical(1.0, 0.3), seed=1, n_paths=5)
+        batch = simulate_paths(cfg)
+        for i in (-1, 5):
+            with pytest.raises(DomainError, match=rf"^path index {i} outside \[0, 5\)$"):
+                batch.path(i)
+        assert batch.path(4) == sample_path(cfg, 4)
 
     def test_different_seeds_differ(self):
         a = simulate_paths(stfp_sim_config(classical(1.0, 0.0), seed=1, n_paths=300))
@@ -420,3 +429,57 @@ def test_sim_config_rejects_inf(field):
     kwargs = dict(seed=1, n_paths=10, rho=0.0, horizon=1.0, count_cdf=np.array([1.0]), epoch_power=1.0)
     with pytest.raises(DomainError):
         SimConfig(**{**kwargs, field: math.inf})
+
+
+def batch_bytes(batch: PathBatch) -> tuple[bytes, bytes, bytes]:
+    return batch.times.tobytes(), batch.offsets.tobytes(), batch.common.tobytes()
+
+
+class TestBlocks:
+    """A batch is drawn in blocks of mcsim._BLOCK paths on a thread per CPU;
+    its bytes depend on neither."""
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("name", sorted(PINNED_BATCHES))
+    def test_output_pinned_at_any_block_size(self, monkeypatch, name, block):
+        monkeypatch.setattr(mcsim, "_BLOCK", block)
+        make, times, offsets, common = PINNED_BATCHES[name]
+        batch = simulate_paths(make())
+        assert (sha256(batch.times), sha256(batch.offsets), sha256(batch.common)) == (
+            times, offsets, common
+        )
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_leaves_bytes(self, monkeypatch, workers):
+        # 150,000 paths span three default blocks
+        cfg = negbin_sim_config(NEGBIN_SIM, seed=9, n_paths=150_000)
+        default = simulate_paths(cfg)
+        monkeypatch.setattr(mcsim, "_workers", lambda: workers)
+        threads = threading.active_count()
+        assert batch_bytes(simulate_paths(cfg)) == batch_bytes(default)
+        assert threading.active_count() == threads  # no thread outlives the call
+
+    def test_sample_path_matches_rows_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "_BLOCK", 4096)
+        cfg = negbin_sim_config(NEGBIN_SIM, seed=3, n_paths=10_000)
+        batch = simulate_paths(cfg)
+        for i in (4095, 4096, cfg.n_paths - 1):
+            assert sample_path(cfg, i) == batch.path(i)
+
+    @pytest.mark.parametrize("lam, rho", [(0.05, 0.3), (1.5, 1.0)])
+    def test_blocks_of_empty_or_common_pools(self, monkeypatch, lam, rho):
+        # blocks of 7 paths whose pools are all empty (lam = 0.05) or all
+        # common (rho = 1): neither leaves the owner or sort step anything
+        cfg = stfp_sim_config(classical(lam, rho), seed=6, n_paths=2_000)
+        default = simulate_paths(cfg)
+        monkeypatch.setattr(mcsim, "_BLOCK", 7)
+        batch = simulate_paths(cfg)
+        assert batch_bytes(batch) == batch_bytes(default)
+        sizes = batch.pool_sizes()[: 7 * (2_000 // 7)].reshape(-1, 7)
+        if rho == 1.0:
+            assert batch.common.all() and (sizes >= 2).any()
+        else:
+            assert (sizes == 0).all(axis=1).any()
+        assert_sorted_within_paths(batch)
+        for i in (0, 6, 7, 1_999):
+            assert sample_path(cfg, i) == batch.path(i)
