@@ -6,11 +6,10 @@ from the epoch law F.  Counting epochs up to time t then reproduces the
 three-component mixture law the closed forms describe, which is what the
 empirical estimators here cross-check.
 
-Randomness is counter-based: every uniform is a pure function of
-(seed, path_index, draw_index).  A batch is drawn in blocks of 2^16 paths,
-on as many threads as the process has CPUs, with no setting; its bytes
-depend on neither the block size nor the thread count.  Aggregation uses
-integer sums only.
+Randomness is counter-based: every uniform is a pure function of (seed,
+path_index, draw_index).  A batch is drawn in blocks of 2^16 paths on as many
+threads as the process has CPUs, with no setting; its bytes depend on neither
+the block size nor the thread count.  Aggregation uses integer sums only.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ _CTR_BRANCH = 0
 _CTR_COUNT = 1
 _CTR_TIMES = 2
 
-_BLOCK = 1 << 16  # paths per block; a batch is drawn block by block
+_BLOCK = 1 << 16  # paths per block: a batch is drawn, and its counts summed, block by block
 DEFAULT_TAIL_CUTOFF = 1e-10
 K_MAX = 10**6
 
@@ -88,8 +87,7 @@ def _draw_offset(counter: int) -> np.uint64:
 
 
 def _word53(word: np.ndarray) -> np.ndarray:
-    """53-bit draw word from a key-plus-offset word, mixed in place; the
-    uniform it stands for is word * 2^-53, in [0,1)."""
+    """53-bit word from a key-plus-offset word, mixed in place: the uniform word * 2^-53."""
     word = _mix64(word)
     word >>= np.uint64(11)
     return word
@@ -230,11 +228,15 @@ class PathBatch:
         return self.times <= t
 
     def _path_sums(self, per_epoch: np.ndarray) -> np.ndarray:
-        # a path's sum is the difference of the prefix sums at its two offsets
-        hits = np.empty(len(per_epoch) + 1, dtype=np.int64)
-        hits[0] = 0
-        np.cumsum(per_epoch, dtype=np.int64, out=hits[1:])
-        return np.diff(hits.take(self.offsets))
+        # a path's sum is the difference of the prefix sums at its two offsets, taken a block of paths
+        # at a time: batch-sized temporaries would be fresh pages whenever the heap has no hole for them
+        sums = np.empty(self.n_paths, dtype=np.int64)
+        for lo in range(0, self.n_paths, _BLOCK):
+            offsets = self.offsets[lo:lo + _BLOCK + 1]
+            hits = np.zeros(offsets[-1] - offsets[0] + 1, dtype=np.int64)
+            np.cumsum(per_epoch[offsets[0]:offsets[-1]], dtype=np.int64, out=hits[1:])
+            sums[lo:lo + _BLOCK] = np.diff(hits.take(offsets - offsets[0]))
+        return sums
 
     def path(self, i: int) -> PathSample:
         if not 0 <= i < len(self.offsets) - 1:
@@ -256,8 +258,7 @@ def _draw_pools(cfg: SimConfig, index: np.ndarray, common: np.ndarray, m: np.nda
 
 
 def _draw_epochs(cfg: SimConfig, key: np.ndarray, common: np.ndarray, starts: np.ndarray, times: np.ndarray) -> None:
-    """Writes the sorted epochs of one block of paths into `times`; its
-    pools start at `starts` (from 0, one past the last pool last)."""
+    """Sorted epochs of one block of paths into `times`, its pools starting at `starts` (from 0)."""
     total = len(times)
     # epoch draw words: counter _CTR_TIMES + slot in an independent pool,
     # _CTR_TIMES for every epoch of a common one
@@ -295,8 +296,7 @@ def _workers() -> int:
 
 
 def _simulate_indices(cfg: SimConfig, path_index: np.ndarray) -> PathBatch:
-    # blocks of _BLOCK paths on a thread per CPU, one block inline: every block's
-    # pool sizes first, which fix the offsets, then its epochs into its slice of times
+    # blocks on a thread per CPU (one inline): all pool sizes, which fix the offsets, then the epochs
     spans = [(lo, min(lo + _BLOCK, len(path_index))) for lo in range(0, len(path_index), _BLOCK)]
     los, his = zip(*spans)
     workers = min(_workers(), len(spans)) if len(spans) > 1 else 1

@@ -466,6 +466,17 @@ class TestBlocks:
         for i in (4095, 4096, cfg.n_paths - 1):
             assert sample_path(cfg, i) == batch.path(i)
 
+    def test_path_sums_at_any_block_size(self, monkeypatch):
+        # counts and the covariance cells are summed a block of paths at a time
+        batch = simulate_paths(negbin_sim_config(NEGBIN_SIM, seed=4, n_paths=3_000))
+        cases = [(batch, t) for t in (0.0, 0.4, 0.9)] + [(HAND_BATCH, t) for t in (0.0, 0.7, 0.99)]
+        want = [b.counts_at(t) for b, t in cases], hex_estimate(empirical_cov(batch, 0.3, 0.8))
+        for block in (1, 2, 7, 4096):
+            monkeypatch.setattr(mcsim, "_BLOCK", block)
+            got = [b.counts_at(t) for b, t in cases], hex_estimate(empirical_cov(batch, 0.3, 0.8))
+            assert all(g.dtype == np.int64 and np.array_equal(g, w) for g, w in zip(got[0], want[0]))
+            assert got[1] == want[1]
+
     @pytest.mark.parametrize("lam, rho", [(0.05, 0.3), (1.5, 1.0)])
     def test_blocks_of_empty_or_common_pools(self, monkeypatch, lam, rho):
         # blocks of 7 paths whose pools are all empty (lam = 0.05) or all
