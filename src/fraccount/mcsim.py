@@ -239,9 +239,9 @@ class PathBatch:
         return sums
 
     def path(self, i: int) -> PathSample:
-        if not 0 <= i < len(self.offsets) - 1:
-            raise DomainError(f"path index {i} outside [0, {len(self.offsets) - 1})")
-        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
+        if not 0 <= i < len(self.common):
+            raise DomainError(f"path index {i} outside [0, {len(self.common)})")
+        lo, hi = self.offsets[i:i + 2].tolist()
         times = tuple(self.times[lo:hi].tolist())
         return PathSample(m=hi - lo, event_times=times, common_flag=bool(self.common[i]))
 
