@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_U64_TO_UNIT = 1.0 / 9007199254740992.0  # 2^-53
 
 # draw layout per path: counter 0 decides the common-epoch branch, counter 1
 # picks the pool size, counters 2,3,... feed the epoch times (a common-branch
@@ -233,9 +232,11 @@ class PathBatch:
         sums = np.empty(self.n_paths, dtype=np.int64)
         for lo in range(0, self.n_paths, _BLOCK):
             offsets = self.offsets[lo:lo + _BLOCK + 1]
-            hits = np.zeros(offsets[-1] - offsets[0] + 1, dtype=np.int64)
+            hits = np.empty(offsets[-1] - offsets[0] + 1, dtype=np.int64)
+            hits[0] = 0
             np.cumsum(per_epoch[offsets[0]:offsets[-1]], dtype=np.int64, out=hits[1:])
-            sums[lo:lo + _BLOCK] = np.diff(hits.take(offsets - offsets[0]))
+            ends = hits.take(offsets - offsets[0])
+            np.subtract(ends[1:], ends[:-1], out=sums[lo:lo + _BLOCK])
         return sums
 
     def path(self, i: int) -> PathSample:
@@ -259,18 +260,17 @@ def _draw_pools(cfg: SimConfig, index: np.ndarray, common: np.ndarray, m: np.nda
 
 def _draw_epochs(cfg: SimConfig, key: np.ndarray, common: np.ndarray, starts: np.ndarray, times: np.ndarray) -> None:
     """Sorted epochs of one block of paths into `times`, its pools starting at `starts` (from 0)."""
-    total = len(times)
     # epoch draw words: counter _CTR_TIMES + slot in an independent pool,
     # _CTR_TIMES for every epoch of a common one
-    owner = np.cumsum(np.bincount(starts[1:-1], minlength=total + 1)[:total])
-    word = np.arange(total, dtype=np.uint64)
+    owner = np.cumsum(np.bincount(starts[1:-1], minlength=len(times) + 1)[:len(times)])
+    word = np.arange(len(times), dtype=np.uint64)
     word -= starts[owner].view(np.uint64)
     word *= ~common[owner]
     word += np.uint64(_CTR_TIMES + 1)
     word *= _GOLDEN
     word += key[owner]
     unit = _word53(word).astype(np.float64)
-    unit *= _U64_TO_UNIT
+    unit *= 2.0**-53
     unit **= cfg.epoch_power  # in place, by the same power routine as `unit ** p`
     np.multiply(unit, cfg.horizon, out=times)
 
