@@ -295,17 +295,17 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _simulate_indices(cfg: SimConfig, path_index: np.ndarray) -> PathBatch:
-    # blocks on a thread per CPU (one inline): all pool sizes, which fix the offsets, then the epochs
-    spans = [(lo, min(lo + _BLOCK, len(path_index))) for lo in range(0, len(path_index), _BLOCK)]
+def _simulate_indices(cfg: SimConfig, first: int, n: int) -> PathBatch:
+    # paths [first, first + n) in blocks on a thread per CPU (one inline): pool sizes, which fix offsets, then epochs
+    spans = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
     los, his = zip(*spans)
     workers = min(_workers(), len(spans)) if len(spans) > 1 else 1
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
-        common = np.empty(len(path_index), dtype=bool)
-        starts = np.zeros(len(path_index) + 1, dtype=np.int64)
-        keys = list(run(lambda lo, hi: _draw_pools(cfg, path_index[lo:hi], common[lo:hi], starts[lo + 1:hi + 1]),
-                        los, his))
+        common = np.empty(n, dtype=bool)
+        starts = np.zeros(n + 1, dtype=np.int64)
+        keys = list(run(lambda lo, hi: _draw_pools(cfg, np.arange(first + lo, first + hi, dtype=np.uint64),
+                                                   common[lo:hi], starts[lo + 1:hi + 1]), los, his))
         np.cumsum(starts, out=starts)
         times = np.empty(int(starts[-1]))
         list(run(lambda key, lo, hi: _draw_epochs(cfg, key, common[lo:hi], starts[lo:hi + 1] - starts[lo],
@@ -315,14 +315,14 @@ def _simulate_indices(cfg: SimConfig, path_index: np.ndarray) -> PathBatch:
 
 def simulate_paths(cfg: SimConfig) -> PathBatch:
     """All cfg.n_paths paths; a pure function of (seed, n_paths)."""
-    return _simulate_indices(cfg, np.arange(cfg.n_paths, dtype=np.uint64))
+    return _simulate_indices(cfg, 0, cfg.n_paths)
 
 
 def sample_path(cfg: SimConfig, path_index: int) -> PathSample:
     """Path at one index, bit-identical to the same row of simulate_paths."""
     if not 0 <= path_index < cfg.n_paths:
         raise DomainError(f"path index {path_index} outside [0, {cfg.n_paths})")
-    return _simulate_indices(cfg, np.asarray([path_index], dtype=np.uint64)).path(0)
+    return _simulate_indices(cfg, path_index, 1).path(0)
 
 
 def wilson_halfwidth(successes: int, n: int) -> float:

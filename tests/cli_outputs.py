@@ -47,6 +47,10 @@ INVOCATIONS = (
         ["weighted", "--lambda", "-1"],
         ["weighted", "--lambda", "nan"],
         ["figure1", "--lambda", "nan"],
+        # the joint-law grid refused by its gen_mittag_leffler sums: cancellation, then a
+        # term that is not finite
+        ["figure1", "--lambda", "1.2"],
+        ["figure1", "--lambda", "1.5"],
         # the weighted-pool kernel at its edges: F = 1, full coupling, a
         # truncation past the 201-entry base, and a wider pool late in time
         ["weighted", "--t", "1", "--rho", "0.3"],

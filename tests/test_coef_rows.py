@@ -2,15 +2,17 @@
 as forming every coefficient inside its term, from a cold and a warm store,
 under concurrent reads, and with the store kept within its bound."""
 
+import collections
 import itertools
 import math
+import random
 import sys
 import threading
 
 import pytest
 
 from fraccount import specfun
-from fraccount.errors import CancellationLoss
+from fraccount.errors import CancellationLoss, NonConvergent
 from fraccount.fracops import (
     PowerSeriesInT,
     caputo_derivative_quadrature,
@@ -19,6 +21,7 @@ from fraccount.fracops import (
 )
 from fraccount.pmftable import PmfTable
 from fraccount.specfun import (
+    SeriesValue,
     _sum_series,
     gamma_ratio_signed,
     gen_binom,
@@ -32,7 +35,8 @@ from fraccount.stfpoisson import F_stfp, StfpParams, governing_residual, pmf
 
 def ref_mittag_leffler(alpha, beta, x):
     if x == 0.0:
-        return specfun.recip_gamma_signed(beta)
+        v = specfun.recip_gamma_signed(beta)
+        return SeriesValue(v, 0.0, 1, abs(v))
     log_ax = math.log(abs(x))
     sign_x = 1.0 if x > 0.0 else -1.0
 
@@ -43,7 +47,7 @@ def ref_mittag_leffler(alpha, beta, x):
             except OverflowError:
                 yield math.inf
 
-    return _sum_series(terms(), f"mittag_leffler({alpha},{beta},{x})").value
+    return _sum_series(terms(), f"mittag_leffler({alpha},{beta},{x})")
 
 
 def ref_gen_mittag_leffler(alpha, beta, gamma, x):
@@ -72,7 +76,7 @@ def ref_gen_mittag_leffler(alpha, beta, gamma, x):
                 yield math.inf
 
     what = f"gen_mittag_leffler({alpha},{beta},{gamma},{x})"
-    return _sum_series(terms(), what).value
+    return _sum_series(terms(), what)
 
 
 def ref_core(params, s, k):
@@ -192,7 +196,8 @@ def _snapshot():
 
 @pytest.fixture(scope="module")
 def reference():
-    return _collect(ref_mittag_leffler, ref_gen_mittag_leffler, ref_pmf, ref_governing)
+    return _collect(lambda *a: ref_mittag_leffler(*a).value, lambda *a: ref_gen_mittag_leffler(*a).value,
+                    ref_pmf, ref_governing)
 
 
 def test_rows_are_bit_identical_to_per_term_formulas(reference):
@@ -202,6 +207,64 @@ def test_rows_are_bit_identical_to_per_term_formulas(reference):
     assert _snapshot() == reference  # every block built on the way
     assert specfun._block.cache_info().currsize
     assert _snapshot() == reference  # every block read back from the store
+
+
+# ---- the scalar sums field by field, refusals included ----
+
+def _series_outcome(fn, *args):
+    # every SeriesValue field by hex, or the refusal's class and message
+    try:
+        v = fn(*args)
+    except (CancellationLoss, NonConvergent) as exc:
+        return type(exc).__name__, str(exc)
+    return v.value.hex(), v.abs_error_estimate.hex(), v.terms_used, v.max_term_magnitude.hex()
+
+
+def _draws(rng, n, with_gamma):
+    # (alpha, beta[, gamma], x): small x of both signs, large negative ones
+    # that cancel, and large positive ones whose terms or sums overflow; gamma
+    # real or a small integer, which truncates the series where it is <= 0
+    for _ in range(n):
+        alpha = rng.choice((1.0, 0.5, rng.uniform(0.05, 1.0)))
+        beta = rng.choice((1.0, 2.0, rng.uniform(0.05, 4.0)))
+        gamma = (rng.choice((rng.uniform(-4.0, 4.0), float(rng.randint(-4, 3)))),) if with_gamma else ()
+        x = rng.choice((rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-12.0, -2.0),
+                        rng.uniform(2.0, 40.0), rng.uniform(300.0, 800.0)))
+        yield alpha, beta, *gamma, x
+
+
+TINY_X = (0.0, 1e-300, -1e-300)
+ML_EDGES = (
+    *((a, b, x) for a in (0.5, 1.0) for b in (1.0, 200.0) for x in TINY_X),
+    (0.6, 1.0, -6.0), (0.6, 1.0, -8.0), (1.0, 1.0, -40.0),  # cancellation
+    (0.5, 200, 50),  # a partial sum that overflows on a finite term
+    (1.0, 1.0, 709.8),  # ... on a term past the largest one
+    (0.5, 200.0, 0.5),  # every term underflows: no stop within the budget
+    (0.5, 1.0, math.nan), (0.5, 1.0, math.inf), (0.5, 1.0, -math.inf),  # a nan first term
+)
+GML_EDGES = (
+    *((0.5, 1.5, g, x) for g in (2.0, 0.0, -1.0, -3.0, -2.5) for x in (*TINY_X, -0.7, 3.0, -20.0)),
+    (0.05, 1.05, 2.0, -0.77), (0.05, 1.05, 2.0, -5.0),
+    (0.5, 200.0, -1.0, 1.0),  # truncated after two underflowed terms: no stop
+    (1.0, 1.0, 1.0, 709.8), (0.5, 1.5, math.nan, 1.0), (0.5, 1.5, math.inf, -1.0), (0.5, 1.5, 2.0, math.nan),
+)
+
+
+def test_scalar_sums_match_reference_sums_field_by_field():
+    rng = random.Random(2718)
+    ml_points = [*ML_EDGES, *_draws(rng, 2000, False)]
+    gml_points = [*GML_EDGES, *_draws(rng, 2000, True)]
+    seen = collections.Counter()
+    for fn, ref, points in ((mittag_leffler, ref_mittag_leffler, ml_points),
+                            (gen_mittag_leffler, ref_gen_mittag_leffler, gml_points)):
+        for point in points:
+            got = _series_outcome(fn, *point)
+            assert got == _series_outcome(ref, *point), (fn.__name__, point)
+            seen[got[0] if len(got) == 2 else "value"] += 1
+    assert _series_outcome(mittag_leffler, 0.5, 200, 50) == (
+        "NonConvergent", "mittag_leffler(0.5,200,50): partial sum at term 2618 is not finite")
+    # the draws reach values and both refusal classes alike
+    assert min(seen["value"], seen["CancellationLoss"], seen["NonConvergent"]) > 100
 
 
 # ---- concurrent reads and the store's bound ----
@@ -254,4 +317,4 @@ def test_cache_stays_within_bound():
     assert specfun._block(specfun._lgamma, 0.5, 1.0, 3) == first
     assert specfun._block.cache_info().misses == misses + 1
     assert first == tuple(math.lgamma(0.5 * r + 1.0) for r in range(3 * specfun._BLOCK, 4 * specfun._BLOCK))
-    assert mittag_leffler(0.5, 1.0, -0.7).value == ref_mittag_leffler(0.5, 1.0, -0.7)
+    assert mittag_leffler(0.5, 1.0, -0.7).value == ref_mittag_leffler(0.5, 1.0, -0.7).value
