@@ -14,20 +14,19 @@ fox_wright takes a SpecfunConfig, to set its cancellation limit.  A term is
 infinite only where math.exp overflows, and a sum whose partial sum is not
 finite is refused.
 
-Coefficients that do not depend on a series' argument live in rows
-coef(a, b, r), stored in blocks of 64 consecutive r under one
-functools.lru_cache (_block) and read by slice (_row) or in order
-(_row_iter): lgamma lattice rows lgamma(slope*r + offset) for the
-Mittag-Leffler sums, signed falling-factorial rows for the STFP count series.
-A row holds the exact expression a term would form inline, so the terms and
-sums are the same bits.
+Coefficients that do not depend on a series' argument live in tuple rows
+coef(a, b, r) of 64 consecutive r under one functools.lru_cache (_block),
+read by slice (_row) or in order (_row_iter), and in read-only numpy blocks of
+64 r by 16 k of the STFP count series' falling weights coef(a, k, r) (_weights),
+which a pass slices without converting a float.  Each holds the exact
+expression a term would form inline, so the terms and sums are the same bits.
 
 Sums over many arguments at once go through one array pass loop,
 _series_passes, with two callers: the STFP count series
-(stfpoisson._count_series, falling weight rows) and _mittag_leffler_many
+(stfpoisson._count_series, falling weights) and _mittag_leffler_many
 (weight 1, a sign per point), which returns mittag_leffler's values bit for
 bit.  One argument at a time, mittag_leffler and gen_mittag_leffler sum in
-one fused loop, _ml_series: a pass costs some 200 us whatever its width,
+one fused loop, _ml_series: a pass costs some 65 us whatever its width,
 against a few us for one scalar sum.  _sum_series serves fox_wright alone.
 """
 from __future__ import annotations
@@ -220,6 +219,15 @@ def _row_iter(coef: Callable[..., float], a: float, b: float) -> Iterator[float]
     return itertools.chain.from_iterable(map(functools.partial(_block, coef, a, b), itertools.count()))
 
 
+@functools.lru_cache(maxsize=256)
+def _weights(coef: Callable[..., float], a: float, c: int, i: int) -> tuple[np.ndarray, bool]:
+    """coef(a, k, r) at the r of block i (rows), k of column block c: read-only, and whether one is inf."""
+    w = np.array([[coef(a, k, r) for k in range(16 * c, 16 * c + 16)]
+                  for r in range(i * _BLOCK, (i + 1) * _BLOCK)])
+    w.flags.writeable = False
+    return w, bool(np.isinf(w).any())
+
+
 def _lgamma(slope: float, offset: float, r: int) -> float:
     return math.lgamma(slope * r + offset)
 
@@ -231,10 +239,10 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-# A pass costs some 40 numpy calls whatever its width, about as long as 1,000
-# math.exp calls, and each term past a point's stop is a wasted math.exp.  So
+# A pass costs some 70 numpy operations whatever its width, about as long as
+# 1,400 math.exp calls, and each term past a point's stop is a wasted exp.  So
 # a pass forms about _POWERS powers: _POWERS // (live columns) terms for each
-# live column, within [_PASS, 8 _PASS].  A table at one or two times adds 64
+# live column, within [_PASS, 8 _PASS] and one 64-term block.  A table adds 64
 # terms a pass and mostly ends in one; a quadrature stencil of ~900 points
 # adds 8 at a time until few of its points are left.
 _POWERS, _PASS = 1024, 8
@@ -245,14 +253,15 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
     """The one array loop of the series sums: at every point p = j*n + c of
     points (ascending, n = len(log_x)) the sum over r of w_j(r) times
     (-1)^r (where neg[c]) times exp(r*log_x[c] - lgamma(slope*r + offset)),
-    lg_key = (slope, offset).  rows holds the (coef, a, b) of each weight row
-    w_j(r) = coef(a, b, r) for _row, None the one row w = 1; neg may be None.
+    lg_key = (slope, offset).  rows = (coef, a, ks) gives the weight rows
+    w_j(r) = coef(a, ks[j], r) (ks ints), None the one row w = 1; neg may be None.
 
     Each pass adds a block of terms to every live point: math.exp forms each
     power once per live column (inf where it overflows), and np.cumsum
-    carries each partial sum on in order, as _sum_series adds.  With rows, a
-    term whose power is below the normal range, or whose weight is inf, is
-    formed as sign * exp(exponent + log_weight(j, r)).  A sum stops at its
+    carries each partial sum on in order, as _sum_series adds.  With rows, the
+    _weights blocks broadcast against the powers where one k or one column is
+    live, and a term whose power is below the normal range, or whose weight
+    is inf, is formed as sign * exp(exponent + log_weight(j, r)).  A sum stops at its
     third small term in a row: below _REL_TOL times the partial sum, or, with
     rows, exactly 0 where its weight is not (an underflowed power), so a sum
     whose partial sum is subnormal or 0 stops too, while a prefix of weight-0
@@ -263,15 +272,15 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
     first refused one, which of those fail the cancellation limit, and the
     refusal (or None).
     """
-    n = len(log_x)
-    total, peak, last, used = np.zeros((4, n * len(rows or [1])))
+    n, (coef, a, ks) = len(log_x), rows or (None, None, [0])
+    total, peak, last, used = np.zeros((4, n * len(ks)))
     runs = np.zeros((2, total.size), dtype=bool)
     live, lo, first, refusal = points, 0, total.size, None
     with np.errstate(all="ignore"):
         while live.size:
             ki, si = np.divmod(live, n)
             k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
-            hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), _MAX_TERMS)
+            hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), (lo // _BLOCK + 1) * _BLOCK, _MAX_TERMS)
             # one row per term, one column per point
             lg = np.array(_row(_lgamma, *lg_key, lo, hi))
             arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
@@ -286,16 +295,20 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
             # rows None, as there, no 0 term is small for being 0
             underflow = False
             if rows is not None:
-                ratio = np.array([_row(*rows[j], lo, hi) for j in k_on.tolist()]).T
-                if k_on.size > 1:  # else the live points are the live columns, in order
-                    ratio = ratio[:, np.searchsorted(k_on, ki)]
-                    power = power[:, np.searchsorted(s_on, si)]
+                kc = ks[k_on]  # the live weight columns, from the 16-column blocks c0, c0 + 1, ...
+                c0 = kc.min() // 16
+                blocks = [_weights(coef, a, c, lo // _BLOCK) for c in range(c0, kc.max() // 16 + 1)]
+                ratio = np.concatenate([w for w, _ in blocks], axis=1)[lo % _BLOCK : lo % _BLOCK + hi - lo]
+                grid = k_on.size == 1 or s_on.size == 1  # the live points are k_on x s_on, in order
+                ratio = ratio[:, (kc if grid else ks[ki]) - 16 * c0]
+                power = power if grid else power[:, np.searchsorted(s_on, si)]
                 term = np.where(ratio == 0.0, 0.0, power * ratio)  # 0 even where the power is inf
                 # a power below the normal range, or a weight past a double, as one exponent
-                odd = (power < _NORMAL_MIN) & (ratio != 0.0) | np.isinf(ratio)  # an inf power stays inf
-                for i, j in zip(*odd.nonzero()):
-                    x = arg[i, np.searchsorted(s_on, si[j])] + log_weight(ki[j], lo + i)
-                    term[i, j] = math.copysign(_exp_or_inf(x), np.broadcast_to(ratio, term.shape)[i, j])
+                if power.min() < _NORMAL_MIN or any(wild for _, wild in blocks):
+                    odd = (power < _NORMAL_MIN) & (ratio != 0.0) | np.isinf(ratio)  # an inf power stays inf
+                    for i, j in zip(*odd.nonzero()):
+                        x = arg[i, np.searchsorted(s_on, si[j])] + log_weight(ki[j], lo + i)
+                        term[i, j] = math.copysign(_exp_or_inf(x), np.broadcast_to(ratio, term.shape)[i, j])
                 underflow = (term == 0.0) & (ratio != 0.0)  # not a term whose weight is 0
             mag = np.abs(term)
             term[0] += total[live]  # each sum carried on from its partial sum
@@ -336,14 +349,14 @@ def _ml_series(alpha: float, beta: float, gamma: float | None, x: float, what: s
     summed in one loop over the _block lgamma rows by _sum_series' rule.
 
     A negative term's magnitude is subtracted, the bits of adding the term.
-    Past a vanished rising factorial, or at x = 0 past r = 0, terms are
-    exp(-inf) = 0.0.  A sum turns non-finite at a new largest term (an
-    overflowed exp is +inf) or at a finite term that overflows it, which then
-    reads as small: only those two check it."""
+    Past a vanished rising factorial, or at x = 0 past r = 0, every term is
+    exp(-inf) = 0.0 and small, even at a 0 sum.  A sum turns non-finite at a
+    new largest term (an overflowed exp is +inf) or at a finite term that
+    overflows it, which then reads as small: only those two check it."""
     log_ax = math.log(abs(x)) if x != 0.0 else 0.0
     neg_x = x < 0.0
     total = max_mag = last_mag = log_poch = 0.0  # log_poch = log|(gamma)^(r)|
-    small_run = neg = 0
+    small_run = neg = ended = 0  # ended: the rising factorial has vanished
     for lo in range(0, _MAX_TERMS, _BLOCK):
         den = _block(_lgamma, alpha, beta, lo // _BLOCK)
         fact = den if gamma is None else _block(_lgamma, 1.0, 1.0, lo // _BLOCK)
@@ -354,7 +367,7 @@ def _ml_series(alpha: float, beta: float, gamma: float | None, x: float, what: s
                 if r:
                     f = gamma + r - 1
                     if f == 0.0 or x == 0.0:
-                        log_poch = -math.inf
+                        log_poch, ended = -math.inf, 1
                     else:
                         log_poch += math.log(abs(f))
                         neg ^= (f < 0.0) ^ neg_x
@@ -368,7 +381,7 @@ def _ml_series(alpha: float, beta: float, gamma: float | None, x: float, what: s
                 max_mag = mag
                 if not math.isfinite(total):
                     raise _not_finite(what.format(*parts), r + 1, mag)
-            if mag < _REL_TOL * abs(total):
+            if mag < _REL_TOL * abs(total) or ended:
                 if not math.isfinite(total):
                     raise _not_finite(what.format(*parts), r + 1, mag)
                 small_run += 1

@@ -107,7 +107,8 @@ def _count_series(
     s, and the absolute error bound of each, both of shape (len(ks), len(s)):
     the one evaluator of the STFP count series
     (-1)^k/k! sum_r (lam^alpha s^nu)^r / Gamma(nu r + 1) * (falling row of k),
-    summed by specfun._series_passes with one falling weight row per k.
+    summed by specfun._series_passes from the cached specfun._weights blocks;
+    a one-pass K = 40 table at one time spends ~110 us in it, 40 us around it.
 
     A point is refused for a partial sum that is not finite (an overflowing
     power included), no stop within the term budget, and, unless lifted, a
@@ -132,8 +133,8 @@ def _count_series(
     n_lead = next((i for i, k in enumerate(ks) if k > 170), len(ks))  # 171! is past a double
     n_sum = np.searchsorted(points, n_lead * n_s)
     total, peak, last, used, stopped, lost, refusal = _series_passes(
-        log_x, None, (params.nu, 1.0), [(_falling, params.alpha, k) for k in ks], points[:n_sum], label,
-        log_weight=log_weight)
+        log_x, None, (params.nu, 1.0), (_falling, params.alpha, np.array(ks[:n_lead], dtype=int)),
+        points[:n_sum], label, log_weight=log_weight)
     if refusal is None and n_sum < points.size:
         p = points[n_sum]
         refusal = NonConvergent(f"{label(p)}: {ks[p // n_s]}! overflows a double")

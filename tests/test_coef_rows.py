@@ -204,6 +204,7 @@ def test_rows_are_bit_identical_to_per_term_formulas(reference):
     # alpha = 0.4 at x = -5 is refused; the refusal must not move either
     assert sum(v.startswith("raises") for v in reference[0]) == 3
     specfun._block.cache_clear()
+    specfun._weights.cache_clear()
     assert _snapshot() == reference  # every block built on the way
     assert specfun._block.cache_info().currsize
     assert _snapshot() == reference  # every block read back from the store
@@ -245,7 +246,6 @@ ML_EDGES = (
 GML_EDGES = (
     *((0.5, 1.5, g, x) for g in (2.0, 0.0, -1.0, -3.0, -2.5) for x in (*TINY_X, -0.7, 3.0, -20.0)),
     (0.05, 1.05, 2.0, -0.77), (0.05, 1.05, 2.0, -5.0),
-    (0.5, 200.0, -1.0, 1.0),  # truncated after two underflowed terms: no stop
     (1.0, 1.0, 1.0, 709.8), (0.5, 1.5, math.nan, 1.0), (0.5, 1.5, math.inf, -1.0), (0.5, 1.5, 2.0, math.nan),
 )
 
@@ -263,6 +263,16 @@ def test_scalar_sums_match_reference_sums_field_by_field():
             seen[got[0] if len(got) == 2 else "value"] += 1
     assert _series_outcome(mittag_leffler, 0.5, 200, 50) == (
         "NonConvergent", "mittag_leffler(0.5,200,50): partial sum at term 2618 is not finite")
+    # a series truncated after underflowed terms (or at x = 0 after r = 0) ends
+    # at 0, where the reference sum finds no stop; an exact cancellation to 0
+    # is refused
+    zero = "0x0.0p+0"
+    assert _series_outcome(gen_mittag_leffler, 0.5, 200.0, -1.0, 1.0) == (zero, zero, 5, zero)
+    assert _series_outcome(gen_mittag_leffler, 0.5, 200.0, 0.0, 1.0) == (zero, zero, 4, zero)
+    assert _series_outcome(gen_mittag_leffler, 0.5, 200.0, 2.0, 0.0) == (zero, zero, 4, zero)
+    assert _series_outcome(gen_mittag_leffler, 1.0, 1.0, -1.0, 1.0) == (
+        "CancellationLoss", "gen_mittag_leffler(1.0,1.0,-1.0,1.0): max term 1 dwarfs sum 0; "
+        "result has no trustworthy digits")
     # the draws reach values and both refusal classes alike
     assert min(seen["value"], seen["CancellationLoss"], seen["NonConvergent"]) > 100
 

@@ -455,6 +455,85 @@ def test_count_series_grid_refuses_in_row_major_order(monkeypatch, params, cfg):
     assert grid == want
 
 
+def _stacked_outcome(fn):
+    # both outputs by hex, or the refusal's class and message
+    try:
+        got = fn()
+    except (CancellationLoss, NonConvergent) as exc:
+        return type(exc).__name__, str(exc)
+    return [[x.hex() for x in out.ravel().tolist()] for out in got]
+
+
+def _one_k_outcome(params, s, K, lifted):
+    # the one-k calls stacked, or the refusal of the first k refused on its own
+    def stacked():
+        rows = [stfpoisson._count_series(params, s, [k], lifted=lifted) for k in range(K + 1)]
+        return np.vstack([r[0] for r in rows]), np.vstack([r[1] for r in rows])
+
+    return _stacked_outcome(stacked)
+
+
+def _count_series_cases():
+    # seeded laws at one time and at two (t, T), at K = 40, 80 and 170 (whose
+    # sums cross 64-term blocks); ~900-point stencils at k = 0..3; the laws
+    # of the benchmark's failing tables, STFP and the negbin count series
+    rng = np.random.default_rng(1901)
+    for K in (40, 80, 170):
+        alpha, nu = (float(rng.choice(v)) for v in ([0.6, 0.8, 1.0], [0.5, 0.6, 0.8, 1.0]))
+        for params in (StfpParams(alpha, nu, float(rng.uniform(0.5, 2.0)), 1.0), StfpParams(1.0, 0.8, 1.5, 1.0)):
+            t = float(rng.uniform(0.3, 0.9))
+            yield params, [t], K, False
+            yield params, [t, 1.0], K, False
+    for alpha, nu, lam in ((0.8, 0.5, 1.0), (0.6, 0.8, 1.5)):
+        t = float(rng.uniform(0.3, 0.9))
+        stencil = np.concatenate([[0.0], t * rng.uniform(0.0, 1.0, 900), [t]])
+        yield StfpParams(alpha, nu, lam, 1.0), stencil, 3, False
+    # live rows with gaps, then weights past a double, powers below the
+    # normal range, an overflowing term
+    yield StfpParams(1.0, 0.3, 3.0, 1.0), [0.5], 40, True
+    yield StfpParams(1.0, 0.5, 2.0, 1.0), [1.0], 170, True
+    yield StfpParams(1.0, 1.0, 2.0, 1.0), [0.5, 1.0], 170, False
+    yield StfpParams(1.0, 1.0, 0.01, 1.0), [0.5], 170, False
+    yield StfpParams(0.8, 0.5, 300.0, 1.0), [0.5, 1.0], 40, False
+    yield StfpParams(0.8, 0.6, 10.0, 1.0), [0.5], 40, False
+    yield StfpParams(1.0, 0.5, 2.0, 1.0), [0.5, 1.0], 40, False
+    for level in (0.05, 0.05 / 0.525):  # negbin p = 0.05 at T and at t = 0.5
+        for lifted in (True, False):
+            yield StfpParams(0.8, 0.6, -math.log(level), 1.0), [1.0], 40, lifted
+
+
+@pytest.mark.parametrize("params, s, K, lifted", list(_count_series_cases()))
+def test_count_series_table_matches_one_k_calls(params, s, K, lifted):
+    # the table shape (every k at one or two times, broadcast against the
+    # weight blocks) and the stencil shape against one k at a time (a weight
+    # column): same bits in both outputs, or the same first refusal
+    table = _stacked_outcome(lambda: stfpoisson._count_series(params, s, range(K + 1), lifted=lifted))
+    assert table == _one_k_outcome(params, s, K, lifted)
+
+
+def test_count_series_rows_in_any_order():
+    # rows taken from the weight blocks in the order ks gives them
+    params = StfpParams(0.8, 0.6, 1.0, 1.0)
+    for s in ([0.5], [0.5, 1.0]):
+        got = stfpoisson._count_series(params, s, [2, 0, 1])
+        want = stfpoisson._count_series(params, s, range(3))
+        for g, w in zip(got, want):
+            assert [x.hex() for x in g.ravel().tolist()] == [x.hex() for x in w[[2, 0, 1]].ravel().tolist()]
+
+
+def test_count_series_weight_blocks_are_read_only_falling_rows():
+    alpha = 0.7
+    for r in (63, 64):
+        i, at = divmod(r, specfun._BLOCK)
+        for c in range(3):
+            w, wild = specfun._weights(stfpoisson._falling, alpha, c, i)
+            assert not w.flags.writeable and not wild
+            with pytest.raises(ValueError):
+                w[at, 0] = 0.0
+            want = [stfpoisson._falling(alpha, k, r).hex() for k in range(c * 16, (c + 1) * 16)]
+            assert [x.hex() for x in w[at].tolist()] == want
+
+
 def test_count_series_weight_past_a_double_is_refused():
     # 171! overflows a double: refused where s > 0, exact 0 at s = 0
     params = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0)
