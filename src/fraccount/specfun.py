@@ -17,7 +17,7 @@ finite is refused.
 Coefficients that do not depend on a series' argument live in tuple rows
 coef(a, b, r) of 64 consecutive r under one functools.lru_cache (_block),
 read by slice (_row) or in order (_row_iter), and in read-only numpy blocks of
-64 r by 16 k of the STFP count series' falling weights coef(a, k, r) (_weights),
+64 r by 8 k of the STFP count series' falling weights coef(a, k, r) (_weights),
 which a pass slices without converting a float.  Each holds the exact
 expression a term would form inline, so the terms and sums are the same bits.
 
@@ -26,7 +26,7 @@ _series_passes, with two callers: the STFP count series
 (stfpoisson._count_series, falling weights) and _mittag_leffler_many
 (weight 1, a sign per point), which returns mittag_leffler's values bit for
 bit.  One argument at a time, mittag_leffler and gen_mittag_leffler sum in
-one fused loop, _ml_series: a pass costs some 65 us whatever its width,
+one fused loop, _ml_series: a pass costs some 70 us whatever its width,
 against a few us for one scalar sum.  _sum_series serves fox_wright alone.
 """
 from __future__ import annotations
@@ -194,7 +194,7 @@ def gamma_ratio_signed(a: float, b: float) -> float:
 
 # ---- argument-free coefficient rows ----
 
-_BLOCK = 64
+_BLOCK, _COLS = 64, 8  # terms r a block, and k a weight block
 
 
 @functools.lru_cache(maxsize=1024)
@@ -220,10 +220,9 @@ def _row_iter(coef: Callable[..., float], a: float, b: float) -> Iterator[float]
 
 
 @functools.lru_cache(maxsize=256)
-def _weights(coef: Callable[..., float], a: float, c: int, i: int) -> tuple[np.ndarray, bool]:
-    """coef(a, k, r) at the r of block i (rows), k of column block c: read-only, and whether one is inf."""
-    w = np.array([[coef(a, k, r) for k in range(16 * c, 16 * c + 16)]
-                  for r in range(i * _BLOCK, (i + 1) * _BLOCK)])
+def _weights(coef: Callable[..., float], a: float, k0: int, i: int) -> tuple[np.ndarray, bool]:
+    """coef(a, k, r) at the r of block i (rows), k0 <= k < k0 + _COLS: read-only, and whether one is inf."""
+    w = np.array([[coef(a, k, r) for k in range(k0, k0 + _COLS)] for r in range(_BLOCK * i, _BLOCK * (i + 1))])
     w.flags.writeable = False
     return w, bool(np.isinf(w).any())
 
@@ -242,7 +241,7 @@ def _exp_or_inf(x: float) -> float:
 # A pass costs some 70 numpy operations whatever its width, about as long as
 # 1,400 math.exp calls, and each term past a point's stop is a wasted exp.  So
 # a pass forms about _POWERS powers: _POWERS // (live columns) terms for each
-# live column, within [_PASS, 8 _PASS] and one 64-term block.  A table adds 64
+# live column, within [_PASS, 8 _PASS].  A table at one or two times adds 64
 # terms a pass and mostly ends in one; a quadrature stencil of ~900 points
 # adds 8 at a time until few of its points are left.
 _POWERS, _PASS = 1024, 8
@@ -254,7 +253,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
     points (ascending, n = len(log_x)) the sum over r of w_j(r) times
     (-1)^r (where neg[c]) times exp(r*log_x[c] - lgamma(slope*r + offset)),
     lg_key = (slope, offset).  rows = (coef, a, ks) gives the weight rows
-    w_j(r) = coef(a, ks[j], r) (ks ints), None the one row w = 1; neg may be None.
+    w_j(r) = coef(a, ks[j], r) (ks an int array), None the one row w = 1; neg may be None.
 
     Each pass adds a block of terms to every live point: math.exp forms each
     power once per live column (inf where it overflows), and np.cumsum
@@ -280,7 +279,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
         while live.size:
             ki, si = np.divmod(live, n)
             k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
-            hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), (lo // _BLOCK + 1) * _BLOCK, _MAX_TERMS)
+            hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), _MAX_TERMS)
             # one row per term, one column per point
             lg = np.array(_row(_lgamma, *lg_key, lo, hi))
             arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
@@ -295,16 +294,17 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
             # rows None, as there, no 0 term is small for being 0
             underflow = False
             if rows is not None:
-                kc = ks[k_on]  # the live weight columns, from the 16-column blocks c0, c0 + 1, ...
-                c0 = kc.min() // 16
-                blocks = [_weights(coef, a, c, lo // _BLOCK) for c in range(c0, kc.max() // 16 + 1)]
-                ratio = np.concatenate([w for w, _ in blocks], axis=1)[lo % _BLOCK : lo % _BLOCK + hi - lo]
+                kc = ks[k_on]  # the live weight columns, from the weight blocks at k0, k0 + _COLS, ...
+                k0 = kc.min() // _COLS * _COLS
+                blocks = [[_weights(coef, a, k, i) for k in range(k0, kc.max() + 1, _COLS)]
+                          for i in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1)]
+                ratio = np.concatenate([np.concatenate([w for w, _ in line], axis=1) for line in blocks])
                 grid = k_on.size == 1 or s_on.size == 1  # the live points are k_on x s_on, in order
-                ratio = ratio[:, (kc if grid else ks[ki]) - 16 * c0]
+                ratio = ratio[lo % _BLOCK : lo % _BLOCK + hi - lo, (kc if grid else ks[ki]) - k0]
                 power = power if grid else power[:, np.searchsorted(s_on, si)]
                 term = np.where(ratio == 0.0, 0.0, power * ratio)  # 0 even where the power is inf
                 # a power below the normal range, or a weight past a double, as one exponent
-                if power.min() < _NORMAL_MIN or any(wild for _, wild in blocks):
+                if power.min() < _NORMAL_MIN or any(wild for line in blocks for _, wild in line):
                     odd = (power < _NORMAL_MIN) & (ratio != 0.0) | np.isinf(ratio)  # an inf power stays inf
                     for i, j in zip(*odd.nonzero()):
                         x = arg[i, np.searchsorted(s_on, si[j])] + log_weight(ki[j], lo + i)

@@ -61,7 +61,7 @@ INVOCATIONS = (
         ["pmf", "--lambda", "inf"],
         ["pmf", "--T", "inf"],
         # count-series refusals, each at the first refused k (k=0, k=6, k=6),
-        # then a table at two times whose weights span six 16-column blocks
+        # then a table at two times whose weights span eleven 8-column blocks
         ["pmf", "--alpha", "0.8", "--nu", "0.6", "--lambda", "10", "--t", "0.5", "--kmax", "40"],
         ["pmf", "--alpha", "1", "--nu", "0.5", "--lambda", "2", "--t", "0.5", "--kmax", "40"],
         ["negbin", "--p", "0.05", "--alpha", "0.8", "--nu", "0.6", "--rho", "0.4", "--t", "0.5", "--kmax", "40"],

@@ -525,12 +525,12 @@ def test_count_series_weight_blocks_are_read_only_falling_rows():
     alpha = 0.7
     for r in (63, 64):
         i, at = divmod(r, specfun._BLOCK)
-        for c in range(3):
-            w, wild = specfun._weights(stfpoisson._falling, alpha, c, i)
+        for k0 in range(0, 3 * specfun._COLS, specfun._COLS):
+            w, wild = specfun._weights(stfpoisson._falling, alpha, k0, i)
             assert not w.flags.writeable and not wild
             with pytest.raises(ValueError):
                 w[at, 0] = 0.0
-            want = [stfpoisson._falling(alpha, k, r).hex() for k in range(c * 16, (c + 1) * 16)]
+            want = [stfpoisson._falling(alpha, k, r).hex() for k in range(k0, k0 + specfun._COLS)]
             assert [x.hex() for x in w[at].tolist()] == want
 
 
