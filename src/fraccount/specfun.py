@@ -381,7 +381,7 @@ def _ml_series(alpha: float, beta: float, gamma: float | None, x: float, what: s
                 max_mag = mag
                 if not math.isfinite(total):
                     raise _not_finite(what.format(*parts), r + 1, mag)
-            if mag < _REL_TOL * abs(total) or ended:
+            if mag < _REL_TOL * (abs(total) or ended):
                 if not math.isfinite(total):
                     raise _not_finite(what.format(*parts), r + 1, mag)
                 small_run += 1
