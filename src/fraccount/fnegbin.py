@@ -263,7 +263,7 @@ def _core_pmf(level: float, alpha: float, nu: float, K: int) -> Iterator[float]:
     probs, errs = (col[:, 0] for col in _count_series(
         StfpParams(alpha, nu, big_l, 1.0), [1.0], range(n), lifted=True))
     w = np.zeros(n)  # row k of the weights, 0 past h = k
-    w[0] = 1.0
+    w[0], hs = 1.0, np.arange(1, n)
     for k in range(n):
         p = math.fsum((w * probs).tolist())
         # each weight carries about three roundings a step of the recurrence
@@ -275,7 +275,7 @@ def _core_pmf(level: float, alpha: float, nu: float, K: int) -> Iterator[float]:
             )
         yield p
         # w_{k+1,h} = c/(k+1) (w_{k,h-1} h/L + k w_{k,h})
-        w[1:] = c / (k + 1) * (w[:-1] * np.arange(1, n) / big_l + k * w[1:])
+        w[1:] = c / (k + 1) * (w[:-1] * hs / big_l + k * w[1:])
         w[0] = 0.0
     if K >= n:
         raise OutOfRange(f"k must be in [0, {STIRLING_CAP}], got {n}")

@@ -99,6 +99,8 @@ def _falling(a: float, k: int, r: int) -> float:
 # of governing_residual, before its tail check may extend it
 _SERIES_TERMS = 141
 
+_LEAD = np.array([(-1.0) ** k / math.factorial(k) for k in range(171)])  # leading factors; 171! is past a double
+
 
 def _count_series(
     params: StfpParams, s: np.ndarray, ks, *, lifted: bool = False
@@ -139,7 +141,7 @@ def _count_series(
         p = points[n_sum]
         refusal = NonConvergent(f"{label(p)}: {ks[p // n_s]}! overflows a double")
     with np.errstate(all="ignore"):
-        lead = np.array([(-1.0) ** k / math.factorial(k) for k in ks[:n_lead]])[stopped // n_s]
+        lead = _LEAD[ks[:n_lead]][stopped // n_s]
         err = np.abs(lead) * _error_estimate(last[stopped], peak[stopped], used[stopped])
         fail = np.zeros_like(lost) if lifted else lost | (err > _CORE_ABS_GUARD)
     if fail.any():  # a stopped sum before the first refused point fails its checks

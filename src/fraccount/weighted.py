@@ -10,6 +10,7 @@ for the uniform-profile Poisson pool live here as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -94,21 +95,28 @@ def q_kernel(k: int, n: int, F_t: float, rho: float) -> float:
 
 
 def _binomials(k, n):
-    """float(C(n, k)) at ints k, n, or for k = 0..K down and n = 0..N-1 across, row k the exact
-    running sums of row k-1; a table converts its largest entry first, so one past a double fails early."""
+    """float(C(n, k)) at ints k, n, or for k = 0..K down and n = 0..N-1 across from _pascal; the largest
+    entry is converted first on every call, so a table past a double fails early and is never cached."""
     try:
         if np.ndim(n) == 0:
             return float(math.comb(n, k))
         float(math.comb(n.size - 1, min(k.size - 1, (n.size - 1) // 2)))
-        row = [1] * n.size
-        return np.array([row] + [row := [0, *accumulate(row)][:-1] for _ in range(k.size - 1)], dtype=float)
+        return _pascal(k.size, n.size)
     except OverflowError:
         raise NonConvergent(f"a binomial coefficient C(n, k), n <= {np.max(n)}, overflows a double") from None
 
 
+@functools.lru_cache(maxsize=2)  # one shape serves a run; a wide base pins at most two matrices
+def _pascal(rows: int, cols: int) -> np.ndarray:
+    """Read-only float(C(n, k)), k < rows down, n < cols across: row k the exact running sums of row k-1."""
+    out = np.array([row := [1] * cols] + [row := [0, *accumulate(row)][:-1] for _ in range(rows - 1)], dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _kernel(F_t: float, rho: float, k, n):
-    """q(k | n, F, rho) = ((1-rho) C(n,k)) F^k (1-F)^(n-k), + rho (1-F) at k = 0, + rho F at
-    k = n, 1 at n = 0, over ints or broadcast int arrays k, n (k > n is meaningless)."""
+    """q(k | n, F, rho) = ((1-rho) C(n,k)) F^k (1-F)^(n-k), + rho (1-F) at k = 0, + rho F at k = n, 1 at n = 0,
+    over ints or broadcast int arrays k, n (k > n is meaningless); tables of one shape share one C(n, k) matrix."""
     if not 0.0 <= F_t <= 1.0:
         raise DomainError(f"F must lie in [0,1], got {F_t}")
     if not 0.0 <= rho <= 1.0:

@@ -66,6 +66,8 @@ INVOCATIONS = (
         ["pmf", "--alpha", "1", "--nu", "0.5", "--lambda", "2", "--t", "0.5", "--kmax", "40"],
         ["negbin", "--p", "0.05", "--alpha", "0.8", "--nu", "0.6", "--rho", "0.4", "--t", "0.5", "--kmax", "40"],
         ["pmf", "--alpha", "0.8", "--nu", "0.6", "--lambda", "1", "--rho", "0.3", "--t", "0.4", "--kmax", "80"],
+        # a one-row weighted table, whose binomial matrix is a single row
+        ["weighted", "--lambda", "3", "--rho", "0.6", "--t", "0.3", "--kmax", "0"],
     ]
 )
 

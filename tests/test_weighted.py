@@ -9,7 +9,9 @@ from fraccount.errors import DegenerateWeights, DomainError, NonConvergent
 from fraccount.pmftable import PmfTable
 from fraccount.weighted import (
     WeightFn,
+    _binomials,
     _kernel,
+    _pascal,
     covariance_corrected,
     covariance_increment,
     q_kernel,
@@ -339,11 +341,41 @@ def test_binomial_past_a_double_is_non_convergent():
         [math.exp(-300.0 + k * math.log(300.0) - math.lgamma(k + 1)) for k in range(1200)]
     )
     wf = WeightFn.from_base(lambda k: float(k), base)
-    with pytest.raises(NonConvergent, match="binomial coefficient"):
-        weighted_process_pmf(base, wf, 0.5, 0.3, 600)
+    builds, messages = _pascal.cache_info().misses, []
+    for _ in range(2):  # refused on every call, and no matrix is built or cached
+        with pytest.raises(NonConvergent, match="binomial coefficient") as err:
+            weighted_process_pmf(base, wf, 0.5, 0.3, 600)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and _pascal.cache_info().misses == builds
     with pytest.raises(NonConvergent, match="binomial coefficient"):
         q_kernel(600, 1199, 0.5, 0.3)
     # the rows a shallow table reads all fit a double
     num, _ = _reference_sums(base, lambda k: float(k), 0.5, 0.3, 20)
     got = weighted_process_pmf(base, wf, 0.5, 0.3, 20)
     assert _hex(got.probs) == _hex(a / wf.normalizer for a in num)
+
+
+# ---- the binomial matrix cached by table shape ----
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (21, 201), (41, 61), (171, 400)])
+def test_cached_binomials_are_read_only_and_exact(rows, cols):
+    got = _binomials(np.arange(rows)[:, None], np.arange(cols))
+    assert got is _binomials(np.arange(rows)[:, None], np.arange(cols))
+    assert got.shape == (rows, cols) and not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 2.0
+    assert [float(v).hex() for v in got.ravel()] == [
+        float(math.comb(n, k)).hex() for k in range(rows) for n in range(cols)
+    ]
+
+
+def test_tables_alternating_shapes_match_the_double_sum():
+    # three shapes in turn, so a cache of two evicts on every call
+    cases = [(poisson_table(1.3, 200), 20), (poisson_table(2.1, 60), 40), (poisson_table(0.7, 29), 5)]
+    for F, rho in [(0.37, 0.3), (0.9, 0.0), (0.2, 1.0)] * 2:
+        for base, K in cases:
+            wf = WeightFn.from_base(_grid_weight, base)
+            num, den = _reference_sums(base, _grid_weight, F, rho, K)
+            assert _hex(weighted_process_pmf(base, wf, F, rho, K).probs) == _hex(a / wf.normalizer for a in num)
+            assert _hex(weights_in_time(base, wf, F, rho, K)) == _hex(a / b for a, b in zip(num, den))
+            assert _pascal.cache_info().currsize <= 2
