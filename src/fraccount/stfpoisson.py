@@ -99,7 +99,7 @@ def _falling(a: float, k: int, r: int) -> float:
 # of governing_residual, before its tail check may extend it
 _SERIES_TERMS = 141
 
-_LEAD = np.array([(-1.0) ** k / math.factorial(k) for k in range(171)])  # leading factors; 171! is past a double
+_LEAD = np.array([(-1.0) ** k / math.factorial(k) for k in range(171)])  # (-1)^k / k!; 171! is past a double
 
 
 def _count_series(
@@ -132,7 +132,7 @@ def _count_series(
         a_r = params.alpha * r + 1.0
         return math.lgamma(a_r) - math.lgamma(a_r - ks[j])
 
-    n_lead = next((i for i, k in enumerate(ks) if k > 170), len(ks))  # 171! is past a double
+    n_lead = next((i for i, k in enumerate(ks) if k >= len(_LEAD)), len(ks))
     n_sum = np.searchsorted(points, n_lead * n_s)
     total, peak, last, used, stopped, lost, refusal = _series_passes(
         log_x, None, (params.nu, 1.0), (_falling, params.alpha, np.array(ks[:n_lead], dtype=int)),
