@@ -9,7 +9,11 @@ empirical estimators here cross-check.
 Randomness is counter-based: every uniform is a pure function of (seed,
 path_index, draw_index).  A batch is drawn in blocks of 2^16 paths on as many
 threads as the process has CPUs, with no setting; its bytes depend on neither
-the block size nor the thread count.  Aggregation uses integer sums only.
+the block size nor the thread count.  A block reads pool sizes from a
+2^12-bucket table built once per config, mixes its branch and count words as
+one flat array and orders pools of 2-4 epochs by compare-exchange networks:
+each gives the values a search, a mix and a sort gave, so the bytes are
+unchanged.  Aggregation uses integer sums only.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import zip_longest
+from functools import cache, cached_property
+from itertools import accumulate, zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,18 +62,23 @@ _CTR_COUNT = 1
 _CTR_TIMES = 2
 
 _BLOCK = 1 << 16  # paths per block: a batch is drawn, and its counts summed, block by block
+_BUCKET_SHIFT = np.uint64(53 - 12)  # a 53-bit count word's top 12 bits pick its bucket in the pool-size lookup
+# compare-exchange networks that order an independent pool of 2, 3 or 4 epochs
+_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+# the splitmix64 shifts and multipliers, then the shift that keeps a word's top 53 bits
+_MIX_STEPS = tuple(map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31, 64 - 53)))
 DEFAULT_TAIL_CUTOFF = 1e-10
 K_MAX = 10**6
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 output stage, in place on a uint64 array; arithmetic wraps
-    # mod 2^64
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    # splitmix64 output stage, in place on a uint64 array; arithmetic wraps mod 2^64
+    s30, m1, s27, m2, s31, _ = _MIX_STEPS
+    x ^= x >> s30
+    x *= m1
+    x ^= x >> s27
+    x *= m2
+    x ^= x >> s31
     return x
 
 
@@ -80,6 +90,7 @@ def _path_keys(seed: int, path_index: np.ndarray) -> np.ndarray:
     return _mix64(key)
 
 
+@cache
 def _draw_offset(counter: int) -> np.uint64:
     """What draw `counter` adds to its path key, reduced mod 2^64."""
     return np.uint64(int(_GOLDEN) * (counter + 1) % 2**64)
@@ -88,7 +99,7 @@ def _draw_offset(counter: int) -> np.uint64:
 def _word53(word: np.ndarray) -> np.ndarray:
     """53-bit word from a key-plus-offset word, mixed in place: the uniform word * 2^-53."""
     word = _mix64(word)
-    word >>= np.uint64(11)
+    word >>= _MIX_STEPS[-1]
     return word
 
 
@@ -124,14 +135,41 @@ class SimConfig:
     epoch_power: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.n_paths <= 0:
-            raise DomainError(f"need a positive path count, got {self.n_paths}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise DomainError(f"seed must be an integer in 64 unsigned bits, got {self.seed}")
+        if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths > 0):
+            raise DomainError(f"need a positive integer path count, got {self.n_paths}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"coupling weight must lie in [0,1], got {self.rho}")
         if not 0.0 < self.horizon < math.inf:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.epoch_power < math.inf:
+            raise DomainError(f"epoch power must be finite and positive, got {self.epoch_power}")
+        cdf = np.asarray(self.count_cdf, dtype=np.float64)  # its last entry may round above 1, as np.cumsum leaves it
+        if cdf.ndim != 1 or not len(cdf) or not np.isfinite(cdf).all() or cdf[0] < 0 or (np.diff(cdf) < 0).any():
+            raise DomainError("pool-size cdf must be a non-empty, finite, non-negative, non-decreasing table")
+
+    @cached_property
+    def _pool_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        # the cuts as 53-bit words and the bucket table over them; no cut for the table's last entry: mass
+        # past the table is below the cutoff and takes the top size
+        cuts = np.ceil(np.asarray(self.count_cdf, dtype=np.float64)[:-1] * 2.0**53).astype(np.uint64)
+        return cuts, _bucket_sizes(cuts)
+
+
+def _bucket_sizes(cuts: np.ndarray) -> np.ndarray:
+    """Pool size of every word in each of the 2^12 buckets, or -1 where a cut splits the bucket."""
+    first = np.arange(2**12, dtype=np.uint64) << _BUCKET_SHIFT
+    lo, hi = np.searchsorted(cuts, [first, first + (first[1] - np.uint64(1))], side="right")
+    return np.where(lo == hi, lo, -1)
+
+
+def _pool_sizes(cuts: np.ndarray, buckets: np.ndarray, count: np.ndarray, out: np.ndarray) -> None:
+    """Number of cuts at or below each 53-bit word, into `out`: its bucket's size, unless a cut splits that."""
+    buckets.take((count >> _BUCKET_SHIFT).view(np.int64), out=out)
+    split = (out < 0).nonzero()[0]
+    if len(split):
+        out[split] = np.searchsorted(cuts, count[split], side="right")
 
 
 def build_count_table(pmf_at: Callable[[int], PmfTable]) -> PmfTable:
@@ -247,48 +285,67 @@ class PathBatch:
         return PathSample(m=hi - lo, event_times=times, common_flag=bool(self.common[i]))
 
 
-def _draw_pools(cfg: SimConfig, index: np.ndarray, common: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Keys of one block of paths; writes their branches into `common` and pool sizes into `m`.
-    A uniform is w * 2^-53 exactly, so u < x just when w < ceil(x * 2^53)."""
+def _draw_pools(cfg: SimConfig, index: np.ndarray, common: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Keys of one block of paths; writes their branches into `common` and the prefix sums of their
+    pool sizes into `ends`.  A uniform is w * 2^-53 exactly, so u < x just when w < ceil(x * 2^53)."""
     key = _path_keys(cfg.seed, index)
-    branch, count = _word53(key + np.array([[_draw_offset(_CTR_BRANCH)], [_draw_offset(_CTR_COUNT)]]))
+    # the branch words, then the count words, mixed as one flat array
+    n = len(key)
+    words = np.empty(2 * n, dtype=np.uint64)
+    np.add(key, _draw_offset(_CTR_BRANCH), out=words[:n])
+    np.add(key, _draw_offset(_CTR_COUNT), out=words[n:])
+    branch, count = _word53(words)[:n], words[n:]
     np.less(branch, np.uint64(math.ceil(cfg.rho * 2.0**53)), out=common)
-    # no cut for the table's last entry: mass past the table is below the cutoff and takes the top size
-    m[:] = np.searchsorted(np.ceil(cfg.count_cdf[:-1] * 2.0**53).astype(np.uint64), count, side="right")
+    _pool_sizes(*cfg._pool_lookup, count, ends)
+    np.cumsum(ends, out=ends)
     return key
 
 
-def _draw_epochs(cfg: SimConfig, key: np.ndarray, common: np.ndarray, starts: np.ndarray, times: np.ndarray) -> None:
-    """Sorted epochs of one block of paths into `times`, its pools starting at `starts` (from 0)."""
-    # epoch draw words: counter _CTR_TIMES + slot in an independent pool,
-    # _CTR_TIMES for every epoch of a common one
+def _draw_epochs(cfg: SimConfig, key: np.ndarray, common: np.ndarray, ends: np.ndarray, base: int,
+                 times: np.ndarray) -> None:
+    """Sorted epochs of one block of paths into `times`; `ends`, the block's prefix sums of pool sizes
+    from 0, is then moved on by `base` to the batch's offsets."""
+    starts = np.concatenate([[0], ends])  # not np.zeros, whose calloc may map fresh pages at this size
+    ends += base
+    # epoch draw words: key + _draw_offset(_CTR_TIMES + slot) for each slot of an independent pool,
+    # key + _draw_offset(_CTR_TIMES) for every epoch of a common one
     owner = np.cumsum(np.bincount(starts[1:-1], minlength=len(times) + 1)[:len(times)])
     word = np.arange(len(times), dtype=np.uint64)
     word -= starts[owner].view(np.uint64)
     word *= ~common[owner]
-    word += np.uint64(_CTR_TIMES + 1)
     word *= _GOLDEN
+    word += _draw_offset(_CTR_TIMES)
     word += key[owner]
     unit = _word53(word).astype(np.float64)
     unit *= 2.0**-53
     unit **= cfg.epoch_power  # in place, by the same power routine as `unit ** p`
     np.multiply(unit, cfg.horizon, out=times)
+    _order_pools(times, starts, common)
 
+
+def _order_pools(times: np.ndarray, starts: np.ndarray, common: np.ndarray) -> None:
+    """Sorts every pool of `times` in place, its pools starting at `starts` (from 0)."""
     # only independent pools of two or more epochs can be out of order (a
     # common pool repeats one epoch); sort the pools of each size as one block
-    m = np.diff(starts)
-    pools = np.flatnonzero((m >= 2) & ~common)
+    m = starts[1:] - starts[:-1]
+    pools = ((m >= 2) & ~common).nonzero()[0]
     if not len(pools):
         return
     sizes = m[pools]
     # small unsigned keys let the stable argsort run as a radix sort
-    pools = pools[np.argsort(sizes.astype(np.min_scalar_type(len(cfg.count_cdf))), kind="stable")]
+    pools = pools[np.argsort(sizes.astype(np.min_scalar_type(sizes.max())), kind="stable")]
     per_size = np.bincount(sizes)
     sizes = np.flatnonzero(per_size)
     ends = np.cumsum(per_size[sizes]).tolist()
     for v, lo, hi in zip(sizes.tolist(), [0, *ends], ends):
-        rows = starts[pools[lo:hi]][:, None] + np.arange(v)
-        times[rows] = np.sort(times[rows], axis=1)
+        rows = starts[pools[lo:hi]] + np.arange(v)[:, None]  # row j: epoch j of every pool of size v
+        if v in _NETWORKS:
+            cols = list(times[rows])
+            for i, j in _NETWORKS[v]:
+                cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+            times[rows] = cols
+        else:
+            times[rows.T] = np.sort(times[rows.T], axis=1)
 
 
 def _workers() -> int:
@@ -296,20 +353,22 @@ def _workers() -> int:
 
 
 def _simulate_indices(cfg: SimConfig, first: int, n: int) -> PathBatch:
-    # paths [first, first + n) in blocks on a thread per CPU (one inline): pool sizes, which fix offsets, then epochs
+    # paths [first, first + n) in blocks on a thread per CPU (one inline): pool sizes, which fix offsets, then
+    # epochs; a block's offsets are summed from 0 in the first pass and moved to its base in the second
     spans = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
     los, his = zip(*spans)
     workers = min(_workers(), len(spans)) if len(spans) > 1 else 1
+    cfg._pool_lookup  # built here, once, rather than by racing workers
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         common = np.empty(n, dtype=bool)
         starts = np.zeros(n + 1, dtype=np.int64)
         keys = list(run(lambda lo, hi: _draw_pools(cfg, np.arange(first + lo, first + hi, dtype=np.uint64),
                                                    common[lo:hi], starts[lo + 1:hi + 1]), los, his))
-        np.cumsum(starts, out=starts)
-        times = np.empty(int(starts[-1]))
-        list(run(lambda key, lo, hi: _draw_epochs(cfg, key, common[lo:hi], starts[lo:hi + 1] - starts[lo],
-                                                  times[starts[lo]:starts[hi]]), keys, los, his))
+        bases = list(accumulate(starts[list(his)].tolist(), initial=0))
+        times = np.empty(bases[-1])
+        list(run(lambda key, lo, hi, base, end: _draw_epochs(cfg, key, common[lo:hi], starts[lo + 1:hi + 1], base,
+                                                             times[base:end]), keys, los, his, bases, bases[1:]))
     return PathBatch(horizon=cfg.horizon, offsets=starts, times=times, common=common)
 
 
@@ -367,7 +426,7 @@ def empirical_cov(batch: PathBatch, s: float, t: float) -> Estimate:
         raise DomainError("need at least 3 paths for a covariance standard error")
     # a path's cell key N(s)*w + N(t), w past every pool size, sums w*[e <= s] + [e <= t] over its
     # epochs e; keys are counted densely while that stays a few times the path count, else as distinct
-    w = int(batch.pool_sizes().max()) + 1
+    w = 1 + max(int(np.diff(batch.offsets[lo:lo + _BLOCK + 1]).max()) for lo in range(0, n, _BLOCK))
     per_epoch = np.multiply(batch._falls_by(s), w, dtype=np.min_scalar_type(w + 1))
     per_epoch += batch._falls_by(t)
     key = batch._path_sums(per_epoch)

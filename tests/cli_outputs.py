@@ -41,6 +41,8 @@ INVOCATIONS = (
         ["simulate", *COUPLED_SIM[:8], "--t", "1", "--paths", "20000", "--seed", "5"],
         # a batch of three simulation blocks
         ["simulate", *COUPLED_SIM[:10], "--paths", "150000", "--seed", "13"],
+        # pools of 0-14 epochs: ordered by compare-exchange up to 4, by np.sort past that
+        ["simulate", "--alpha", "1", "--nu", "1", "--lambda", "4", "--t", "0.5", "--paths", "20000", "--seed", "3"],
         ["negbin", "--r", "2"],
         ["pmf", "--lambda", "x"],
         ["weighted", "--lambda", "0"],

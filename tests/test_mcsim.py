@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -417,18 +419,57 @@ class TestHelpers:
         assert tv_distance([1.0], [0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("field", ["rho", "horizon"])
+CONFIG_FIELDS = ["seed", "n_paths", "rho", "horizon", "count_cdf", "epoch_power"]
+
+
+def sim_config(**fields) -> SimConfig:
+    kwargs = dict(seed=1, n_paths=10, rho=0.0, horizon=1.0, count_cdf=np.array([0.4, 1.0]), epoch_power=1.0)
+    if "count_cdf" in fields and np.ndim(fields["count_cdf"]) == 0:  # a scalar stands for the first entry
+        fields["count_cdf"] = np.array([fields["count_cdf"], 1.0])
+    return SimConfig(**{**kwargs, **fields})
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS)
 def test_sim_config_rejects_nan(field):
-    kwargs = dict(seed=1, n_paths=10, rho=0.0, horizon=1.0, count_cdf=np.array([1.0]), epoch_power=1.0)
     with pytest.raises(DomainError):
-        SimConfig(**{**kwargs, field: math.nan})
+        sim_config(**{field: math.nan})
 
 
-@pytest.mark.parametrize("field", ["rho", "horizon"])
+@pytest.mark.parametrize("field", CONFIG_FIELDS)
 def test_sim_config_rejects_inf(field):
-    kwargs = dict(seed=1, n_paths=10, rho=0.0, horizon=1.0, count_cdf=np.array([1.0]), epoch_power=1.0)
     with pytest.raises(DomainError):
-        SimConfig(**{**kwargs, field: math.inf})
+        sim_config(**{field: math.inf})
+
+
+@pytest.mark.parametrize("fields", [
+    dict(seed=1.5), dict(seed=2.0), dict(seed=2**64), dict(n_paths=100.0), dict(n_paths=0),
+    dict(epoch_power=-1.0), dict(epoch_power=0.0), dict(epoch_power=-math.inf),
+    dict(count_cdf=[0.7, 0.2, 1.0]), dict(count_cdf=[]), dict(count_cdf=[-0.1, 1.0]),
+    dict(count_cdf=np.ones((2, 2))), dict(count_cdf=[0.5, -math.inf]),
+])
+def test_sim_config_rejects_wrong_inputs(fields):
+    # each of these once gave a batch: seed 1.5 the bytes of seed 1, epoch power -1 epochs past the
+    # horizon, a decreasing cdf wrong pool sizes
+    with pytest.raises(DomainError):
+        sim_config(**fields)
+
+
+def test_sim_config_accepts_cumsum_rounding():
+    # np.cumsum may leave the last entry, or a run of entries after the mass is spent, above 1
+    cdf = np.cumsum([1 / 9] * 9 + [0.0])
+    assert cdf[-2] == cdf[-1] > 1.0
+    cfg = sim_config(seed=np.uint64(2**64 - 1), n_paths=np.int64(50), count_cdf=cdf, epoch_power=0.5)
+    assert simulate_paths(cfg).pool_sizes().max() <= 8
+    # a one-entry table, given as a list: every pool is empty
+    assert not simulate_paths(sim_config(count_cdf=[1.0])).pool_sizes().any()
+
+
+def count_lookup_builds(monkeypatch) -> list:
+    """A list that gains an entry each time a config builds its pool-size lookup."""
+    builds = []
+    bucket_sizes = mcsim._bucket_sizes
+    monkeypatch.setattr(mcsim, "_bucket_sizes", lambda cuts: builds.append(cuts) or bucket_sizes(cuts))
+    return builds
 
 
 def batch_bytes(batch: PathBatch) -> tuple[bytes, bytes, bytes]:
@@ -458,6 +499,23 @@ class TestBlocks:
         threads = threading.active_count()
         assert batch_bytes(simulate_paths(cfg)) == batch_bytes(default)
         assert threading.active_count() == threads  # no thread outlives the call
+
+    def test_many_workers_with_fast_thread_switches(self, monkeypatch):
+        # more workers than CPUs on small blocks, switching threads every microsecond: each block
+        # moves only its own offsets, and the pool-size lookup is built once, before the workers start
+        make, times, offsets, common = PINNED_BATCHES["negbin"]
+        cfg = make()
+        builds = count_lookup_builds(monkeypatch)
+        monkeypatch.setattr(mcsim, "_workers", lambda: 5)
+        monkeypatch.setattr(mcsim, "_BLOCK", 257)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = simulate_paths(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (sha256(batch.times), sha256(batch.offsets), sha256(batch.common)) == (times, offsets, common)
+        assert len(builds) == 1
 
     def test_sample_path_matches_rows_across_blocks(self, monkeypatch):
         monkeypatch.setattr(mcsim, "_BLOCK", 4096)
@@ -494,3 +552,94 @@ class TestBlocks:
         assert_sorted_within_paths(batch)
         for i in (0, 6, 7, 1_999):
             assert sample_path(cfg, i) == batch.path(i)
+
+
+BUCKET = 1 << mcsim._BUCKET_SHIFT
+TOP = 2**53 - 1  # the largest 53-bit word
+
+
+def edge_words(cuts: np.ndarray) -> np.ndarray:
+    """Every bucket edge and every cut, each with its two neighbours, as 53-bit words."""
+    marks = np.concatenate([np.arange(2**53 // BUCKET + 1, dtype=np.uint64) * np.uint64(BUCKET), cuts])
+    words = np.concatenate([marks - np.uint64(1), marks, marks + np.uint64(1), [np.uint64(TOP)]])
+    return np.unique(words[words <= TOP])  # marks - 1 wraps at 0, past the top
+
+
+class TestPoolSizeLookup:
+    """The bucketed lookup returns np.searchsorted(cuts, w, side="right") for every word w."""
+
+    @pytest.mark.parametrize("cuts", [
+        [3 * BUCKET, 4 * BUCKET, 4 * BUCKET + 1],  # cuts on and just past bucket edges
+        [0, 0, 7, 7, 7, 2**52, 2**52],  # duplicates from zero-probability entries
+        [2**52, TOP, 2**53, 2**53 + 2],  # last cuts at and past 2^53, from a cdf above 1
+        [],  # a one-entry table has no cut
+        [BUCKET - 1, BUCKET, BUCKET + 1, 4095 * BUCKET],
+    ])
+    def test_lookup_matches_searchsorted(self, cuts):
+        cuts = np.array(cuts, dtype=np.uint64)
+        words = edge_words(cuts)
+        got = np.empty(len(words), dtype=np.int64)
+        mcsim._pool_sizes(cuts, mcsim._bucket_sizes(cuts), words, got)
+        assert np.array_equal(got, np.searchsorted(cuts, words, side="right"))
+
+    @pytest.mark.parametrize("make", [
+        lambda: negbin_sim_config(NEGBIN_SIM, seed=1, n_paths=10),
+        lambda: stfp_sim_config(classical(1.0, 0.3), seed=1, n_paths=10),
+        lambda: sim_config(count_cdf=np.array([0.0, 0.25, 0.25, 0.5 + 2**-53, 1.0, 1.0 + 2**-52, 1.0 + 2**-52])),
+    ])
+    def test_config_lookup_matches_searchsorted(self, make):
+        cfg = make()
+        cuts, buckets = cfg._pool_lookup
+        assert np.array_equal(cuts, np.ceil(np.asarray(cfg.count_cdf)[:-1] * 2.0**53).astype(np.uint64))
+        assert buckets.shape == (4096,) and (buckets < 0).sum() <= len(cuts)
+        words = edge_words(cuts)
+        got = np.empty(len(words), dtype=np.int64)
+        mcsim._pool_sizes(cuts, buckets, words, got)
+        assert np.array_equal(got, np.searchsorted(cuts, words, side="right"))
+
+    def test_negbin_table_has_65_entries(self):
+        assert len(negbin_sim_config(NEGBIN_SIM, seed=1, n_paths=10).count_cdf) == 65
+
+    def test_lookup_built_once_per_config(self, monkeypatch):
+        builds = count_lookup_builds(monkeypatch)
+        cfg = negbin_sim_config(NEGBIN_SIM, seed=3, n_paths=200_000)
+        first = sample_path(cfg, 5)
+        assert sample_path(cfg, 5) == first and len(builds) == 1
+        assert simulate_paths(cfg).path(5) == first and len(builds) == 1  # several blocks, on threads
+
+
+class TestPoolOrdering:
+    """Pools of 2-4 epochs are ordered by compare-exchange networks, larger ones by np.sort."""
+
+    @staticmethod
+    def ordered(pools: list[np.ndarray], common: list[bool]) -> tuple[np.ndarray, np.ndarray]:
+        batch = batch_from_pools(pools, np.array(common))
+        times = batch.times.copy()
+        mcsim._order_pools(times, batch.offsets, batch.common)
+        want = np.concatenate([p if c else np.sort(p) for p, c in zip(pools, common)] or [np.zeros(0)])
+        return times, want
+
+    @pytest.mark.parametrize("v", [2, 3, 4])
+    def test_networks_sort_every_order(self, v):
+        # every permutation of v values with a tie and a 0.0, and every 0/1 sequence: a network
+        # that sorts all of the latter sorts any input
+        values = [0.0, 0.0, 0.5, 0.75][:v] if v > 2 else [0.0, 0.3]
+        pools = [np.array(p) for p in itertools.permutations(values)]
+        pools += [np.array(bits, dtype=np.float64) for bits in itertools.product((0.0, 1.0), repeat=v)]
+        times, want = self.ordered(pools, [False] * len(pools))
+        assert times.tobytes() == want.tobytes()
+
+    def test_mixed_pools_match_np_sort(self):
+        rng = np.random.default_rng(21)
+        pools, common = [], []
+        for _ in range(400):
+            v = int(rng.integers(0, 9))
+            ties = rng.integers(0, 3, v) / 2.0  # 0.0, 0.5 and 1.0, so ties are common
+            pools.append(np.where(rng.random(v) < 0.5, ties, rng.random(v)))
+            common.append(bool(rng.random() < 0.1))
+            if common[-1]:
+                pools[-1][:] = pools[-1][:1]  # a common pool repeats one epoch
+        sizes = {len(p) for p, c in zip(pools, common) if not c}
+        assert sizes >= set(range(9))
+        times, want = self.ordered(pools, common)
+        assert times.tobytes() == want.tobytes()
