@@ -458,7 +458,7 @@ def test_sim_config_accepts_cumsum_rounding():
     # np.cumsum may leave the last entry, or a run of entries after the mass is spent, above 1
     cdf = np.cumsum([1 / 9] * 9 + [0.0])
     assert cdf[-2] == cdf[-1] > 1.0
-    cfg = sim_config(seed=np.uint64(2**64 - 1), n_paths=np.int64(50), count_cdf=cdf, epoch_power=0.5)
+    cfg = sim_config(seed=np.int64(2**63 - 1), n_paths=np.int64(50), count_cdf=cdf, epoch_power=0.5)
     assert simulate_paths(cfg).pool_sizes().max() <= 8
     # a one-entry table, given as a list: every pool is empty
     assert not simulate_paths(sim_config(count_cdf=[1.0])).pool_sizes().any()
