@@ -176,37 +176,31 @@ def _radius(level: float) -> float:
 
 
 def _core_arg(level: float, alpha: float, u: float) -> float:
-    # the Mittag-Leffler argument of the core transform at u
+    # the Mittag-Leffler argument of the core transform at u: exactly 0 at
+    # u = 1, which the formula can miss by a rounding at a small level
+    if u == 1.0:
+        return 0.0
     x = (1.0 - (1.0 - level) * u) / level
     if x <= 0.0:
         raise DomainError(f"transform argument {u} outside radius {_radius(level)}")
     return -_signed_log_power(x, alpha)
 
 
-def _pgf_branches(params: NegBinParams, t: float, us) -> tuple[float, float]:
-    """q(t) and the activation profile F of pgf_negbin at t, once every u of
-    us is inside the radius of convergence: the terminal success level's once
-    the held branch is active (rho > 0), q(t)'s otherwise."""
+def pgf_negbin(params: NegBinParams, t: float, u: float) -> float:
+    """Probability generating function at time t.
+
+    |u| must lie below the radius of convergence of every branch of nonzero
+    weight: 1/(1 - q(t)) for the running branch, 1/(1 - p) for the held one
+    (weight rho*F, so at t = 0 the held branch sets no radius).  The
+    continuation above u = 1 is taken with the signed log power, which is
+    what the operator equations act on.  Returns exactly 1.0 at u = 1.
+    """
     rho, qt = params.rho, params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
-    # only branches with nonzero weight constrain the radius (at t=0 the
-    # held branch has weight rho*F = 0 and the pgf is entire)
     use_run, use_held = _live_branches(frac, rho, qt == params.p)
     bound = min(_radius(qt) if use_run else math.inf, _radius(params.p) if use_held else math.inf)
-    for u in us:
-        if not abs(u) < bound:
-            raise DomainError(f"|u|={abs(u)} outside radius {bound}")
-    return qt, frac
-
-
-def pgf_negbin(params: NegBinParams, t: float, u: float) -> float:
-    """Probability generating function at time t, |u| below the radius of
-    convergence (see _pgf_branches).
-
-    The continuation above u = 1 is taken with the signed log power, which
-    is what the operator equations act on.  Returns exactly 1.0 at u = 1.
-    """
-    qt, frac = _pgf_branches(params, t, [u])
+    if not abs(u) < bound:
+        raise DomainError(f"|u|={abs(u)} outside radius {bound}")
     if u == 1.0:
         return 1.0
     a, nu, r = params.alpha, params.nu, params.r
@@ -215,27 +209,7 @@ def pgf_negbin(params: NegBinParams, t: float, u: float) -> float:
         return lambda: mittag_leffler(nu, 1.0, _core_arg(level, a, u)).value ** r
 
     held = None if qt == params.p else transform(params.p)
-    return _branch_transform(transform(qt), held, frac, params.rho)
-
-
-def _pgf_negbin_many(params: NegBinParams, t: float, us) -> np.ndarray:
-    """pgf_negbin(params, t, u) at every u of us, with one
-    _mittag_leffler_many call per live branch; _branch_transform mixes the
-    arrays in the scalar operation order."""
-    qt, frac = _pgf_branches(params, t, us)
-    us = np.asarray(us, dtype=float)
-    out, at = np.ones(us.size), (us != 1.0).nonzero()[0]
-    a, nu, r, rest = params.alpha, params.nu, params.r, us[at].tolist()
-
-    def transform(level: float) -> Callable[[], np.ndarray]:
-        def values() -> np.ndarray:
-            base = _mittag_leffler_many(nu, 1.0, [_core_arg(level, a, u) for u in rest])
-            return np.array([b**r for b in base.tolist()])
-        return values
-
-    held = None if qt == params.p else transform(params.p)
-    out[at] = _branch_transform(transform(qt), held, frac, params.rho)
-    return out
+    return _branch_transform(transform(qt), held, frac, rho)
 
 
 def _core_pmf(level: float, alpha: float, nu: float, K: int) -> Iterator[float]:
@@ -319,13 +293,23 @@ def operator_residual_prop33(params: NegBinParams, t: float, rho: float, u: floa
         raise DomainError("identity requires matching space and time indices")
     if rho not in (0.0, 1.0):
         raise DomainError(f"identity stated only for coupling 0 or 1, got {rho}")
-    work = replace(params, rho=rho)
     level = params.p if rho == 1.0 else params.q(t)
     if not 1.0 < u < _radius(level):
         raise DomainError(f"u={u} outside (1, {_radius(level)})")
+
+    def pgf_many(vs: np.ndarray) -> np.ndarray:
+        # pgf_negbin's bits at every stencil point v <= u (v = 1 included):
+        # the running transform at rho = 0; at rho = 1 the mixture
+        # _branch_transform forms, 1 while no epoch has fallen (F = 0)
+        frac = F_negbin(params, t) if rho == 1.0 else None
+        if frac == 0.0:
+            return np.ones(vs.size)
+        g = _mittag_leffler_many(params.nu, 1.0, [_core_arg(level, params.alpha, v) for v in vs.tolist()])
+        return g if frac is None else (1.0 - frac) + frac * g
+
     op = OperatorOAlphaSpec(alpha=params.alpha, a=1.0 / level, b=(level - 1.0) / level)
-    lhs = _operator_quadrature(op, lambda v: _pgf_negbin_many(work, t, v), u)
-    rhs = -pgf_negbin(work, t, u)
+    lhs = _operator_quadrature(op, pgf_many, u)
+    rhs = -pgf_negbin(replace(params, rho=rho), t, u)
     if rho == 1.0:
         rhs += 1.0 - F_negbin(params, t)
     return abs(lhs - rhs)

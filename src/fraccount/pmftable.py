@@ -93,7 +93,7 @@ def _branch_transform(
     running: Callable[[], float], held: Callable[[], float] | None, frac: float, rho: float
 ) -> float:
     """Mixture of the two branch transform values, each a thunk returning a
-    float or an array (elementwise, in the same operation order)."""
+    float."""
     use_run, use_held = _live_branches(frac, rho, held is None)
     run = running() if use_run else 0.0
     out = (1.0 - rho) * run

@@ -14,12 +14,14 @@ fox_wright takes a SpecfunConfig, to set its cancellation limit.  A term is
 infinite only where math.exp overflows, and a sum whose partial sum is not
 finite is refused.
 
-Coefficients that do not depend on a series' argument live in tuple rows
-coef(a, b, r) of 64 consecutive r under one functools.lru_cache (_block),
-read by slice (_row) or in order (_row_iter), and in read-only numpy blocks of
-64 r by 8 k of the STFP count series' falling weights coef(a, k, r) (_weights),
-which a pass slices without converting a float.  Each holds the exact
-expression a term would form inline, so the terms and sums are the same bits.
+Coefficients that do not depend on a series' argument are cached.  The
+lgamma(a r + b) of the denominators live in tuple rows of 64 consecutive r
+under one functools.lru_cache (_block), read by slice (_row) or in order
+(_row_iter).  The STFP count series' falling weights _falling(a, k, r) live in
+read-only numpy blocks of 64 r by 8 k (_weights), which a pass slices without
+converting a float and the residual series reads a column of.  Each holds the
+exact expression a term would form inline, so the terms and sums are the same
+bits.
 
 Sums over many arguments at once go through one array pass loop,
 _series_passes, with two callers: the STFP count series
@@ -34,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,37 +200,38 @@ _BLOCK, _COLS = 64, 8  # terms r a block, and k a weight block
 
 
 @functools.lru_cache(maxsize=1024)
-def _block(coef: Callable[..., float], a: float, b: float, i: int) -> tuple[float, ...]:
-    """coef(a, b, r) for the _BLOCK indices r of block i.  A block never
+def _block(a: float, b: float, i: int) -> tuple[float, ...]:
+    """lgamma(a r + b) for the _BLOCK indices r of block i.  A block never
     changes, so two threads building one at once build the same floats."""
-    return tuple(coef(a, b, r) for r in range(i * _BLOCK, (i + 1) * _BLOCK))
+    return tuple(math.lgamma(a * r + b) for r in range(i * _BLOCK, (i + 1) * _BLOCK))
 
 
-def _row(coef: Callable[..., float], a: float, b: float, lo: int, hi: int) -> tuple[float, ...]:
-    """coef(a, b, r) for lo <= r < hi, read from the blocks."""
+def _row(a: float, b: float, lo: int, hi: int) -> tuple[float, ...]:
+    """lgamma(a r + b) for lo <= r < hi, read from the blocks."""
     i, j = divmod(lo, _BLOCK)
-    row = _block(coef, a, b, i)[j : j + hi - lo]
+    row = _block(a, b, i)[j : j + hi - lo]
     while len(row) < hi - lo:
         i += 1
-        row += _block(coef, a, b, i)[: hi - lo - len(row)]
+        row += _block(a, b, i)[: hi - lo - len(row)]
     return row
 
 
-def _row_iter(coef: Callable[..., float], a: float, b: float) -> Iterator[float]:
-    """coef(a, b, 0), coef(a, b, 1), ... read block by block."""
-    return itertools.chain.from_iterable(map(functools.partial(_block, coef, a, b), itertools.count()))
+def _row_iter(a: float, b: float) -> Iterator[float]:
+    """lgamma(b), lgamma(a + b), lgamma(2 a + b), ... read block by block."""
+    return itertools.chain.from_iterable(map(functools.partial(_block, a, b), itertools.count()))
+
+
+def _falling(a: float, k: int, r: int) -> float:
+    # term r of the row (-1)^r * Gamma(a r + 1) / Gamma(a r + 1 - k), r = 0, 1, ...
+    return (-1.0) ** r * gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
 
 
 @functools.lru_cache(maxsize=256)
-def _weights(coef: Callable[..., float], a: float, k0: int, i: int) -> tuple[np.ndarray, bool]:
-    """coef(a, k, r) at the r of block i (rows), k0 <= k < k0 + _COLS: read-only, and whether one is inf."""
-    w = np.array([[coef(a, k, r) for k in range(k0, k0 + _COLS)] for r in range(_BLOCK * i, _BLOCK * (i + 1))])
+def _weights(a: float, k0: int, i: int) -> tuple[np.ndarray, bool]:
+    """_falling(a, k, r) at the r of block i (rows), k0 <= k < k0 + _COLS: read-only, and whether one is inf."""
+    w = np.array([[_falling(a, k, r) for k in range(k0, k0 + _COLS)] for r in range(_BLOCK * i, _BLOCK * (i + 1))])
     w.flags.writeable = False
     return w, bool(np.isinf(w).any())
-
-
-def _lgamma(slope: float, offset: float, r: int) -> float:
-    return math.lgamma(slope * r + offset)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -248,19 +251,20 @@ _POWERS, _PASS = 1024, 8
 _NORMAL_MIN = np.finfo(float).tiny
 
 
-def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
+def _series_passes(log_x, neg, lg_key, rows, points, label):
     """The one array loop of the series sums: at every point p = j*n + c of
     points (ascending, n = len(log_x)) the sum over r of w_j(r) times
     (-1)^r (where neg[c]) times exp(r*log_x[c] - lgamma(slope*r + offset)),
-    lg_key = (slope, offset).  rows = (coef, a, ks) gives the weight rows
-    w_j(r) = coef(a, ks[j], r) (ks an int array), None the one row w = 1; neg may be None.
+    lg_key = (slope, offset).  rows = (a, ks) gives the weight rows
+    w_j(r) = _falling(a, ks[j], r) (ks an int array), None the one row w = 1; neg may be None.
 
     Each pass adds a block of terms to every live point: math.exp forms each
     power once per live column (inf where it overflows), and np.cumsum
     carries each partial sum on in order, as _sum_series adds.  With rows, the
     _weights blocks broadcast against the powers where one k or one column is
     live, and a term whose power is below the normal range, or whose weight
-    is inf, is formed as sign * exp(exponent + log_weight(j, r)).  A sum stops at its
+    is inf, is formed as sign * exp(exponent + log|w_j(r)|), the log weight
+    lgamma(a r + 1) - lgamma(a r + 1 - ks[j]) formed here.  A sum stops at its
     third small term in a row: below _REL_TOL times the partial sum, or, with
     rows, exactly 0 where its weight is not (an underflowed power), so a sum
     whose partial sum is subnormal or 0 stops too, while a prefix of weight-0
@@ -271,7 +275,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
     first refused one, which of those fail the cancellation limit, and the
     refusal (or None).
     """
-    n, (coef, a, ks) = len(log_x), rows or (None, None, [0])
+    n, (a, ks) = len(log_x), rows or (None, [0])
     total, peak, last, used = np.zeros((4, n * len(ks)))
     runs = np.zeros((2, total.size), dtype=bool)
     live, lo, first, refusal = points, 0, total.size, None
@@ -281,7 +285,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
             k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
             hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), _MAX_TERMS)
             # one row per term, one column per point
-            lg = np.array(_row(_lgamma, *lg_key, lo, hi))
+            lg = np.array(_row(*lg_key, lo, hi))
             arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
             try:
                 power = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
@@ -296,7 +300,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
             if rows is not None:
                 kc = ks[k_on]  # the live weight columns, from the weight blocks at k0, k0 + _COLS, ...
                 k0 = kc.min() // _COLS * _COLS
-                blocks = [[_weights(coef, a, k, i) for k in range(k0, kc.max() + 1, _COLS)]
+                blocks = [[_weights(a, k, i) for k in range(k0, kc.max() + 1, _COLS)]
                           for i in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1)]
                 ratio = np.concatenate([np.concatenate([w for w, _ in line], axis=1) for line in blocks])
                 grid = k_on.size == 1 or s_on.size == 1  # the live points are k_on x s_on, in order
@@ -307,7 +311,8 @@ def _series_passes(log_x, neg, lg_key, rows, points, label, log_weight=None):
                 if power.min() < _NORMAL_MIN or any(wild for line in blocks for _, wild in line):
                     odd = (power < _NORMAL_MIN) & (ratio != 0.0) | np.isinf(ratio)  # an inf power stays inf
                     for i, j in zip(*odd.nonzero()):
-                        x = arg[i, np.searchsorted(s_on, si[j])] + log_weight(ki[j], lo + i)
+                        a_r = a * (lo + i) + 1.0
+                        x = arg[i, np.searchsorted(s_on, si[j])] + (math.lgamma(a_r) - math.lgamma(a_r - ks[ki[j]]))
                         term[i, j] = math.copysign(_exp_or_inf(x), np.broadcast_to(ratio, term.shape)[i, j])
                 underflow = (term == 0.0) & (ratio != 0.0)  # not a term whose weight is 0
             mag = np.abs(term)
@@ -358,8 +363,8 @@ def _ml_series(alpha: float, beta: float, gamma: float | None, x: float, what: s
     total = max_mag = last_mag = log_poch = 0.0  # log_poch = log|(gamma)^(r)|
     small_run = neg = ended = 0  # ended: the rising factorial has vanished
     for lo in range(0, _MAX_TERMS, _BLOCK):
-        den = _block(_lgamma, alpha, beta, lo // _BLOCK)
-        fact = den if gamma is None else _block(_lgamma, 1.0, 1.0, lo // _BLOCK)
+        den = _block(alpha, beta, lo // _BLOCK)
+        fact = den if gamma is None else _block(1.0, 1.0, lo // _BLOCK)
         for r, lg_fact, lg_den in zip(range(lo, _MAX_TERMS), fact, den):
             if gamma is None:
                 arg, neg = r * log_ax - lg_den, r & neg_x
@@ -538,6 +543,11 @@ def stirling_first(k: int, h: int) -> int:
     Row recurrence s(k+1, h) = s(k, h-1) - k * s(k, h), one cached row per
     k (a concurrent first access may build a row twice, to the same
     integers). Indices outside 0 <= h <= k <= STIRLING_CAP raise OutOfRange.
+
+    No process module calls it: fnegbin runs its own unsigned Stirling
+    recurrence and reads only STIRLING_CAP.  The public name stays because
+    acceptance criterion 7 pins it, against an independent triangle and the
+    frozen row STIRLING_ROW_10.
     """
     if not (0 <= k <= STIRLING_CAP):
         raise OutOfRange(f"k must be in [0, {STIRLING_CAP}], got {k}")

@@ -28,13 +28,14 @@ from .fracops import (
 )
 from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
 from .specfun import (
+    _COLS,
     _CORE_ABS_GUARD,
     _cancelled,
     _error_estimate,
     _exp_or_inf,
-    _lgamma,
     _row_iter,
     _series_passes,
+    _weights,
     gamma_ratio_signed,
     gen_binom,
     gen_mittag_leffler,
@@ -90,11 +91,6 @@ def F_stfp(params: StfpParams, t: float) -> float:
     return (t / params.T) ** (params.nu / params.alpha)
 
 
-def _falling(a: float, k: int, r: int) -> float:
-    # term r of the row (-1)^r * Gamma(a r + 1) / Gamma(a r + 1 - k), r = 0, 1, ...
-    return (-1.0) ** r * gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
-
-
 # terms r = 0..140 of the running branch's power series in the series route
 # of governing_residual, before its tail check may extend it
 _SERIES_TERMS = 141
@@ -128,15 +124,10 @@ def _count_series(
     def label(p):
         return f"count series (k={ks[p // n_s]}, s={float(s[p % n_s])})"
 
-    def log_weight(j, r):  # log|falling weight| of row j at term r
-        a_r = params.alpha * r + 1.0
-        return math.lgamma(a_r) - math.lgamma(a_r - ks[j])
-
     n_lead = next((i for i, k in enumerate(ks) if k >= len(_LEAD)), len(ks))
     n_sum = np.searchsorted(points, n_lead * n_s)
     total, peak, last, used, stopped, lost, refusal = _series_passes(
-        log_x, None, (params.nu, 1.0), (_falling, params.alpha, np.array(ks[:n_lead], dtype=int)),
-        points[:n_sum], label, log_weight=log_weight)
+        log_x, None, (params.nu, 1.0), (params.alpha, np.array(ks[:n_lead], dtype=int)), points[:n_sum], label)
     if refusal is None and n_sum < points.size:
         p = points[n_sum]
         refusal = NonConvergent(f"{label(p)}: {ks[p // n_s]}! overflows a double")
@@ -329,7 +320,10 @@ def _series_lhs(params: StfpParams, t: float, k: int, tbl_T) -> float:
     pairs: list[tuple[float, float]] = []
     at_t: list[float] = []
     partial = None  # the sum at t, once the first _SERIES_TERMS are in
-    rows = zip(itertools.count(), _row_iter(_lgamma, nu, 1.0), _row_iter(_falling, a, k))
+    # the falling weights of k: column k of the cached weight blocks
+    ratios = itertools.chain.from_iterable(
+        _weights(a, k - k % _COLS, i)[0][:, k % _COLS].tolist() for i in itertools.count())
+    rows = zip(itertools.count(), _row_iter(nu, 1.0), ratios)
     for r, lg_den, ratio in rows:
         if r >= _SERIES_TERMS:
             tail = abs(at_t[-1]) if at_t else 0.0

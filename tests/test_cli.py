@@ -135,16 +135,7 @@ def _public_residual(equation, point):
         method = equation.rsplit("_", 1)[1]
         return governing_residual(params, kv["t"], int(kv["k"]), method=method)
     if equation == "negbin_operator_identity":
-        index, rho, u = kv["alpha=nu"], kv["rho"], kv["u"]
-        nb = NegBinParams(p=0.5, r=1, alpha=index, nu=index, rho=rho, T=1.0,
-                          q_profile=Example31Profile(0.5))
-        level = 0.5 if rho == 1.0 else nb.q(0.5)
-        op = OperatorOAlphaSpec(alpha=index, a=1.0 / level, b=(level - 1.0) / level)
-        lhs = operator_O_alpha_quadrature(op, lambda v: pgf_negbin(nb, 0.5, v), u)
-        rhs = -pgf_negbin(nb, 0.5, u)
-        if rho == 1.0:
-            rhs += 1.0 - F_negbin(nb, 0.5)
-        return abs(lhs - rhs)
+        return _public_operator_residual(0.5, kv["alpha=nu"], 0.5, kv["rho"], kv["u"])
     spec = OperatorOAlphaSpec(alpha=kv["alpha"], a=1.0, b=1.0)
     if equation == "log_power_closed_vs_quadrature":
         beta = kv["beta"]
@@ -158,6 +149,20 @@ def _public_residual(equation, point):
     return abs(operator_O_alpha_quadrature(spec, f, kv["z"]) + gam * f(kv["z"]))
 
 
+def _public_operator_residual(p, index, t, rho, u):
+    # operator_residual_prop33 rebuilt from the public scalar APIs, one
+    # pgf_negbin call per stencil point; q runs from 1 at t = 0 to p at T = 1
+    nb = NegBinParams(p=p, r=1, alpha=index, nu=index, rho=rho, T=1.0,
+                      q_profile=Example31Profile(1.0 - p))
+    level = p if rho == 1.0 else nb.q(t)
+    op = OperatorOAlphaSpec(alpha=index, a=1.0 / level, b=(level - 1.0) / level)
+    lhs = operator_O_alpha_quadrature(op, lambda v: pgf_negbin(nb, t, v), u)
+    rhs = -pgf_negbin(nb, t, u)
+    if rho == 1.0:
+        rhs += 1.0 - F_negbin(nb, t)
+    return abs(lhs - rhs)
+
+
 def test_verify_rows_match_public_scalar_apis():
     # the grouped residuals and array integrands give every row the bits of
     # the public scalar calls
@@ -165,6 +170,30 @@ def test_verify_rows_match_public_scalar_apis():
     assert len(rows) == 167
     for equation, point, residual, _, _ in rows:
         assert float(residual).hex() == _public_residual(equation, point).hex(), (equation, point)
+
+
+# off the verify grid (p = 0.5, t = 0.5): p = 0.3; t = 0.25, and t = T,
+# where the held branch reads the running one; rho = 1 at t = 0, where
+# F = 0 and the integrand is 1; alpha = nu = 1 on the backward stencil; u
+# near 1 and near the radius 1/(1 - level), 1.43 at level p.  At the deepest
+# nodes exp(w) rounds to 1 and a stencil point lands on v = 1, where the pgf
+# is exactly 1; the last three points read that value in a finite difference
+OFF_GRID_OPERATOR = [
+    *((0.3, index, t, rho, u)
+      for index in (0.6, 0.85, 1.0)
+      for t, rho in ((0.25, 0.0), (0.25, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+      for u in (1.05, 1.4)),
+    (0.1, 0.8, 0.5, 1.0, 1.0786441174032764),
+    (0.01, 0.6, 0.25, 1.0, 1.001121043564834),
+    (0.01, 0.8, 0.5, 1.0, 1.009577185299732),
+]
+
+
+@pytest.mark.parametrize("p, index, t, rho, u", OFF_GRID_OPERATOR)
+def test_operator_residual_matches_public_scalar_apis_off_grid(p, index, t, rho, u):
+    nb = NegBinParams(p=p, r=1, alpha=index, nu=index, rho=0.5, T=1.0, q_profile=Example31Profile(1.0 - p))
+    got = fnegbin.operator_residual_prop33(nb, t, rho, u)
+    assert got.hex() == _public_operator_residual(p, index, t, rho, u).hex()
 
 
 def test_verify_pass_work(monkeypatch):
