@@ -238,9 +238,7 @@ def _verify_rows() -> list[tuple[str, str, str, str, str]]:
             spec = OperatorOAlphaSpec(alpha=alpha, a=1.0, b=1.0)
 
             def f_many(taus: np.ndarray, alpha=alpha, gam=gam) -> np.ndarray:
-                return _mittag_leffler_many(
-                    alpha, 1.0, [-gam * math.log(1.0 + tau) ** alpha for tau in taus.tolist()]
-                )
+                return _mittag_leffler_many(alpha, [-gam * math.log(1.0 + tau) ** alpha for tau in taus.tolist()])
 
             for z in (0.8, 1.5):
                 got = _operator_quadrature(spec, f_many, z)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CancellationLoss, DomainError, InvalidProfile, OutOfRange, UnsupportedR
 from .fracops import OperatorOAlphaSpec, _operator_quadrature
-from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
+from .pmftable import PmfTable, _branch_table, _branch_transform, _check_index, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
     _EPS,
@@ -266,8 +266,7 @@ def pmf_negbin_r1(params: NegBinParams, t: float, K: int) -> PmfTable:
     """
     if params.r != 1:
         raise UnsupportedR(f"closed-form pmf exists for shape 1 only, got r={params.r}")
-    if K < 0:
-        raise DomainError(f"truncation index must be >= 0, got {K}")
+    _check_index(K, "truncation index")
     rho, a, nu = params.rho, params.alpha, params.nu
     qt = params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
@@ -294,6 +293,8 @@ def operator_residual_prop33(params: NegBinParams, t: float, rho: float, u: floa
     if rho not in (0.0, 1.0):
         raise DomainError(f"identity stated only for coupling 0 or 1, got {rho}")
     level = params.p if rho == 1.0 else params.q(t)
+    if level == 1.0:  # the running level only (p < 1): the operator's map a + b z has b = 0
+        raise DomainError(f"identity degenerates at success level 1: q({t})={level}")
     if not 1.0 < u < _radius(level):
         raise DomainError(f"u={u} outside (1, {_radius(level)})")
 
@@ -304,7 +305,7 @@ def operator_residual_prop33(params: NegBinParams, t: float, rho: float, u: floa
         frac = F_negbin(params, t) if rho == 1.0 else None
         if frac == 0.0:
             return np.ones(vs.size)
-        g = _mittag_leffler_many(params.nu, 1.0, [_core_arg(level, params.alpha, v) for v in vs.tolist()])
+        g = _mittag_leffler_many(params.nu, [_core_arg(level, params.alpha, v) for v in vs.tolist()])
         return g if frac is None else (1.0 - frac) + frac * g
 
     op = OperatorOAlphaSpec(alpha=params.alpha, a=1.0 / level, b=(level - 1.0) / level)

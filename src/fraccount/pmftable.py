@@ -13,6 +13,8 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CancellationLoss, DomainError
 
 # tolerated numeric slop: series roundoff may push a probability a hair
@@ -62,6 +64,14 @@ class PmfTable:
 
     def head_mass(self) -> float:
         return math.fsum(self.probs)
+
+
+def _check_index(value, what: str) -> None:
+    """Refuse an index that is not an int or a numpy integer, or is negative."""
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise DomainError(f"{what} must be >= 0, got {value}")
 
 
 def _live_branches(frac: float, rho: float, held_is_running: bool) -> tuple[bool, bool]:

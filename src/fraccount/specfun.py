@@ -14,29 +14,29 @@ fox_wright takes a SpecfunConfig, to set its cancellation limit.  A term is
 infinite only where math.exp overflows, and a sum whose partial sum is not
 finite is refused.
 
-Coefficients that do not depend on a series' argument are cached.  The
-lgamma(a r + b) of the denominators live in tuple rows of 64 consecutive r
-under one functools.lru_cache (_block), read by slice (_row) or in order
-(_row_iter).  The STFP count series' falling weights _falling(a, k, r) live in
-read-only numpy blocks of 64 r by 8 k (_weights), which a pass slices without
-converting a float and the residual series reads a column of.  Each holds the
-exact expression a term would form inline, so the terms and sums are the same
-bits.
+Coefficients that do not depend on a series' argument are cached, and every
+reader takes them one way, by term block of 64 r: the lgamma(a r + b) of the
+denominators as tuples under one functools.lru_cache (_block), the STFP count
+series' falling weights _falling(a, k, r) as read-only numpy blocks of 64 r
+by 8 k (_weights).  _ml_series and the residual series walk the blocks in
+order; a pass joins the blocks its terms span and slices them.  Each holds
+the exact expression a term would form inline, so the terms and sums are the
+same bits.
 
 Sums over many arguments at once go through one array pass loop,
 _series_passes, with two callers: the STFP count series
 (stfpoisson._count_series, falling weights) and _mittag_leffler_many
-(weight 1, a sign per point), which returns mittag_leffler's values bit for
-bit.  One argument at a time, mittag_leffler and gen_mittag_leffler sum in
-one fused loop, _ml_series: a pass costs some 70 us whatever its width,
-against a few us for one scalar sum.  _sum_series serves fox_wright alone.
+(beta = 1, weight 1, a sign per point), which returns mittag_leffler's values
+bit for bit.  One argument at a time, mittag_leffler and gen_mittag_leffler
+sum in one fused loop, _ml_series: a pass costs some 70 us whatever its
+width, against a few us for one scalar sum.  _sum_series serves fox_wright
+alone.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,21 +206,6 @@ def _block(a: float, b: float, i: int) -> tuple[float, ...]:
     return tuple(math.lgamma(a * r + b) for r in range(i * _BLOCK, (i + 1) * _BLOCK))
 
 
-def _row(a: float, b: float, lo: int, hi: int) -> tuple[float, ...]:
-    """lgamma(a r + b) for lo <= r < hi, read from the blocks."""
-    i, j = divmod(lo, _BLOCK)
-    row = _block(a, b, i)[j : j + hi - lo]
-    while len(row) < hi - lo:
-        i += 1
-        row += _block(a, b, i)[: hi - lo - len(row)]
-    return row
-
-
-def _row_iter(a: float, b: float) -> Iterator[float]:
-    """lgamma(b), lgamma(a + b), lgamma(2 a + b), ... read block by block."""
-    return itertools.chain.from_iterable(map(functools.partial(_block, a, b), itertools.count()))
-
-
 def _falling(a: float, k: int, r: int) -> float:
     # term r of the row (-1)^r * Gamma(a r + 1) / Gamma(a r + 1 - k), r = 0, 1, ...
     return (-1.0) ** r * gamma_ratio_signed(a * r + 1.0, a * r + 1.0 - k)
@@ -251,29 +236,30 @@ _POWERS, _PASS = 1024, 8
 _NORMAL_MIN = np.finfo(float).tiny
 
 
-def _series_passes(log_x, neg, lg_key, rows, points, label):
+def _series_passes(log_x, neg, slope, rows, points, label):
     """The one array loop of the series sums: at every point p = j*n + c of
     points (ascending, n = len(log_x)) the sum over r of w_j(r) times
-    (-1)^r (where neg[c]) times exp(r*log_x[c] - lgamma(slope*r + offset)),
-    lg_key = (slope, offset).  rows = (a, ks) gives the weight rows
-    w_j(r) = _falling(a, ks[j], r) (ks an int array), None the one row w = 1; neg may be None.
+    (-1)^r (where neg[c]) times exp(r*log_x[c] - lgamma(slope*r + 1)).
+    rows = (a, ks) gives the weight rows w_j(r) = _falling(a, ks[j], r) (ks
+    an int array), None the one row w = 1; neg may be None.
 
-    Each pass adds a block of terms to every live point: math.exp forms each
-    power once per live column (inf where it overflows), and np.cumsum
-    carries each partial sum on in order, as _sum_series adds.  With rows, the
-    _weights blocks broadcast against the powers where one k or one column is
-    live, and a term whose power is below the normal range, or whose weight
-    is inf, is formed as sign * exp(exponent + log|w_j(r)|), the log weight
-    lgamma(a r + 1) - lgamma(a r + 1 - ks[j]) formed here.  A sum stops at its
-    third small term in a row: below _REL_TOL times the partial sum, or, with
-    rows, exactly 0 where its weight is not (an underflowed power), so a sum
-    whose partial sum is subnormal or 0 stops too, while a prefix of weight-0
-    (annihilated) terms never stops one.  A point is refused for a partial
-    sum that is not finite (an overflowing term or sum) or no stop within
-    _MAX_TERMS, and later points are dropped.  Returns the partial sum, max
-    term, last term and terms used per point, the points stopped before the
-    first refused one, which of those fail the cancellation limit, and the
-    refusal (or None).
+    Each pass adds the terms lo <= r < hi to every live point, from the
+    _block and _weights blocks that span them, joined and sliced: math.exp
+    forms each power once per live column (inf where it overflows), and
+    np.cumsum carries each partial sum on in order, as _sum_series adds.  The
+    weights broadcast against the powers where one k or one column is live,
+    and a term whose power is below the normal range, or whose weight is inf,
+    is formed as sign * exp(exponent + log|w_j(r)|), the log weight
+    lgamma(a r + 1) - lgamma(a r + 1 - ks[j]) formed here.  One small-term
+    rule holds for every sum: it stops at its third small term in a row,
+    below _REL_TOL times the partial sum or exactly 0 where its weight is not
+    (an underflowed power), so a sum whose partial sum is subnormal or 0
+    stops too, while a prefix of weight-0 (annihilated) terms never stops
+    one.  A point is refused for a partial sum that is not finite (an
+    overflowing term or sum) or no stop within _MAX_TERMS, and later points
+    are dropped.  Returns the partial sum, max term, last term and terms used
+    per point, the points stopped before the first refused one, which of
+    those fail the cancellation limit, and the refusal (or None).
     """
     n, (a, ks) = len(log_x), rows or (None, [0])
     total, peak, last, used = np.zeros((4, n * len(ks)))
@@ -284,8 +270,9 @@ def _series_passes(log_x, neg, lg_key, rows, points, label):
             ki, si = np.divmod(live, n)
             k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
             hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), _MAX_TERMS)
+            span, cut = range(lo // _BLOCK, (hi - 1) // _BLOCK + 1), slice(lo % _BLOCK, lo % _BLOCK + hi - lo)
             # one row per term, one column per point
-            lg = np.array(_row(*lg_key, lo, hi))
+            lg = np.array(sum((_block(slope, 1.0, i) for i in span), ())[cut])
             arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
             try:
                 power = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
@@ -294,17 +281,14 @@ def _series_passes(log_x, neg, lg_key, rows, points, label):
             term = power = power.reshape(arg.shape)
             if neg is not None:  # odd r at a negative argument
                 power[1 - lo % 2::2, neg[s_on]] *= -1.0
-            # mittag_leffler's leading terms may underflow before the series grows, so with
-            # rows None, as there, no 0 term is small for being 0
-            underflow = False
+            ratio = 1.0  # the one row w = 1
             if rows is not None:
                 kc = ks[k_on]  # the live weight columns, from the weight blocks at k0, k0 + _COLS, ...
                 k0 = kc.min() // _COLS * _COLS
-                blocks = [[_weights(a, k, i) for k in range(k0, kc.max() + 1, _COLS)]
-                          for i in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1)]
+                blocks = [[_weights(a, k, i) for k in range(k0, kc.max() + 1, _COLS)] for i in span]
                 ratio = np.concatenate([np.concatenate([w for w, _ in line], axis=1) for line in blocks])
                 grid = k_on.size == 1 or s_on.size == 1  # the live points are k_on x s_on, in order
-                ratio = ratio[lo % _BLOCK : lo % _BLOCK + hi - lo, (kc if grid else ks[ki]) - k0]
+                ratio = ratio[cut, (kc if grid else ks[ki]) - k0]
                 power = power if grid else power[:, np.searchsorted(s_on, si)]
                 term = np.where(ratio == 0.0, 0.0, power * ratio)  # 0 even where the power is inf
                 # a power below the normal range, or a weight past a double, as one exponent
@@ -314,7 +298,7 @@ def _series_passes(log_x, neg, lg_key, rows, points, label):
                         a_r = a * (lo + i) + 1.0
                         x = arg[i, np.searchsorted(s_on, si[j])] + (math.lgamma(a_r) - math.lgamma(a_r - ks[ki[j]]))
                         term[i, j] = math.copysign(_exp_or_inf(x), np.broadcast_to(ratio, term.shape)[i, j])
-                underflow = (term == 0.0) & (ratio != 0.0)  # not a term whose weight is 0
+            underflow = (term == 0.0) & (ratio != 0.0)  # not a term whose weight is 0
             mag = np.abs(term)
             term[0] += total[live]  # each sum carried on from its partial sum
             partial = np.cumsum(term, axis=0)
@@ -411,28 +395,31 @@ def mittag_leffler(alpha: float, beta: float, x: float) -> SeriesValue:
     return _ml_series(alpha, beta, None, x, "mittag_leffler({},{},{})", alpha, beta, x)
 
 
-def _mittag_leffler_many(alpha: float, beta: float, xs) -> np.ndarray:
-    """mittag_leffler(alpha, beta, x).value at every x of xs, bit for
-    bit, from one _series_passes call (math.log per x, each term formed as
+def _mittag_leffler_many(alpha: float, xs) -> np.ndarray:
+    """mittag_leffler(alpha, 1.0, x).value at every x of xs, bit for bit,
+    from one _series_passes call (math.log per x, each term formed as
     mittag_leffler forms it).  The first refused x, in order, raises what its
-    scalar call raises."""
-    _check_orders(alpha, beta)
+    scalar call raises.  beta is 1, the one value in use: the r = 0 term is
+    then 1.0, so a term that underflows to 0 comes after the sum has grown
+    and is small by the pass's one rule (at a large beta the leading terms
+    underflow first, and that rule would stop the sum at 0)."""
+    _check_orders(alpha, 1.0)
     given = list(xs)
     x = np.array(given, dtype=float)
     zero = x == 0.0
     log_x = np.fromiter(map(math.log, np.abs(np.where(zero, 1.0, x)).tolist()), float, x.size)
 
     def label(p):
-        return "mittag_leffler({},{},{})".format(alpha, beta, given[p])
+        return "mittag_leffler({},1.0,{})".format(alpha, given[p])
 
     total, peak, _, _, stopped, lost, refusal = _series_passes(
-        log_x, x < 0.0, (alpha, beta), None, (~zero).nonzero()[0], label)
+        log_x, x < 0.0, alpha, None, (~zero).nonzero()[0], label)
     if lost.any():
         p = stopped[lost.argmax()]
         raise _cancelled(label(p), peak[p], total[p])
     if refusal is not None:
         raise refusal
-    return np.where(zero, recip_gamma_signed(beta), total)
+    return np.where(zero, 1.0, total)
 
 
 def gen_mittag_leffler(alpha: float, beta: float, gamma: float, x: float) -> SeriesValue:

@@ -26,14 +26,14 @@ from .fracops import (
     caputo_derivative_series,
     frac_difference,
 )
-from .pmftable import PmfTable, _branch_table, _branch_transform, _live_branches
+from .pmftable import PmfTable, _branch_table, _branch_transform, _check_index, _live_branches
 from .specfun import (
     _COLS,
     _CORE_ABS_GUARD,
+    _block,
     _cancelled,
     _error_estimate,
     _exp_or_inf,
-    _row_iter,
     _series_passes,
     _weights,
     gamma_ratio_signed,
@@ -127,7 +127,7 @@ def _count_series(
     n_lead = next((i for i, k in enumerate(ks) if k >= len(_LEAD)), len(ks))
     n_sum = np.searchsorted(points, n_lead * n_s)
     total, peak, last, used, stopped, lost, refusal = _series_passes(
-        log_x, None, (params.nu, 1.0), (params.alpha, np.array(ks[:n_lead], dtype=int)), points[:n_sum], label)
+        log_x, None, params.nu, (params.alpha, np.array(ks[:n_lead], dtype=int)), points[:n_sum], label)
     if refusal is None and n_sum < points.size:
         p = points[n_sum]
         refusal = NonConvergent(f"{label(p)}: {ks[p // n_s]}! overflows a double")
@@ -194,8 +194,7 @@ def pmf(params: StfpParams, t: float, K: int) -> PmfTable:
     downstream comparison.
     """
     _check_time(params, t)
-    if K < 0:
-        raise DomainError(f"truncation index must be >= 0, got {K}")
+    _check_index(K, "truncation index")
     return _tables(params, t, K)[0]
 
 
@@ -259,8 +258,7 @@ def _governing_residuals(params: StfpParams, t: float, ks, method: str) -> list[
     if not 0.0 < t <= params.T:
         raise DomainError(f"t={t} outside (0, {params.T}]")
     for k in ks:
-        if k < 0:
-            raise DomainError(f"count index must be >= 0, got {k}")
+        _check_index(k, "count index")
     if method not in ("series", "quadrature"):
         raise DomainError(f"method must be 'series' or 'quadrature', got {method!r}")
     try:
@@ -320,11 +318,11 @@ def _series_lhs(params: StfpParams, t: float, k: int, tbl_T) -> float:
     pairs: list[tuple[float, float]] = []
     at_t: list[float] = []
     partial = None  # the sum at t, once the first _SERIES_TERMS are in
-    # the falling weights of k: column k of the cached weight blocks
-    ratios = itertools.chain.from_iterable(
-        _weights(a, k - k % _COLS, i)[0][:, k % _COLS].tolist() for i in itertools.count())
-    rows = zip(itertools.count(), _row_iter(nu, 1.0), ratios)
-    for r, lg_den, ratio in rows:
+    # lgamma(nu r + 1) and the falling weight of k (column k of the weight
+    # blocks) at each r, walked block by block
+    rows = enumerate(itertools.chain.from_iterable(
+        zip(_block(nu, 1.0, i), _weights(a, k - k % _COLS, i)[0][:, k % _COLS].tolist()) for i in itertools.count()))
+    for r, (lg_den, ratio) in rows:
         if r >= _SERIES_TERMS:
             tail = abs(at_t[-1]) if at_t else 0.0
             partial = math.fsum(at_t) if partial is None else partial

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateWeights, DomainError, NonConvergent
-from .pmftable import PmfTable
+from .pmftable import PmfTable, _check_index
 
 __all__ = [
     "WeightFn",
@@ -89,6 +89,8 @@ def q_kernel(k: int, n: int, F_t: float, rho: float) -> float:
     The coupled branch puts mass only on k = 0 and k = n; an empty pool
     counts zero surely.  One cell of _kernel, the formula the tables read.
     """
+    if not isinstance(k, (int, np.integer)) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"need integers k and n, got k={k!r}, n={n!r}")
     if k < 0 or n < 0 or k > n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     return float(_kernel(F_t, rho, k, n))
@@ -135,8 +137,7 @@ def _powers(x: float, j):
 def _pool_terms(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> tuple:
     """q(k|n,F,rho) P(M=n), k = 0..min(K, N-1) down and n = 0..N-1 across, and the
     weights w(n); _row_sums rounds row k over n >= k exactly (math.fsum), 0 past the pool."""
-    if K < 0:
-        raise DomainError(f"truncation index must be >= 0, got {K}")
+    _check_index(K, "truncation index")
     w = np.array([_checked_weight(wf.w, n) for n in range(len(base_Mg))])
     k, n = np.arange(min(K + 1, len(base_Mg)))[:, None], np.arange(len(base_Mg))
     return _kernel(F_t, rho, k, n) * np.array(base_Mg.probs), w

@@ -283,18 +283,24 @@ def test_concurrent_growth_matches_serial_row():
     n = 4000
 
     def race(a, b):
-        # four threads read the same fresh row at once, two by slices of 24
-        # terms (some straddle two blocks) and two through the iterator
+        # four threads read the same fresh row at once: two as an array pass
+        # does, joining the blocks that a slice of 24 terms spans (some
+        # straddle a block edge) and cutting the slice out, and two block by
+        # block in order, as the scalar and residual series walk it
         results = [None] * 4
         start = threading.Barrier(4)
+        size = specfun._BLOCK
+
+        def joined(lo, hi):
+            span = range(lo // size, (hi - 1) // size + 1)
+            return sum((specfun._block(a, b, i) for i in span), ())[lo % size : lo % size + hi - lo]
 
         def read(i):
             start.wait()
             if i % 2:
-                pieces = (specfun._row(a, b, lo, min(lo + 24, n)) for lo in range(0, n, 24))
-                results[i] = list(itertools.chain.from_iterable(pieces))
+                results[i] = [x for lo in range(0, n, 24) for x in joined(lo, min(lo + 24, n))]
             else:
-                results[i] = list(itertools.islice(specfun._row_iter(a, b), n))
+                results[i] = [x for j in range(-(-n // size)) for x in specfun._block(a, b, j)][:n]
 
         threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
         for th in threads:

@@ -351,3 +351,24 @@ def test_operator_identity_preconditions():
         operator_residual_prop33(mk(0.5, 0.5, 0.0), 0.5, 1.0, 2.0)  # beyond radius
     with pytest.raises(UnsupportedR):
         operator_residual_prop33(mk(0.5, 0.5, 0.0, r=3), 0.5, 0.0, 1.2)
+
+
+STAYS_AT_ONE = TableProfile(((0.0, 1.0), (0.5, 1.0), (1.0, 0.3)))  # q = 1 on [0, 0.5]
+
+
+@pytest.mark.parametrize("index, profile, t", [
+    (1.0, Example31Profile(lambda_mix=0.7), 0.0),
+    (1.0, Example31Profile(lambda_mix=0.7), 1e-300),  # q(t) rounds to 1
+    (0.8, STAYS_AT_ONE, 0.25),
+    (0.8, STAYS_AT_ONE, 0.5),
+])
+def test_operator_identity_refuses_a_running_level_of_one(index, profile, t):
+    params = NegBinParams(p=0.3, r=1, alpha=index, nu=index, rho=0.0, T=1.0, q_profile=profile)
+    # at rho = 0 the operator acts at the running level q(t); where that is
+    # 1 its map a + b z has b = 0, and the refusal names t and q(t)
+    with pytest.raises(DomainError) as exc:
+        operator_residual_prop33(params, t, 0.0, 1.125)
+    assert str(exc.value) == f"identity degenerates at success level 1: q({t})=1.0"
+    # rho = 1 acts at p, and where q(t) = 1 no epoch has fallen (F = 0): the
+    # residual is 0, as at t = 0
+    assert operator_residual_prop33(params, t, 1.0, 1.125) == 0.0

@@ -1,9 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from fraccount.errors import CancellationLoss, DomainError
+from fraccount.fnegbin import Example31Profile, NegBinParams, pmf_negbin_r1
 from fraccount.pmftable import PmfTable, _branch_table, _branch_transform
+from fraccount.stfpoisson import StfpParams, governing_residual, pmf
+from fraccount.weighted import WeightFn, q_kernel, weighted_process_pmf, weights_in_time
 
 
 def untouched():
@@ -75,3 +79,44 @@ def test_table_shape_checks():
         PmfTable.from_probs([])
     with pytest.raises(DomainError, match="K=2 disagrees with 2 entries"):
         PmfTable(probs=(0.5, 0.5), K=2, tail_mass=0.0)
+
+
+# ---- integer indices at every public entry point ----
+
+_P = StfpParams(alpha=0.8, nu=0.6, lam=1.0, T=1.0, rho=0.3)
+_NB = NegBinParams(p=0.4, r=1, alpha=0.8, nu=0.6, rho=0.3, T=1.0, q_profile=Example31Profile(lambda_mix=0.6))
+_BASE = PmfTable.from_probs([0.5 ** (k + 1) for k in range(120)])
+_WF = WeightFn.from_base(lambda k: k + 1.0, _BASE)
+
+INDEXED = {  # entry point, as a function of its index
+    "pmf": lambda K: pmf(_P, 0.5, K).probs,
+    "pmf_negbin_r1": lambda K: pmf_negbin_r1(_NB, 0.5, K).probs,
+    "governing_residual": lambda k: governing_residual(_P, 0.5, k),
+    "q_kernel k": lambda k: q_kernel(k, 3, 0.5, 0.2),
+    "q_kernel n": lambda n: q_kernel(1, n, 0.5, 0.2),
+    "weighted_process_pmf": lambda K: weighted_process_pmf(_BASE, _WF, 0.5, 0.2, K).probs,
+    "weights_in_time": lambda K: weights_in_time(_BASE, _WF, 0.5, 0.2, K),
+}
+REFUSED = {  # the message at 2.5 and at -1
+    "pmf": ("truncation index must be an integer, got 2.5", "truncation index must be >= 0, got -1"),
+    "pmf_negbin_r1": ("truncation index must be an integer, got 2.5", "truncation index must be >= 0, got -1"),
+    "governing_residual": ("count index must be an integer, got 2.5", "count index must be >= 0, got -1"),
+    "q_kernel k": ("need integers k and n, got k=2.5, n=3", "need 0 <= k <= n, got k=-1, n=3"),
+    "q_kernel n": ("need integers k and n, got k=1, n=2.5", "need 0 <= k <= n, got k=1, n=-1"),
+    "weighted_process_pmf": ("truncation index must be an integer, got 2.5", "truncation index must be >= 0, got -1"),
+    "weights_in_time": ("truncation index must be an integer, got 2.5", "truncation index must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_index_must_be_an_int_or_numpy_integer(name):
+    # a non-integer index is refused as a DomainError, the package's own
+    # class, not a bare TypeError; a numpy integer reads as its int
+    fn = INDEXED[name]
+    for bad, message in zip((2.5, -1), REFUSED[name]):
+        with pytest.raises(DomainError) as exc:
+            fn(bad)
+        assert str(exc.value) == message
+    with pytest.raises(DomainError):
+        fn(np.float64(2.0))
+    assert fn(np.int64(2)) == fn(2)

@@ -1,6 +1,6 @@
-"""Every private top-level name of the package has a caller: a name that
-starts with one underscore and is defined at module level in
-src/fraccount/*.py is read somewhere in src/ outside its own definition."""
+"""Every name the package binds has a reader: a private top-level name
+defined in src/fraccount/*.py is read somewhere in src/ outside its own
+definition, and every name a module imports is read in that module."""
 
 import ast
 import pathlib
@@ -36,3 +36,26 @@ def test_every_private_top_level_name_is_read_outside_its_definition():
             read |= _read(stmt) - names
     assert defined
     assert [entry for entry in defined if entry[1] not in read] == []
+
+
+def _imported(tree):
+    # the names a module's imports bind, __future__ features aside
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names}
+
+
+def _exported(tree):
+    # the names a module lists in __all__, which re-exports them
+    return {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            for target in stmt.targets if isinstance(target, ast.Name) and target.id == "__all__"
+            for elt in stmt.value.elts}
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(path.name, name) for name in sorted(_imported(tree) - loaded - _exported(tree))]
+    assert unread == []

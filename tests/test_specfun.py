@@ -1,5 +1,7 @@
+import collections
 import concurrent.futures
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -126,48 +128,85 @@ ML_MANY_POINTS = [
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.8, 1.0), (1.0, 1.0), (0.3, 1.7), (0.6, 1)])
 def test_ml_many_matches_scalar(alpha, beta):
     # each point's value (or refusal) is its scalar call's, and the points
-    # that answer give the same bits in one array call
-    want = [_ml_outcome(lambda: [mittag_leffler(alpha, beta, x).value]) for x in ML_MANY_POINTS]
-    got = [_ml_outcome(lambda: _mittag_leffler_many(alpha, beta, [x]).tolist()) for x in ML_MANY_POINTS]
-    assert got == want
+    # that answer give the same bits in one array call; the array route sums
+    # at beta = 1 only, so another beta checks the scalar route alone
+    want = [_ml_outcome(lambda: [mittag_leffler(alpha, float(beta), x).value]) for x in ML_MANY_POINTS]
     answered = [x for x, w in zip(ML_MANY_POINTS, want) if isinstance(w, list)]
     assert len(answered) >= 10
-    many = _mittag_leffler_many(alpha, beta, answered)
+    if beta != 1.0:
+        return
+    got = [_ml_outcome(lambda: _mittag_leffler_many(alpha, [x]).tolist()) for x in ML_MANY_POINTS]
+    assert got == want
+    many = _mittag_leffler_many(alpha, answered)
     assert [v.hex() for v in many.tolist()] == [w[0] for w in want if isinstance(w, list)]
 
 
 def test_ml_many_leading_underflow_does_not_stop_the_sum():
     # at beta = 200 the leading terms underflow to 0 before the series grows
-    # past a double: counted as small, they would stop the sum at 0
+    # past a double: counted as small, they would stop the sum at 0.  The
+    # array route sums at beta = 1, whose r = 0 term is 1.0, so only the
+    # scalar route meets this case
     want = "NonConvergent: mittag_leffler(0.5,200.0,1000000.0): term 143 is not finite"
     assert _ml_outcome(lambda: [mittag_leffler(0.5, 200.0, 1e6).value]) == want
-    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 200.0, [1e6]).tolist()) == want
 
 
 def test_ml_many_refuses_as_the_first_refused_point(monkeypatch):
     with pytest.raises(CancellationLoss) as scalar:
         mittag_leffler(0.6, 1, -8)
     with pytest.raises(CancellationLoss) as many:
-        _mittag_leffler_many(0.6, 1, [0.5, -8, 1e300, -20])
-    assert str(many.value) == str(scalar.value)
+        _mittag_leffler_many(0.6, [0.5, -8, 1e300, -20])
+    # the array route names beta as 1.0
+    assert str(many.value) == str(scalar.value).replace("(0.6,1,", "(0.6,1.0,")
     assert str(scalar.value).startswith("mittag_leffler(0.6,1,-8): max term")
     # a non-finite term first, then no stop within the budget
-    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 1.0, [0.2, 1e300, -8.0])) == (
+    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, [0.2, 1e300, -8.0])) == (
         "NonConvergent: mittag_leffler(0.5,1.0,1e+300): term 3 is not finite"
     )
     monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
-    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 1.0, [0.0, -1.0, 1e300])) == (
+    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, [0.0, -1.0, 1e300])) == (
         _ml_outcome(lambda: [mittag_leffler(0.5, 1.0, -1.0).value])
     )
 
 
+def _sweep(rng, n):
+    # alpha in (0, 1] and x of either sign: |x| log-uniform from 1e-320 to
+    # 1e3, uniform below 50 (where negative sums cancel) or below 1e3 (where
+    # terms overflow), and one point in twenty a subnormal, a zero or 1e300
+    edges = (5e-324, -5e-324, 1e-310, -1e-310, 0.0, -0.0, 1e300, -1e300)
+    for _ in range(n):
+        alpha, sign, pick = 1.0 - rng.random(), rng.choice((1.0, -1.0)), rng.random()
+        if pick < 0.05:
+            yield alpha, rng.choice(edges)
+        elif pick < 0.4:
+            yield alpha, sign * 10.0 ** rng.uniform(-320.0, 3.0)
+        else:
+            yield alpha, sign * rng.uniform(0.0, 50.0 if pick < 0.7 else 1e3)
+
+
+def test_ml_many_matches_scalar_in_a_seeded_sweep():
+    # one point a call, and runs of ten points at one alpha, whose call
+    # returns every value or raises what its first refused point raises
+    rng = random.Random(2301)
+    points = list(_sweep(rng, 3000))
+    want = [_ml_outcome(lambda: [mittag_leffler(alpha, 1.0, x).value]) for alpha, x in points]
+    for (alpha, x), w in zip(points, want):
+        assert _ml_outcome(lambda: _mittag_leffler_many(alpha, [x]).tolist()) == w, (alpha, x)
+    for lo in range(0, len(points), 10):
+        alpha, run = points[lo][0], [x for _, x in points[lo : lo + 10]]
+        outs = [_ml_outcome(lambda: [mittag_leffler(alpha, 1.0, x).value]) for x in run]
+        first = next((o for o in outs if isinstance(o, str)), [v for o in outs for v in o])
+        assert _ml_outcome(lambda: _mittag_leffler_many(alpha, run).tolist()) == first, (alpha, run)
+    refused = collections.Counter(w.split(":")[0] for w in want if isinstance(w, str))
+    assert len(want) - sum(refused.values()) > 1000
+    assert min(refused["CancellationLoss"], refused["NonConvergent"]) > 100
+
+
 def test_overflowing_partial_sum_is_refused():
     # every term of E_{0.5,200}(50) is finite, but the partial sum passes a
-    # double at term 2618: both routes refuse, neither returns inf, and the
+    # double at term 2618: the sum is refused, not returned as inf, and the
     # refusal names the partial sum, not the term
     want = "NonConvergent: mittag_leffler(0.5,200.0,50.0): partial sum at term 2618 is not finite"
     assert _ml_outcome(lambda: [mittag_leffler(0.5, 200.0, 50.0).value]) == want
-    assert _ml_outcome(lambda: _mittag_leffler_many(0.5, 200.0, [50.0]).tolist()) == want
     # so do the three-parameter and Fox-Wright sums, which returned inf too
     assert _ml_outcome(lambda: [gen_mittag_leffler(1.0, 2.0, 2.0, 720.0).value]) == (
         "NonConvergent: gen_mittag_leffler(1.0,2.0,2.0,720.0): partial sum at term 617 is not finite")
@@ -188,7 +227,8 @@ def test_largest_term_just_below_overflow(alpha, beta, x, sign):
     exponent = max(r * math.log(abs(x)) - math.lgamma(alpha * r + beta) for r in range(5000))
     assert 709.0 < exponent <= 709.78
     want = _ml_outcome(lambda: [mittag_leffler(alpha, beta, x).value])
-    assert _ml_outcome(lambda: _mittag_leffler_many(alpha, beta, [x]).tolist()) == want
+    if beta == 1.0:  # the array route sums at beta = 1 only
+        assert _ml_outcome(lambda: _mittag_leffler_many(alpha, [x]).tolist()) == want
     # at x > 0 the sum passes a double; at x < 0 the finite max term, past
     # exp(709), dwarfs the sum
     if sign > 0.0:
