@@ -79,7 +79,6 @@ class TableProfile:
 
     def __post_init__(self) -> None:
         pts = tuple((float(t), float(q)) for t, q in self.points)
-        object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise InvalidProfile("need at least two sample points")
         for (t0, q0), (t1, q1) in zip(pts, pts[1:]):
@@ -90,6 +89,7 @@ class TableProfile:
         for _, q in pts:
             if not 0.0 < q <= 1.0 + _PROFILE_TOL:
                 raise InvalidProfile(f"success values must lie in (0,1], got {q}")
+        object.__setattr__(self, "points", tuple((t, min(q, 1.0)) for t, q in pts))  # a level past 1 is 1
 
     def value(self, t: float, T: float) -> float:
         pts = self.points
@@ -271,9 +271,12 @@ def pmf_negbin_r1(params: NegBinParams, t: float, K: int) -> PmfTable:
     qt = params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
     use_run, use_held = _live_branches(frac, rho, qt == params.p)
-    running = _core_pmf(qt, a, nu, K) if use_run else iter(())
-    held = _core_pmf(params.p, a, nu, K) if use_held and qt != params.p else None
-    return _branch_table(running, held, frac, rho, K)
+    apart = use_held and qt != params.p  # the held branch, summed apart from the running one
+    streams = [_core_pmf(level, a, nu, K) for level in [qt] * use_run + [params.p] * apart]
+    # drawn k by k, running first: the entry that raises is the first refused in (k, running, held) order
+    flat = np.fromiter(itertools.chain.from_iterable(zip(*streams)), float, (K + 1) * len(streams))
+    cols = flat.reshape(K + 1, len(streams))
+    return _branch_table(cols[:, 0] if use_run else None, cols[:, -1] if apart else None, frac, rho, K)
 
 
 def operator_residual_prop33(params: NegBinParams, t: float, rho: float, u: float) -> float:
@@ -299,14 +302,11 @@ def operator_residual_prop33(params: NegBinParams, t: float, rho: float, u: floa
         raise DomainError(f"u={u} outside (1, {_radius(level)})")
 
     def pgf_many(vs: np.ndarray) -> np.ndarray:
-        # pgf_negbin's bits at every stencil point v <= u (v = 1 included):
-        # the running transform at rho = 0; at rho = 1 the mixture
-        # _branch_transform forms, 1 while no epoch has fallen (F = 0)
-        frac = F_negbin(params, t) if rho == 1.0 else None
-        if frac == 0.0:
-            return np.ones(vs.size)
-        g = _mittag_leffler_many(params.nu, [_core_arg(level, params.alpha, v) for v in vs.tolist()])
-        return g if frac is None else (1.0 - frac) + frac * g
+        # pgf_negbin's bits at every stencil point v <= u (v = 1 included): the
+        # transform at level, mixed as held at rho = 1 (the scalar 1 while F = 0)
+        frac = F_negbin(params, t) if rho == 1.0 else 0.0
+        g = lambda: _mittag_leffler_many(params.nu, [_core_arg(level, params.alpha, v) for v in vs.tolist()])
+        return np.broadcast_to(_branch_transform(g, None, frac, rho), vs.shape)
 
     op = OperatorOAlphaSpec(alpha=params.alpha, a=1.0 / level, b=(level - 1.0) / level)
     lhs = _operator_quadrature(op, pgf_many, u)

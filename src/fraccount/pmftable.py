@@ -4,13 +4,13 @@ modules, and the branch-mixture assembler of both process families.
 With weight rho the whole pool sits on one common epoch, so the law at t is
 (1 - rho) * running + rho * [(1 - F) * delta_0 + F * held], with held the
 law at the horizon.  _branch_table assembles a table from the two branch
-streams, _branch_transform a transform from the two branch values; a branch
-of weight 0 (_live_branches) is never evaluated, and held None reads running.
+arrays, _branch_transform a transform from the two branch values; a branch
+of weight 0 (_live_branches) is never read, and held None reads running.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,21 +82,18 @@ def _live_branches(frac: float, rho: float, held_is_running: bool) -> tuple[bool
 
 
 def _branch_table(
-    running: Iterator[float], held: Iterator[float] | None, frac: float, rho: float, K: int
+    running: np.ndarray | None, held: np.ndarray | None, frac: float, rho: float, K: int
 ) -> PmfTable:
-    """Mixture table for k = 0..K, reading one entry per k from each live stream."""
+    """Mixture table for k = 0..K from the branch entries: (1 - rho) * running,
+    then + rho * (1 - F) at k = 0, then + rho * F * held, rounded in that order."""
     use_run, use_held = _live_branches(frac, rho, held is None)
-    probs = []
-    for k in range(K + 1):
-        run = next(running) if use_run else 0.0
-        val = (1.0 - rho) * run
-        if rho != 0.0:
-            if k == 0:
-                val += rho * (1.0 - frac)
-            if use_held:
-                val += rho * frac * (run if held is None else next(held))
-        probs.append(val)
-    return PmfTable.from_probs(probs)
+    run = running if use_run else np.zeros(K + 1)
+    probs = (1.0 - rho) * run
+    if rho != 0.0:
+        probs[0] += rho * (1.0 - frac)
+        if use_held:
+            probs += rho * frac * (run if held is None else held)
+    return PmfTable.from_probs(probs.tolist())
 
 
 def _branch_transform(

@@ -160,18 +160,9 @@ def recip_gamma_signed(w: float) -> float:
     to a finite signed value (overflowing to signed inf only for w far below
     anything the process modules produce).
     """
-    if w > 0.0:
-        lg = math.lgamma(w)
-        return math.exp(-lg) if -lg <= _EXP_MAX else math.inf
     if not w > -math.inf:
         raise DomainError(f"argument must be a real number, got {w}")
-    if w == math.floor(w):
-        return 0.0
-    lg = math.lgamma(w)  # log|Gamma(w)|
-    sign = _gamma_sign(w)
-    if -lg > _EXP_MAX:
-        return math.copysign(math.inf, sign)
-    return sign * math.exp(-lg)
+    return gamma_ratio_signed(1.0, w)
 
 
 def gamma_ratio_signed(a: float, b: float) -> float:
@@ -246,9 +237,8 @@ def _series_passes(log_x, neg, slope, rows, points, label):
     Each pass adds the terms lo <= r < hi to every live point, from the
     _block and _weights blocks that span them, joined and sliced: math.exp
     forms each power once per live column (inf where it overflows), and
-    np.cumsum carries each partial sum on in order, as _sum_series adds.  The
-    weights broadcast against the powers where one k or one column is live,
-    and a term whose power is below the normal range, or whose weight is inf,
+    np.cumsum carries each partial sum on in order, as _sum_series adds.  A
+    term whose power is below the normal range, or whose weight is inf,
     is formed as sign * exp(exponent + log|w_j(r)|), the log weight
     lgamma(a r + 1) - lgamma(a r + 1 - ks[j]) formed here.  One small-term
     rule holds for every sum: it stops at its third small term in a row,
@@ -287,9 +277,7 @@ def _series_passes(log_x, neg, slope, rows, points, label):
                 k0 = kc.min() // _COLS * _COLS
                 blocks = [[_weights(a, k, i) for k in range(k0, kc.max() + 1, _COLS)] for i in span]
                 ratio = np.concatenate([np.concatenate([w for w, _ in line], axis=1) for line in blocks])
-                grid = k_on.size == 1 or s_on.size == 1  # the live points are k_on x s_on, in order
-                ratio = ratio[cut, (kc if grid else ks[ki]) - k0]
-                power = power if grid else power[:, np.searchsorted(s_on, si)]
+                ratio, power = ratio[cut, ks[ki] - k0], power[:, np.searchsorted(s_on, si)]
                 term = np.where(ratio == 0.0, 0.0, power * ratio)  # 0 even where the power is inf
                 # a power below the normal range, or a weight past a double, as one exponent
                 if power.min() < _NORMAL_MIN or any(wild for line in blocks for _, wild in line):
@@ -297,7 +285,7 @@ def _series_passes(log_x, neg, slope, rows, points, label):
                     for i, j in zip(*odd.nonzero()):
                         a_r = a * (lo + i) + 1.0
                         x = arg[i, np.searchsorted(s_on, si[j])] + (math.lgamma(a_r) - math.lgamma(a_r - ks[ki[j]]))
-                        term[i, j] = math.copysign(_exp_or_inf(x), np.broadcast_to(ratio, term.shape)[i, j])
+                        term[i, j] = math.copysign(_exp_or_inf(x), ratio[i, j])
             underflow = (term == 0.0) & (ratio != 0.0)  # not a term whose weight is 0
             mag = np.abs(term)
             term[0] += total[live]  # each sum carried on from its partial sum

@@ -157,11 +157,11 @@ def _tables(params: StfpParams, t: float, K: int, terminal: bool = False):
     frac, rho, T = F_stfp(params, t), params.rho, params.T
     use_run, use_held = _live_branches(frac, rho, t == T)
     apart = (use_held or terminal) and t != T  # the series at T, summed apart from t
-    cols = _count_series(params, [t] * use_run + [T] * apart, range(K + 1))[0].T.tolist()
-    tbl = _branch_table(iter(cols[0] if use_run else ()), iter(cols[-1]) if apart else None, frac, rho, K)
+    cols = _count_series(params, [t] * use_run + [T] * apart, range(K + 1))[0].T
+    tbl = _branch_table(cols[0] if use_run else None, cols[-1] if apart else None, frac, rho, K)
     if not terminal:
         return tbl, None
-    return tbl, tbl if t == T else _branch_table(iter(cols[-1]), None, 1.0, rho, K)
+    return tbl, tbl if t == T else _branch_table(cols[-1], None, 1.0, rho, K)
 
 
 def pgf(params: StfpParams, t: float, u: float) -> float:

@@ -70,6 +70,10 @@ INVOCATIONS = (
         ["pmf", "--alpha", "0.8", "--nu", "0.6", "--lambda", "1", "--rho", "0.3", "--t", "0.4", "--kmax", "80"],
         # a one-row weighted table, whose binomial matrix is a single row
         ["weighted", "--lambda", "3", "--rho", "0.6", "--t", "0.3", "--kmax", "0"],
+        # two negbin branches that both refuse: the held one at k=0, before the running one at k=4
+        ["negbin", "--p", "0.005", "--alpha", "0.7", "--nu", "0.6", "--rho", "0.4", "--t", "0.3", "--kmax", "40"],
+        # a time past the horizon
+        ["weighted", "--t", "1.5"],
     ]
 )
 

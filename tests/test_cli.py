@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from fraccount import fnegbin, stfpoisson
+from fraccount import cli, fnegbin, stfpoisson
 from fraccount.cli import _verify_rows, main
 from fraccount.fnegbin import Example31Profile, F_negbin, NegBinParams, pgf_negbin, pmf_negbin_r1
 from fraccount.fracops import (
@@ -123,6 +123,15 @@ def test_verify_all_pass(capsys):
     # rows arrive grouped by equation name in ascending order
     names = [row[0] for row in rows]
     assert names == sorted(names)
+
+
+def test_verify_exits_one_on_a_failed_row(monkeypatch, capsys):
+    # a tolerance of 0 fails every governing series row with a nonzero residual
+    monkeypatch.setattr(cli, "_TOL_GOVERNING_SERIES", 0.0)
+    code, out = run_cli(["verify"], capsys)
+    assert code == 1
+    statuses = {row[0]: row[-1] for row in parse_csv(out)[2] if row[-1] == "fail"}
+    assert statuses == {"governing_balance_series": "fail"}
 
 
 def _public_residual(equation, point):

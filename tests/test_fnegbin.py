@@ -89,6 +89,21 @@ def test_params_reject_inconsistent_horizon():
     # schedule ends at 0.4, so p must be 0.4
     with pytest.raises(InvalidProfile):
         NegBinParams(p=0.5, r=1, alpha=0.8, nu=0.5, rho=0.3, T=1.0, q_profile=PROFILE)
+    # a sampled schedule that ends before the horizon has no q(T)
+    short = TableProfile(points=((0.0, 1.0), (0.5, 0.4)))
+    with pytest.raises(InvalidProfile) as exc:
+        NegBinParams(p=0.4, r=1, alpha=0.8, nu=0.5, rho=0.3, T=1.0, q_profile=short)
+    assert str(exc.value) == "t=1.0 outside sampled range [0.0, 0.5]"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pmf_negbin_r1(mk(0.8, 0.5, 0.3), 1.5, 10),
+    lambda: pgf_negbin(mk(0.8, 0.5, 0.3), 1.5, 0.5),
+], ids=["pmf", "pgf"])
+def test_time_past_the_horizon_is_refused(call):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == "t=1.5 outside [0, 1.0]"
 
 
 # ---- activation profile F ----
@@ -105,6 +120,16 @@ def test_F_roundtrip_reconstructs_schedule():
         f = F_negbin(params, t)
         q_back = 1.0 / (1.0 + (1.0 / params.p - 1.0) * f)
         assert q_back == pytest.approx(params.q(t), rel=1e-12)
+
+
+def test_table_profile_level_past_one_reads_as_one():
+    # a sample up to the tolerance above 1 is the level 1, not a success
+    # probability past it: no epoch has fallen and the law is a point mass
+    prof = TableProfile(points=((0.0, 1.0 + 5e-13), (1.0, 0.3)))
+    assert prof.points == ((0.0, 1.0), (1.0, 0.3))
+    params = NegBinParams(p=0.3, r=1, alpha=0.8, nu=0.8, rho=0.0, T=1.0, q_profile=prof)
+    assert F_negbin(params, 0) == 0.0
+    assert pgf_negbin(params, 0, 3.0) == 1.0
 
 
 def test_F_rejects_schedule_not_starting_at_one():
@@ -277,6 +302,25 @@ def test_pmf_small_success_refused_at_same_entry(monkeypatch):
     assert len(calls) <= 2
 
 
+SMALL_P = dict(p=0.005, r=1, alpha=0.7, nu=0.6, T=1.0, q_profile=Example31Profile(lambda_mix=1.0 - 0.005))
+
+
+@pytest.mark.parametrize("t, K, running_alone, match", [
+    (0.3, 40, CancellationLoss, r"^pmf entry k=4 "),
+    (0.1, 200, OutOfRange, r"got 171$"),  # K past the Stirling cap
+])
+def test_pmf_two_branches_refuse_in_k_order(t, K, running_alone, match):
+    # the running branch alone refuses past k = 0, the held one at k = 0:
+    # the mixture raises the held branch's k = 0 refusal, the first in
+    # (k, running, held) order
+    with pytest.raises(running_alone, match=match):
+        pmf_negbin_r1(NegBinParams(rho=0.0, **SMALL_P), t, K)
+    with pytest.raises(CancellationLoss) as exc:
+        pmf_negbin_r1(NegBinParams(rho=0.4, **SMALL_P), t, K)
+    assert str(exc.value) == (
+        "pmf entry k=0 carries absolute error ~2.49e-12; no trustworthy digits at probability scale")
+
+
 def test_pmf_zero_count_held_to_absolute_budget():
     # the k = 0 entry is a Mittag-Leffler sum like any other count series:
     # at p = 0.05, nu = 0.3 its error bound is ~6e-7, so it is refused
@@ -361,6 +405,7 @@ STAYS_AT_ONE = TableProfile(((0.0, 1.0), (0.5, 1.0), (1.0, 0.3)))  # q = 1 on [0
     (1.0, Example31Profile(lambda_mix=0.7), 1e-300),  # q(t) rounds to 1
     (0.8, STAYS_AT_ONE, 0.25),
     (0.8, STAYS_AT_ONE, 0.5),
+    (0.8, TableProfile(((0.0, 1.0 + 5e-13), (1.0, 0.3))), 0.0),  # a sample past 1 is the level 1
 ])
 def test_operator_identity_refuses_a_running_level_of_one(index, profile, t):
     params = NegBinParams(p=0.3, r=1, alpha=index, nu=index, rho=0.0, T=1.0, q_profile=profile)

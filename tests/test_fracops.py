@@ -360,6 +360,12 @@ def test_operator_domain_checks():
     neg = OperatorOAlphaSpec(alpha=0.5, a=2.0, b=-1.0)
     with pytest.raises(DomainError):
         operator_O_alpha_quadrature(neg, lambda tau: tau, 2.5)
+    # the log power needs a + b*z > 1, not only > 0
+    with pytest.raises(DomainError, match=r"^a \+ b\*z = 0.5 must exceed 1 for a real log power$"):
+        operator_O_alpha_on_log_powers(neg, 1.0, 1.5)
+    # above the lower limit, but a + b*z rounds to 1
+    with pytest.raises(DomainError, match="^z equals the lower limit; operator undefined there$"):
+        operator_O_alpha_quadrature(spec, lambda tau: tau, 1e-300)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -10,19 +8,13 @@ from fraccount.stfpoisson import StfpParams, governing_residual, pmf
 from fraccount.weighted import WeightFn, q_kernel, weighted_process_pmf, weights_in_time
 
 
-def untouched():
-    # a branch that must not be evaluated
-    raise AssertionError("branch of weight 0 was evaluated")
-    yield
-
-
-def stream(*head):
-    return itertools.chain(head, itertools.repeat(0.0))
+# a branch of weight 0: its entries must never enter the table
+UNTOUCHED = np.full(3, np.nan)
 
 
 def test_table_mixes_in_the_shared_order():
     run, held, frac, rho = (0.5, 0.3, 0.2), (0.1, 0.6, 0.3), 0.4, 0.3
-    got = _branch_table(stream(*run), stream(*held), frac, rho, 2)
+    got = _branch_table(np.array(run), np.array(held), frac, rho, 2)
     want = []
     for k in range(3):
         val = (1.0 - rho) * run[k]
@@ -34,20 +26,22 @@ def test_table_mixes_in_the_shared_order():
 
 @pytest.mark.parametrize("frac, rho", [(0.0, 0.3), (0.4, 0.0), (0.0, 1.0)])
 def test_table_never_reads_a_held_branch_of_weight_zero(frac, rho):
-    got = _branch_table(stream(0.5, 0.3, 0.2), untouched(), frac, rho, 2)
+    got = _branch_table(np.array([0.5, 0.3, 0.2]), UNTOUCHED, frac, rho, 2)
+    assert not any(np.isnan(got.probs))
     assert got.probs[1:] == ((1.0 - rho) * 0.3, (1.0 - rho) * 0.2)
 
 
 def test_table_never_reads_a_running_branch_of_weight_zero():
-    got = _branch_table(untouched(), stream(0.25, 0.75), 0.5, 1.0, 1)
+    got = _branch_table(UNTOUCHED[:2], np.array([0.25, 0.75]), 0.5, 1.0, 1)
+    assert not any(np.isnan(got.probs))
     assert got.probs == (0.5 + 0.125, 0.375)
 
 
 def test_table_held_none_reads_the_running_entries():
     # fully coupled at the horizon: the held branch is the running one
-    got = _branch_table(stream(0.25, 0.75), None, 1.0, 1.0, 1)
+    got = _branch_table(np.array([0.25, 0.75]), None, 1.0, 1.0, 1)
     assert got.probs == (0.25, 0.75)
-    two = _branch_table(stream(0.25, 0.75), None, 0.5, 0.4, 1)
+    two = _branch_table(np.array([0.25, 0.75]), None, 0.5, 0.4, 1)
     assert two.probs == (0.6 * 0.25 + 0.4 * 0.5 + 0.2 * 0.25, 0.6 * 0.75 + 0.2 * 0.75)
 
 

@@ -331,6 +331,13 @@ def test_foxwright_margin_rejected():
         FoxWrightSpec(upper=((1.0, 2.0),), lower=((1.0, 1.0),))  # margin exactly -1
     with pytest.raises(InvalidSpec):
         FoxWrightSpec(upper=((1.0, 1.0),), lower=((1.0, -0.5),))  # bad slope
+    with pytest.raises(InvalidSpec, match="upper gamma slopes must be positive, got -1.0"):
+        FoxWrightSpec(upper=((1.0, -1.0),), lower=((1.0, 1.0),))
+
+
+def test_foxwright_upper_pole_rejected():
+    with pytest.raises(InvalidSpec, match=r"^upper gamma pole at term 0 \(argument -1.0\); sum undefined$"):
+        fox_wright(FoxWrightSpec(upper=((-1.0, 1.0),), lower=((1.0, 1.0),)), 0.5)
 
 
 def test_foxwright_lower_pole_zeroes_leading_term():
@@ -422,6 +429,8 @@ def test_recip_gamma_sign_pattern():
     assert recip_gamma_signed(-0.5) < 0.0
     assert recip_gamma_signed(-1.5) > 0.0
     assert recip_gamma_signed(-2.5) < 0.0
+    # past a double the value overflows with the sign of Gamma(w)
+    assert recip_gamma_signed(-180.3) == -math.inf
 
 
 def test_gamma_ratio_signed():

@@ -113,6 +113,13 @@ class TestWeightFn:
         with pytest.raises(DegenerateWeights):
             WeightFn.from_base(lambda k: math.inf if k == 5 else 1.0, base)
 
+    def test_zero_normalizer_rejected(self):
+        base = poisson_table(1.0, 20)
+        with pytest.raises(DegenerateWeights, match=r"^normalizer over truncated support is 0.0$"):
+            WeightFn.from_base(lambda k: 0.0, base)
+        with pytest.raises(DegenerateWeights, match=r"^normalizer must be finite positive, got 0.0$"):
+            WeightFn(lambda k: 1.0, 0.0)
+
 
 class TestWeightsInTime:
     def test_size_bias_frozen_values(self):
