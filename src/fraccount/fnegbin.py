@@ -13,16 +13,15 @@ through the generating function only.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CancellationLoss, DomainError, InvalidProfile, OutOfRange, UnsupportedR
+from .errors import CancellationLoss, CountingProcessError, DomainError, InvalidProfile, OutOfRange, UnsupportedR
 from .fracops import OperatorOAlphaSpec, _operator_quadrature
-from .pmftable import PmfTable, _branch_table, _branch_transform, _check_index, _live_branches
+from .pmftable import PmfTable, _branch_table, _branch_transform, _check_index, _exact_row_sums, _live_branches
 from .specfun import (
     _CORE_ABS_GUARD,
     _EPS,
@@ -212,70 +211,66 @@ def pgf_negbin(params: NegBinParams, t: float, u: float) -> float:
     return _branch_transform(transform(qt), held, frac, rho)
 
 
-def _core_pmf(level: float, alpha: float, nu: float, K: int) -> Iterator[float]:
-    """Single-component pmf at success level q = level, for k = 0..K.
+def _core_pmf(levels: list[float], alpha: float, nu: float, K: int) -> np.ndarray:
+    """Single-component pmf for k = 0..K down, one column per success level q.
 
     A geometric law is Poisson(L) with log-series jumps, L = -log q: so is
     this law, with the STFP count at rate L and time 1 in place of the
     Poisson one.  With c = 1 - q and P_h that count's entries, p_0 = P_0 and
-    p_k = c^k/k! sum_{h=1..k} |s(k, h)| h! L^(-h) P_h, from one
-    _count_series call over h = 0..K.  The weights w_kh lie in [0, 1] (each
-    column sums to 1) and follow the unsigned Stirling recurrence, so every
-    term of the sum has one sign and all cancellation stays inside P_h.
-    Those sums lose relative precision as h grows, which the weights scale
-    back down, so their own ratio and absolute checks are lifted: every
-    entry, k = 0 included, is held to _CORE_ABS_GUARD through
-    sum_h w_kh err_h plus rounding, and one past it raises CancellationLoss
-    when the stream reaches it.  Entries past STIRLING_CAP raise OutOfRange.
+    p_k = c^k/k! sum_{h=1..k} |s(k, h)| h! L^(-h) P_h over h = 0..K.  The
+    weights w_kh lie in [0, 1] and follow the unsigned Stirling recurrence,
+    so every term has one sign and all cancellation stays inside P_h, whose
+    own checks are lifted: every entry is held to _CORE_ABS_GUARD through
+    sum_h w_kh err_h plus rounding, each sum by _exact_row_sums.  The first
+    refused entry in (k, branch) order raises, a refused count series at its
+    branch's k = 0; then entries past STIRLING_CAP raise OutOfRange.
     """
-    if level >= 1.0:
-        yield 1.0
-        yield from itertools.repeat(0.0, K)
-        return
-    n = min(K, STIRLING_CAP) + 1
-    big_l, c = -math.log(level), 1.0 - level
-    probs, errs = (col[:, 0] for col in _count_series(
-        StfpParams(alpha, nu, big_l, 1.0), [1.0], range(n), lifted=True))
-    w = np.zeros(n)  # row k of the weights, 0 past h = k
-    w[0], hs = 1.0, np.arange(1, n)
-    for k in range(n):
-        p = math.fsum((w * probs).tolist())
-        # each weight carries about three roundings a step of the recurrence
-        err = math.fsum((w * errs).tolist()) + (3 * k + 1) * _EPS * abs(p)
-        if err > _CORE_ABS_GUARD:
-            raise CancellationLoss(
-                f"pmf entry k={k} carries absolute error ~{err:.2e}; "
-                "no trustworthy digits at probability scale"
-            )
-        yield p
-        # w_{k+1,h} = c/(k+1) (w_{k,h-1} h/L + k w_{k,h})
-        w[1:] = c / (k + 1) * (w[:-1] * hs / big_l + k * w[1:])
-        w[0] = 0.0
+    if min(levels, default=1.0) >= 1.0:  # q(t) = 1 makes F = 0: the running branch alone, or none
+        return np.eye(K + 1, 1)
+    n, series = min(K, STIRLING_CAP) + 1, []
+    try:
+        for level in levels:
+            series.append(_count_series(StfpParams(alpha, nu, -math.log(level), 1.0), [1.0], range(n), lifted=True))
+    except CountingProcessError:
+        if series:  # the held series: the running k = 0 entry comes first
+            _core_pmf(levels[:1], alpha, nu, 0)
+        raise
+    probs, errs = np.array(series)[..., 0].swapaxes(0, 1)  # (level, h) each
+    big_l, c = np.array([[-math.log(q), 1.0 - q] for q in levels]).T[..., None]
+    w = np.zeros((n, len(levels), n))  # w[k, b]: the weights of entry k, 0 past h = k
+    w[0, :, 0], hs = 1.0, np.arange(1, n)
+    for k in range(n - 1):  # w_{k+1,h} = c/(k+1) (w_{k,h-1} h/L + k w_{k,h})
+        w[k + 1, :, 1:] = c / (k + 1) * (w[k, :, :-1] * hs / big_l + k * w[k, :, 1:])
+    p = _exact_row_sums((w * probs).reshape(-1, n)).reshape(n, -1)
+    # each weight carries about three roundings a step of the recurrence
+    err = _exact_row_sums((w * errs).reshape(-1, n)).reshape(n, -1) + (3 * np.arange(n)[:, None] + 1) * _EPS * np.abs(p)
+    if not (ok := err <= _CORE_ABS_GUARD).all():  # not at nan: a sum math.fsum refuses, raised in its turn
+        k, b = divmod(int(ok.argmin()), len(levels))
+        math.fsum((w[k, b] * probs[b]).tolist()), math.fsum((w[k, b] * errs[b]).tolist())
+        raise CancellationLoss(f"pmf entry k={k} carries absolute error ~{err[k, b]:.2e}; "
+                               "no trustworthy digits at probability scale")
     if K >= n:
         raise OutOfRange(f"k must be in [0, {STIRLING_CAP}], got {n}")
+    return p
 
 
 def pmf_negbin_r1(params: NegBinParams, t: float, K: int) -> PmfTable:
     """Probability table for the shape-1 process at time t, k = 0..K.
 
     Only r = 1 has a closed form here; larger shapes raise UnsupportedR
-    and are reached through the generating function only.  Each live
-    branch sums one count series; the held branch reuses the running
-    branch's entries when q(t) equals p (t = T), and a branch of weight 0
-    is not summed (the held one at t = 0).
+    and are reached through the generating function only.  The live
+    branches are summed in one _core_pmf call; the held branch reuses the
+    running branch's entries when q(t) equals p (t = T), and a branch of
+    weight 0 is not summed (the held one at t = 0).
     """
     if params.r != 1:
         raise UnsupportedR(f"closed-form pmf exists for shape 1 only, got r={params.r}")
     _check_index(K, "truncation index")
-    rho, a, nu = params.rho, params.alpha, params.nu
-    qt = params.q(t)
+    rho, qt = params.rho, params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
     use_run, use_held = _live_branches(frac, rho, qt == params.p)
     apart = use_held and qt != params.p  # the held branch, summed apart from the running one
-    streams = [_core_pmf(level, a, nu, K) for level in [qt] * use_run + [params.p] * apart]
-    # drawn k by k, running first: the entry that raises is the first refused in (k, running, held) order
-    flat = np.fromiter(itertools.chain.from_iterable(zip(*streams)), float, (K + 1) * len(streams))
-    cols = flat.reshape(K + 1, len(streams))
+    cols = _core_pmf([qt] * use_run + [params.p] * apart, params.alpha, params.nu, K)
     return _branch_table(cols[:, 0] if use_run else None, cols[:, -1] if apart else None, frac, rho, K)
 
 

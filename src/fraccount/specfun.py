@@ -261,7 +261,7 @@ def _series_passes(log_x, neg, slope, rows, points, label):
             k_on, s_on = np.bincount(ki).nonzero()[0], np.bincount(si).nonzero()[0]
             hi = min(lo + min(max(_POWERS // s_on.size, _PASS), 8 * _PASS), _MAX_TERMS)
             span, cut = range(lo // _BLOCK, (hi - 1) // _BLOCK + 1), slice(lo % _BLOCK, lo % _BLOCK + hi - lo)
-            # one row per term, one column per point
+            # one row per term, one column per point of s_on (the live points themselves where one k is live)
             lg = np.array(sum((_block(slope, 1.0, i) for i in span), ())[cut])
             arg = np.arange(lo, hi)[:, None] * log_x[s_on] - lg[:, None]
             try:
@@ -277,7 +277,7 @@ def _series_passes(log_x, neg, slope, rows, points, label):
                 k0 = kc.min() // _COLS * _COLS
                 blocks = [[_weights(a, k, i) for k in range(k0, kc.max() + 1, _COLS)] for i in span]
                 ratio = np.concatenate([np.concatenate([w for w, _ in line], axis=1) for line in blocks])
-                ratio, power = ratio[cut, ks[ki] - k0], power[:, np.searchsorted(s_on, si)]
+                ratio, power = ratio[cut, ks[ki] - k0], power if k_on.size == 1 else power[:, np.searchsorted(s_on, si)]
                 term = np.where(ratio == 0.0, 0.0, power * ratio)  # 0 even where the power is inf
                 # a power below the normal range, or a weight past a double, as one exponent
                 if power.min() < _NORMAL_MIN or any(wild for line in blocks for _, wild in line):

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateWeights, DomainError, NonConvergent
-from .pmftable import PmfTable, _check_index
+from .pmftable import PmfTable, _check_index, _exact_row_sums
 
 __all__ = [
     "WeightFn",
@@ -134,17 +134,18 @@ def _powers(x: float, j):
     return x**j if np.ndim(j) == 0 else np.array([x**e for e in range(j.max() + 1)])[np.maximum(j, 0)]
 
 
-def _pool_terms(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> tuple:
-    """q(k|n,F,rho) P(M=n), k = 0..min(K, N-1) down and n = 0..N-1 across, and the
-    weights w(n); _row_sums rounds row k over n >= k exactly (math.fsum), 0 past the pool."""
+def _pool_sums(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int, layers: int = 1) -> np.ndarray:
+    """sum_{n >= k} q(k|n,F,rho) P(M=n) w(n) for k = 0..K (0 past the pool), and at layers = 2 the same sums
+    without w(n) below: math.fsum's bits, certified in bulk by _exact_row_sums, and raised where it raises."""
     _check_index(K, "truncation index")
     w = np.array([_checked_weight(wf.w, n) for n in range(len(base_Mg))])
     k, n = np.arange(min(K + 1, len(base_Mg)))[:, None], np.arange(len(base_Mg))
-    return _kernel(F_t, rho, k, n) * np.array(base_Mg.probs), w
-
-
-def _row_sums(terms: np.ndarray, K: int) -> list[float]:
-    return [math.fsum(row[k:]) for k, row in enumerate(terms.tolist())] + [0.0] * (K + 1 - len(terms))
+    terms = np.triu(_kernel(F_t, rho, k, n) * np.array(base_Mg.probs))
+    rows = np.concatenate([terms * w, terms][:layers])
+    sums = _exact_row_sums(rows)
+    for row in rows[np.isnan(sums)]:
+        math.fsum(row.tolist())
+    return np.hstack([sums.reshape(layers, -1), np.zeros((layers, K + 1 - len(terms)))])
 
 
 def weights_in_time(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> list[float]:
@@ -154,18 +155,16 @@ def weights_in_time(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: 
     size; a constant weight gives a constant vector, and at F = 1 the ratio
     reduces to w itself.
     """
-    terms, w = _pool_terms(base_Mg, wf, F_t, rho, K)
-    num, den = _row_sums(terms * w, K), _row_sums(terms, K)
-    for k, b in enumerate(den):
+    num, den = _pool_sums(base_Mg, wf, F_t, rho, K, layers=2)
+    for k, b in enumerate(den.tolist()):
         if not b > 0.0:
             raise DegenerateWeights(f"kernel average at k={k} is {b}; ratio undefined")
-    return [a / b for a, b in zip(num, den)]
+    return (num / den).tolist()
 
 
 def weighted_process_pmf(base_Mg: PmfTable, wf: WeightFn, F_t: float, rho: float, K: int) -> PmfTable:
     """Time-t law of the weighted pool: sum_n q(k|n,F,rho) P(M=n) w(n) / E[w]."""
-    terms, w = _pool_terms(base_Mg, wf, F_t, rho, K)
-    return PmfTable.from_probs([a / wf.normalizer for a in _row_sums(terms * w, K)])
+    return PmfTable.from_probs(_pool_sums(base_Mg, wf, F_t, rho, K)[0] / wf.normalizer)
 
 
 def covariance_corrected(lam: float, rho: float, s: float, t: float) -> float:

@@ -74,6 +74,9 @@ INVOCATIONS = (
         ["negbin", "--p", "0.005", "--alpha", "0.7", "--nu", "0.6", "--rho", "0.4", "--t", "0.3", "--kmax", "40"],
         # a time past the horizon
         ["weighted", "--t", "1.5"],
+        # two negbin branches over 81 rows, and a weighted table of the benchmark's shape (21 rows, 201 pools)
+        ["negbin", "--p", "0.3", "--alpha", "0.6", "--nu", "0.5", "--rho", "0.4", "--t", "0.5", "--kmax", "80"],
+        ["weighted", "--lambda", "2", "--rho", "0.3", "--t", "0.5", "--kmax", "20"],
     ]
 )
 

@@ -1,16 +1,22 @@
+import itertools
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fraccount import fnegbin
 from fraccount.errors import (
     CancellationLoss,
+    CountingProcessError,
     DomainError,
     InvalidProfile,
+    NonConvergent,
     OutOfRange,
     UnsupportedR,
 )
 from fraccount.fnegbin import (
+    STIRLING_CAP,
     Example31Profile,
     F_negbin,
     NegBinParams,
@@ -19,6 +25,9 @@ from fraccount.fnegbin import (
     pgf_negbin,
     pmf_negbin_r1,
 )
+from fraccount.pmftable import _branch_table, _live_branches
+from fraccount.specfun import _CORE_ABS_GUARD, _EPS
+from fraccount.stfpoisson import StfpParams
 
 import _frozen as FR
 
@@ -319,6 +328,99 @@ def test_pmf_two_branches_refuse_in_k_order(t, K, running_alone, match):
         pmf_negbin_r1(NegBinParams(rho=0.4, **SMALL_P), t, K)
     assert str(exc.value) == (
         "pmf entry k=0 carries absolute error ~2.49e-12; no trustworthy digits at probability scale")
+
+
+def _reference_core_pmf(level, alpha, nu, K):
+    # the per-k generator of one success level: one math.fsum per sum, each
+    # refusal raised when the stream reaches it
+    if level >= 1.0:
+        yield 1.0
+        yield from itertools.repeat(0.0, K)
+        return
+    n = min(K, STIRLING_CAP) + 1
+    big_l, c = -math.log(level), 1.0 - level
+    probs, errs = (col[:, 0] for col in fnegbin._count_series(
+        StfpParams(alpha, nu, big_l, 1.0), [1.0], range(n), lifted=True))
+    w = np.zeros(n)
+    w[0], hs = 1.0, np.arange(1, n)
+    for k in range(n):
+        p = math.fsum((w * probs).tolist())
+        err = math.fsum((w * errs).tolist()) + (3 * k + 1) * _EPS * abs(p)
+        if err > _CORE_ABS_GUARD:
+            raise CancellationLoss(
+                f"pmf entry k={k} carries absolute error ~{err:.2e}; "
+                "no trustworthy digits at probability scale"
+            )
+        yield p
+        w[1:] = c / (k + 1) * (w[:-1] * hs / big_l + k * w[1:])
+        w[0] = 0.0
+    if K >= n:
+        raise OutOfRange(f"k must be in [0, {STIRLING_CAP}], got {n}")
+
+
+def _reference_pmf(params, t, K):
+    # the branch streams drawn k by k, running first
+    rho, qt = params.rho, params.q(t)
+    frac = F_negbin(params, t) if rho > 0.0 else 0.0
+    use_run, use_held = _live_branches(frac, rho, qt == params.p)
+    apart = use_held and qt != params.p
+    streams = [_reference_core_pmf(level, params.alpha, params.nu, K)
+               for level in [qt] * use_run + [params.p] * apart]
+    flat = np.fromiter(itertools.chain.from_iterable(zip(*streams)), float, (K + 1) * len(streams))
+    cols = flat.reshape(K + 1, len(streams))
+    return _branch_table(cols[:, 0] if use_run else None, cols[:, -1] if apart else None, frac, rho, K)
+
+
+def _hex_or_refusal(fn, *args):
+    try:
+        return [v.hex() for v in fn(*args).probs]
+    except (CountingProcessError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# q(T) = 0.30000000000000004 is one rounding above p: at t = T the held branch is summed apart
+ONE_ROUNDING = NegBinParams(p=0.3, r=1, alpha=0.6, nu=0.5, rho=0.0, T=1.0, q_profile=Example31Profile(0.7))
+
+
+@pytest.mark.parametrize("K", [40, 80, 170])
+@pytest.mark.parametrize("rho", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_pmf_matches_the_per_k_reference_bit_for_bit(K, rho, t):
+    params = replace(ONE_ROUNDING, rho=rho)
+    assert params.q(1.0) != params.p
+    got = _hex_or_refusal(pmf_negbin_r1, params, t, K)
+    assert got == _hex_or_refusal(_reference_pmf, params, t, K)
+    assert isinstance(got, list)
+
+
+@pytest.mark.parametrize("rho, t, K", [(0.0, 0.3, 40), (0.4, 0.3, 40), (0.0, 0.1, 200), (0.4, 0.1, 200),
+                                       (0.4, 0.0, 200), (0.4, 1.0, 40)])
+def test_pmf_refuses_as_the_per_k_reference(rho, t, K):
+    # the held branch refused at k = 0 before the running one at k = 4, and
+    # OutOfRange past STIRLING_CAP only once every capped entry passes
+    params = NegBinParams(rho=rho, **SMALL_P)
+    assert _hex_or_refusal(pmf_negbin_r1, params, t, K) == _hex_or_refusal(_reference_pmf, params, t, K)
+
+
+@pytest.mark.parametrize("running_k0_refused", [False, True])
+def test_pmf_held_series_refused_after_the_running_k0_entry(monkeypatch, running_k0_refused):
+    # a count series that raises is refused at its branch's k = 0 turn: after
+    # the running k = 0 entry, which raises first where it is refused itself
+    params = replace(ONE_ROUNDING, rho=0.4)
+    real = fnegbin._count_series
+
+    def series(sp, s, ks, **kw):
+        if sp.lam == -math.log(params.p):
+            raise NonConvergent("held series refused")
+        out, bound = real(sp, s, ks, **kw)
+        if running_k0_refused:
+            bound[0] = 1.0
+        return out, bound
+
+    monkeypatch.setattr(fnegbin, "_count_series", series)
+    got = _hex_or_refusal(pmf_negbin_r1, params, 0.5, 40)
+    assert got == _hex_or_refusal(_reference_pmf, params, 0.5, 40)
+    assert got[0] == ("CancellationLoss" if running_k0_refused else "NonConvergent")
 
 
 def test_pmf_zero_count_held_to_absolute_budget():

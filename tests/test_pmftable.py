@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fraccount.errors import CancellationLoss, DomainError
 from fraccount.fnegbin import Example31Profile, NegBinParams, pmf_negbin_r1
-from fraccount.pmftable import PmfTable, _branch_table, _branch_transform
+from fraccount import pmftable, weighted
+from fraccount.pmftable import PmfTable, _branch_table, _branch_transform, _exact_row_sums
 from fraccount.stfpoisson import StfpParams, governing_residual, pmf
 from fraccount.weighted import WeightFn, q_kernel, weighted_process_pmf, weights_in_time
 
@@ -114,3 +117,92 @@ def test_index_must_be_an_int_or_numpy_integer(name):
     with pytest.raises(DomainError):
         fn(np.float64(2.0))
     assert fn(np.int64(2)) == fn(2)
+
+
+# ---- exactly rounded row sums ----
+
+def _fsum_or_refusal(row):
+    # math.fsum's bits, or the class and message it raises
+    try:
+        return math.fsum(row).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_rows_match_fsum(x):
+    got = _exact_row_sums(x)
+    for row, value in zip(x.tolist(), got.tolist()):
+        want = _fsum_or_refusal(row)
+        if isinstance(want, tuple):  # a refused sum reads nan, and math.fsum raises it again
+            assert math.isnan(value), want
+        else:
+            assert value.hex() == want, row
+
+
+def _random_rows(rng, rows, width):
+    # signs, mantissas and exponents drawn over the whole double range, subnormals
+    # included, with some exact zeros and some rows of one scale
+    mant = rng.uniform(-1.0, 1.0, (rows, width))
+    spread = rng.integers(-1074, 1000, (rows, width))
+    local = rng.integers(-1074, 1000, (rows, 1)) + rng.integers(-60, 8, (rows, width))
+    x = np.ldexp(mant, np.where(rng.random((rows, 1)) < 0.5, spread, np.clip(local, -1074, 1000)))
+    x[rng.random((rows, width)) < 0.05] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_row_sums_match_fsum_on_random_rows(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        _assert_rows_match_fsum(_random_rows(rng, int(rng.integers(1, 12)), int(rng.integers(1, 301))))
+
+
+def test_row_sums_match_fsum_where_rows_nearly_cancel():
+    # each row and its negation, reversed and nudged by a few units in the last place
+    rng = np.random.default_rng(11)
+    for width in (1, 2, 7, 150, 300):
+        half = rng.standard_normal((20, width)) * np.ldexp(1.0, rng.integers(-300, 300, (20, 1)))
+        nudge = 1.0 + 2.0**-52 * rng.integers(-3, 4, (20, width))
+        _assert_rows_match_fsum(np.hstack([half, -half[:, ::-1] * nudge]))
+
+
+def test_row_sums_round_exact_midpoints_as_fsum_does():
+    # ties go to even, down from 1 and up from 1 + 2^-52; a far smaller third term breaks the tie
+    rows = [[1.0, 2.0**-53, 0.0], [1.0, 2.0**-53, 2.0**-200], [1.0 + 2.0**-52, 2.0**-53, 0.0]]
+    got = _exact_row_sums(np.array(rows)).tolist()
+    assert got == [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51]
+    assert [v.hex() for v in got] == [math.fsum(row).hex() for row in rows]
+
+
+def test_row_sums_of_zeros_and_non_finite_rows():
+    x = np.array([
+        [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [1.0, -1.0, 0.0],
+        [math.inf, 1.0, 2.0], [-math.inf, 1.0, 0.0], [math.nan, 1.0, 2.0], [math.inf, -math.inf, 1.0],
+        [1e308, 1e308, 0.0], [1.7e308, -1.7e308, 1.0], [5e-324, 5e-324, -5e-324],
+    ])
+    _assert_rows_match_fsum(x)
+    got = _exact_row_sums(x)
+    assert [v.hex() for v in got[:4].tolist()] == [math.fsum(r).hex() for r in x[:4].tolist()]
+    assert np.isnan(got[[6, 7, 8]]).all() and got[4] == math.inf and got[5] == -math.inf
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        math.fsum(x[8].tolist())
+
+
+def test_row_sums_certify_the_benchmark_shaped_weighted_tables(monkeypatch):
+    # Poisson bases of 201 entries, weight k, K = 20 at interior F: every row of both
+    # the weighted and the unweighted layer is certified in bulk, none falls back
+    seen = []
+    monkeypatch.setattr(weighted, "_exact_row_sums", lambda x: seen.append(x.copy()) or _exact_row_sums(x))
+    for lam, F, rho in ((1.0, 0.35, 0.3), (2.0, 0.5, 0.0), (3.0, 0.8, 0.6)):
+        base = PmfTable.from_probs([math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) for k in range(201)])
+        wf = WeightFn.from_base(lambda k: float(k), base)
+        weighted_process_pmf(base, wf, F, rho, 20)
+        weights_in_time(base, wf, F, rho, 20)
+    assert [x.shape for x in seen] == [(21, 201), (42, 201)] * 3
+
+    def no_fallback(row):
+        raise AssertionError("a row fell back to math.fsum")
+
+    monkeypatch.setattr(pmftable.math, "fsum", no_fallback)
+    for x in seen:
+        _exact_row_sums(x)

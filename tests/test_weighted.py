@@ -386,3 +386,13 @@ def test_tables_alternating_shapes_match_the_double_sum():
             assert _hex(weighted_process_pmf(base, wf, F, rho, K).probs) == _hex(a / wf.normalizer for a in num)
             assert _hex(weights_in_time(base, wf, F, rho, K)) == _hex(a / b for a, b in zip(num, den))
             assert _pascal.cache_info().currsize <= 2
+
+
+@pytest.mark.parametrize("fn", [weighted_process_pmf, weights_in_time])
+@pytest.mark.parametrize("F, rho", [(0.0, 0.0), (0.0, 0.3)])
+def test_row_sum_past_a_double_raises_as_fsum_does(fn, F, rho):
+    # a head a hair past 1 under the largest weight: the k = 0 sum overflows
+    base = PmfTable.from_probs([0.5, 0.5000000001])
+    wf = WeightFn(w=lambda k: 1.7976931348623157e308, normalizer=1.0)
+    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+        fn(base, wf, F, rho, 3)
