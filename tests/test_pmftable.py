@@ -147,7 +147,14 @@ def _random_rows(rng, rows, width):
     local = rng.integers(-1074, 1000, (rows, 1)) + rng.integers(-60, 8, (rows, width))
     x = np.ldexp(mant, np.where(rng.random((rows, 1)) < 0.5, spread, np.clip(local, -1074, 1000)))
     x[rng.random((rows, width)) < 0.05] = 0.0
-    return x
+    return np.where(rng.random((rows, 1)) < 0.25, np.abs(x), x)  # a row of one sign sums past its largest entry
+
+
+def test_row_sums_match_fsum_on_wide_rows_of_one_sign_and_scale():
+    rng = np.random.default_rng(7)
+    for width in (3, 64, 201, 300):
+        x = rng.uniform(0.5, 1.0, (30, width)) * np.ldexp(1.0, rng.integers(-1000, 1000, (30, 1)))
+        _assert_rows_match_fsum(x)
 
 
 @pytest.mark.parametrize("seed", range(8))
