@@ -244,7 +244,7 @@ def _core_pmf(levels: list[float], alpha: float, nu: float, K: int) -> np.ndarra
     p = _exact_row_sums((w * probs).reshape(-1, n)).reshape(n, -1)
     # each weight carries about three roundings a step of the recurrence
     err = _exact_row_sums((w * errs).reshape(-1, n)).reshape(n, -1) + (3 * np.arange(n)[:, None] + 1) * _EPS * np.abs(p)
-    if not (ok := err <= _CORE_ABS_GUARD).all():  # not at nan: a sum math.fsum refuses, raised in its turn
+    if not (ok := err <= _CORE_ABS_GUARD).all():  # nan fails: math.fsum raises that sum's refusal below
         k, b = divmod(int(ok.argmin()), len(levels))
         math.fsum((w[k, b] * probs[b]).tolist()), math.fsum((w[k, b] * errs[b]).tolist())
         raise CancellationLoss(f"pmf entry k={k} carries absolute error ~{err[k, b]:.2e}; "
