@@ -14,14 +14,13 @@ through the generating function only.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CancellationLoss, CountingProcessError, DomainError, InvalidProfile, OutOfRange, UnsupportedR
 from .fracops import OperatorOAlphaSpec, _operator_quadrature
-from .pmftable import PmfTable, _branch_table, _branch_transform, _check_index, _exact_row_sums, _live_branches
+from .pmftable import PmfTable, _branch_table, _branch_transform, _check_index, _exact_row_sums, _live_levels
 from .specfun import (
     _CORE_ABS_GUARD,
     _EPS,
@@ -196,19 +195,14 @@ def pgf_negbin(params: NegBinParams, t: float, u: float) -> float:
     """
     rho, qt = params.rho, params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
-    use_run, use_held = _live_branches(frac, rho, qt == params.p)
-    bound = min(_radius(qt) if use_run else math.inf, _radius(params.p) if use_held else math.inf)
+    bound = min(map(_radius, _live_levels(qt, params.p, frac, rho)), default=math.inf)
     if not abs(u) < bound:
         raise DomainError(f"|u|={abs(u)} outside radius {bound}")
     if u == 1.0:
         return 1.0
     a, nu, r = params.alpha, params.nu, params.r
-
-    def transform(level: float) -> Callable[[], float]:
-        return lambda: mittag_leffler(nu, 1.0, _core_arg(level, a, u)).value ** r
-
-    held = None if qt == params.p else transform(params.p)
-    return _branch_transform(transform(qt), held, frac, rho)
+    return _branch_transform(lambda level: mittag_leffler(nu, 1.0, _core_arg(level, a, u)).value ** r,
+                             qt, params.p, frac, rho)
 
 
 def _core_pmf(levels: list[float], alpha: float, nu: float, K: int) -> np.ndarray:
@@ -268,10 +262,9 @@ def pmf_negbin_r1(params: NegBinParams, t: float, K: int) -> PmfTable:
     _check_index(K, "truncation index")
     rho, qt = params.rho, params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
-    use_run, use_held = _live_branches(frac, rho, qt == params.p)
-    apart = use_held and qt != params.p  # the held branch, summed apart from the running one
-    cols = _core_pmf([qt] * use_run + [params.p] * apart, params.alpha, params.nu, K)
-    return _branch_table(cols[:, 0] if use_run else None, cols[:, -1] if apart else None, frac, rho, K)
+    live = _live_levels(qt, params.p, frac, rho)
+    cols = _core_pmf(live, params.alpha, params.nu, K).T
+    return _branch_table(dict(zip(live, cols)), qt, params.p, frac, rho, K)
 
 
 def operator_residual_prop33(params: NegBinParams, t: float, rho: float, u: float) -> float:
@@ -300,8 +293,8 @@ def operator_residual_prop33(params: NegBinParams, t: float, rho: float, u: floa
         # pgf_negbin's bits at every stencil point v <= u (v = 1 included): the
         # transform at level, mixed as held at rho = 1 (the scalar 1 while F = 0)
         frac = F_negbin(params, t) if rho == 1.0 else 0.0
-        g = lambda: _mittag_leffler_many(params.nu, [_core_arg(level, params.alpha, v) for v in vs.tolist()])
-        return np.broadcast_to(_branch_transform(g, None, frac, rho), vs.shape)
+        g = lambda lv: _mittag_leffler_many(params.nu, [_core_arg(lv, params.alpha, v) for v in vs.tolist()])
+        return np.broadcast_to(_branch_transform(g, level, level, frac, rho), vs.shape)
 
     op = OperatorOAlphaSpec(alpha=params.alpha, a=1.0 / level, b=(level - 1.0) / level)
     lhs = _operator_quadrature(op, pgf_many, u)

@@ -3,9 +3,10 @@ modules, and the branch-mixture assembler of both process families.
 
 With weight rho the whole pool sits on one common epoch, so the law at t is
 (1 - rho) * running + rho * [(1 - F) * delta_0 + F * held], with held the
-law at the horizon.  _branch_table assembles a table from the two branch
-arrays, _branch_transform a transform from the two branch values; a branch
-of weight 0 (_live_branches) is never read, and held None reads running.
+law at the horizon.  A caller names the level of each branch (a time, or a
+success level); _live_levels is the one rule for which levels a mixture
+reads, and _branch_table and _branch_transform read only those, the held
+branch from the running entries where the two levels are equal.
 """
 from __future__ import annotations
 
@@ -95,39 +96,36 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _live_branches(frac: float, rho: float, held_is_running: bool) -> tuple[bool, bool]:
-    """(running, held): does each branch carry weight?  Held weighs rho * frac,
-    running 1 - rho, plus rho * frac where held reads the running entries."""
-    held = rho * frac != 0.0
-    return rho != 1.0 or (held_is_running and held), held
+def _live_levels(running, held, frac: float, rho: float) -> list:
+    """The levels a mixture reads, running first: the running level if that
+    branch weighs (1 - rho, plus rho * frac where held == running), then the
+    held level if it weighs (rho * frac) and is not the running level."""
+    held_weighs = rho * frac != 0.0
+    levels = [running] if rho != 1.0 or (held_weighs and held == running) else []
+    return levels + [held] if held_weighs and held != running else levels
 
 
-def _branch_table(
-    running: np.ndarray | None, held: np.ndarray | None, frac: float, rho: float, K: int
-) -> PmfTable:
-    """Mixture table for k = 0..K from the branch entries: (1 - rho) * running,
-    then + rho * (1 - F) at k = 0, then + rho * F * held, rounded in that order."""
-    use_run, use_held = _live_branches(frac, rho, held is None)
-    run = running if use_run else np.zeros(K + 1)
+def _branch_table(cols: dict, running, held, frac: float, rho: float, K: int) -> PmfTable:
+    """Mixture table for k = 0..K from the branch entries cols[level], an
+    array per live level: (1 - rho) * running, then + rho * (1 - F) at
+    k = 0, then + rho * F * held, rounded in that order."""
+    run = cols[running] if running in _live_levels(running, held, frac, rho) else np.zeros(K + 1)
     probs = (1.0 - rho) * run
     if rho != 0.0:
         probs[0] += rho * (1.0 - frac)
-        if use_held:
-            probs += rho * frac * (run if held is None else held)
+        if rho * frac != 0.0:
+            probs += rho * frac * cols[held]
     return PmfTable.from_probs(probs.tolist())
 
 
-def _branch_transform(
-    running: Callable[[], float], held: Callable[[], float] | None, frac: float, rho: float
-) -> float:
-    """Mixture of the two branch transform values, each a thunk returning a
-    float."""
-    use_run, use_held = _live_branches(frac, rho, held is None)
-    run = running() if use_run else 0.0
-    out = (1.0 - rho) * run
+def _branch_transform(transform: Callable, running, held, frac: float, rho: float) -> float:
+    """Mixture of the branch transform values, transform(level) called once
+    per live level, running first."""
+    values = {level: transform(level) for level in _live_levels(running, held, frac, rho)}
+    out = (1.0 - rho) * values.get(running, 0.0)
     if rho != 0.0:
         coupled = rho * (1.0 - frac)
-        if use_held:
-            coupled += rho * frac * (run if held is None else held())
+        if rho * frac != 0.0:
+            coupled += rho * frac * values[held]
         out += coupled
     return out

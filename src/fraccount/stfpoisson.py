@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .fracops import (
     caputo_derivative_series,
     frac_difference,
 )
-from .pmftable import PmfTable, _branch_table, _branch_transform, _check_index, _live_branches
+from .pmftable import PmfTable, _branch_table, _branch_transform, _check_index, _live_levels
 from .specfun import (
     _COLS,
     _CORE_ABS_GUARD,
@@ -152,18 +151,6 @@ def _count_series(
     return out, bound
 
 
-def _tables(params: StfpParams, t: float, K: int, terminal: bool = False):
-    """The table at t and, if terminal, at T, from one count-series call over the live branches."""
-    frac, rho, T = F_stfp(params, t), params.rho, params.T
-    use_run, use_held = _live_branches(frac, rho, t == T)
-    apart = (use_held or terminal) and t != T  # the series at T, summed apart from t
-    cols = _count_series(params, [t] * use_run + [T] * apart, range(K + 1))[0].T
-    tbl = _branch_table(cols[0] if use_run else None, cols[-1] if apart else None, frac, rho, K)
-    if not terminal:
-        return tbl, None
-    return tbl, tbl if t == T else _branch_table(cols[-1], None, 1.0, rho, K)
-
-
 def pgf(params: StfpParams, t: float, u: float) -> float:
     """Probability generating function at time t, |u| <= 1.
 
@@ -175,14 +162,10 @@ def pgf(params: StfpParams, t: float, u: float) -> float:
         raise DomainError(f"pgf argument must lie in [-1,1], got {u}")
     if u == 1.0:
         return 1.0
-    a, nu, lam, T = params.alpha, params.nu, params.lam, params.T
+    a, nu, lam = params.alpha, params.nu, params.lam
     w = (1.0 - u) ** a
-
-    def transform(s: float) -> Callable[[], float]:
-        return lambda: mittag_leffler(nu, 1.0, -(lam**a) * (s**nu) * w).value
-
-    held = None if t == T else transform(T)
-    return _branch_transform(transform(t), held, F_stfp(params, t), params.rho)
+    return _branch_transform(lambda s: mittag_leffler(nu, 1.0, -(lam**a) * (s**nu) * w).value,
+                             t, params.T, F_stfp(params, t), params.rho)
 
 
 def pmf(params: StfpParams, t: float, K: int) -> PmfTable:
@@ -195,7 +178,10 @@ def pmf(params: StfpParams, t: float, K: int) -> PmfTable:
     """
     _check_time(params, t)
     _check_index(K, "truncation index")
-    return _tables(params, t, K)[0]
+    frac = F_stfp(params, t)
+    live = _live_levels(t, params.T, frac, params.rho)
+    cols = _count_series(params, live, range(K + 1))[0].T  # one series call over the live levels
+    return _branch_table(dict(zip(live, cols)), t, params.T, frac, params.rho, K)
 
 
 def joint_prob_kps(nu: float, lam: float, T: float, t: float) -> float:
@@ -272,18 +258,22 @@ def _governing_residuals(params: StfpParams, t: float, ks, method: str) -> list[
 def _residuals(params: StfpParams, t: float, ks: list[int], method: str) -> list[float]:
     a, nu, lam, T, rho = params.alpha, params.nu, params.lam, params.T, params.rho
     la = lam**a
-    frac = F_stfp(params, t)
-    tbl_t, tbl_T = _tables(params, t, max(ks), terminal=rho != 0.0)
+    frac, K = F_stfp(params, t), max(ks)
+    # the live levels at t, and T for the horizon table where rho weighs it, in one series call
+    levels = _live_levels(t, T, frac, rho)
+    levels += [T] * (rho != 0.0 and T not in levels)
+    cols = dict(zip(levels, _count_series(params, levels, range(K + 1))[0].T))
+    tbl_t = _branch_table(cols, t, T, frac, rho, K)
+    tbl_T = _branch_table(cols, T, T, 1.0, rho, K) if rho != 0.0 else None
 
     if method == "quadrature":
         delta = np.equal(ks, 0)[:, None] * 1.0
         held = np.array([tbl_T[k] if rho != 0.0 else 0.0 for k in ks])[:, None]
         expo = nu / a
-        use_run = _live_branches(frac, rho, False)[0]  # weight 1 - rho at every stencil point
 
         def probs_at(s: np.ndarray) -> np.ndarray:
             # one row of pmf entries per k at every stencil point at once; F_stfp per point
-            running = _count_series(params, s, ks)[0] if use_run else 0.0
+            running = _count_series(params, s, ks)[0] if rho != 1.0 else 0.0  # weight 1 - rho
             hold = np.array([x**expo for x in (s / T).tolist()])
             return (1.0 - rho) * running + rho * ((1.0 - hold) * delta + hold * held)
 

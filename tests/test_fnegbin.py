@@ -25,7 +25,7 @@ from fraccount.fnegbin import (
     pgf_negbin,
     pmf_negbin_r1,
 )
-from fraccount.pmftable import _branch_table, _live_branches
+from fraccount.pmftable import _branch_table, _live_levels
 from fraccount.specfun import _CORE_ABS_GUARD, _EPS
 from fraccount.stfpoisson import StfpParams
 
@@ -362,13 +362,11 @@ def _reference_pmf(params, t, K):
     # the branch streams drawn k by k, running first
     rho, qt = params.rho, params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
-    use_run, use_held = _live_branches(frac, rho, qt == params.p)
-    apart = use_held and qt != params.p
-    streams = [_reference_core_pmf(level, params.alpha, params.nu, K)
-               for level in [qt] * use_run + [params.p] * apart]
+    live = _live_levels(qt, params.p, frac, rho)
+    streams = [_reference_core_pmf(level, params.alpha, params.nu, K) for level in live]
     flat = np.fromiter(itertools.chain.from_iterable(zip(*streams)), float, (K + 1) * len(streams))
     cols = flat.reshape(K + 1, len(streams))
-    return _branch_table(cols[:, 0] if use_run else None, cols[:, -1] if apart else None, frac, rho, K)
+    return _branch_table(dict(zip(live, cols.T)), qt, params.p, frac, rho, K)
 
 
 def _hex_or_refusal(fn, *args):

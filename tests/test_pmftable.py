@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fraccount.errors import CancellationLoss, DomainError
 from fraccount.fnegbin import Example31Profile, NegBinParams, pmf_negbin_r1
-from fraccount import pmftable, weighted
-from fraccount.pmftable import PmfTable, _branch_table, _branch_transform, _exact_row_sums
+from fraccount import fnegbin, pmftable, stfpoisson, weighted
+from fraccount.pmftable import PmfTable, _branch_table, _branch_transform, _exact_row_sums, _live_levels
 from fraccount.stfpoisson import StfpParams, governing_residual, pmf
 from fraccount.weighted import WeightFn, q_kernel, weighted_process_pmf, weights_in_time
 
@@ -17,7 +18,7 @@ UNTOUCHED = np.full(3, np.nan)
 
 def test_table_mixes_in_the_shared_order():
     run, held, frac, rho = (0.5, 0.3, 0.2), (0.1, 0.6, 0.3), 0.4, 0.3
-    got = _branch_table(np.array(run), np.array(held), frac, rho, 2)
+    got = _branch_table({"t": np.array(run), "T": np.array(held)}, "t", "T", frac, rho, 2)
     want = []
     for k in range(3):
         val = (1.0 - rho) * run[k]
@@ -29,35 +30,104 @@ def test_table_mixes_in_the_shared_order():
 
 @pytest.mark.parametrize("frac, rho", [(0.0, 0.3), (0.4, 0.0), (0.0, 1.0)])
 def test_table_never_reads_a_held_branch_of_weight_zero(frac, rho):
-    got = _branch_table(np.array([0.5, 0.3, 0.2]), UNTOUCHED, frac, rho, 2)
+    got = _branch_table({"t": np.array([0.5, 0.3, 0.2]), "T": UNTOUCHED}, "t", "T", frac, rho, 2)
     assert not any(np.isnan(got.probs))
     assert got.probs[1:] == ((1.0 - rho) * 0.3, (1.0 - rho) * 0.2)
 
 
 def test_table_never_reads_a_running_branch_of_weight_zero():
-    got = _branch_table(UNTOUCHED[:2], np.array([0.25, 0.75]), 0.5, 1.0, 1)
+    got = _branch_table({"t": UNTOUCHED[:2], "T": np.array([0.25, 0.75])}, "t", "T", 0.5, 1.0, 1)
     assert not any(np.isnan(got.probs))
     assert got.probs == (0.5 + 0.125, 0.375)
 
 
-def test_table_held_none_reads_the_running_entries():
+def test_table_held_at_the_running_level_reads_the_running_entries():
     # fully coupled at the horizon: the held branch is the running one
-    got = _branch_table(np.array([0.25, 0.75]), None, 1.0, 1.0, 1)
+    got = _branch_table({"T": np.array([0.25, 0.75])}, "T", "T", 1.0, 1.0, 1)
     assert got.probs == (0.25, 0.75)
-    two = _branch_table(np.array([0.25, 0.75]), None, 0.5, 0.4, 1)
+    two = _branch_table({"T": np.array([0.25, 0.75])}, "T", "T", 0.5, 0.4, 1)
     assert two.probs == (0.6 * 0.25 + 0.4 * 0.5 + 0.2 * 0.25, 0.6 * 0.75 + 0.2 * 0.75)
 
 
 def test_transform_association_and_weight_zero_branches():
-    def fail():
-        raise AssertionError("branch of weight 0 was evaluated")
+    def branch(values):
+        # transform(level) from a dict; a level left out must never be read
+        def transform(level):
+            if level not in values:
+                raise AssertionError("branch of weight 0 was evaluated")
+            calls.append(level)
+            return values[level]
+        return transform
 
+    calls = []
     run, held, frac, rho = 0.7, 0.2, 0.4, 0.3
-    got = _branch_transform(lambda: run, lambda: held, frac, rho)
+    got = _branch_transform(branch({"t": run, "T": held}), "t", "T", frac, rho)
     assert got == (1.0 - rho) * run + (rho * (1.0 - frac) + rho * frac * held)
-    assert _branch_transform(lambda: run, fail, 0.0, 0.3) == 0.7 * run + 0.3
-    assert _branch_transform(fail, lambda: held, frac, 1.0) == (1.0 - frac) + frac * held
-    assert _branch_transform(lambda: run, None, 1.0, 1.0) == run
+    assert calls == ["t", "T"]  # running first
+    assert _branch_transform(branch({"t": run}), "t", "T", 0.0, 0.3) == 0.7 * run + 0.3
+    assert _branch_transform(branch({"T": held}), "t", "T", frac, 1.0) == (1.0 - frac) + frac * held
+    calls.clear()
+    assert _branch_transform(branch({"T": run}), "T", "T", 1.0, 1.0) == run
+    assert calls == ["T"]  # held at the running level is not evaluated again
+
+
+@pytest.mark.parametrize("frac, rho, want", [
+    (0.0, 0.0, [0.5]), (0.3, 0.4, [0.5]), (0.3, 1.0, [0.5]), (0.0, 1.0, []),
+])
+def test_live_levels_held_at_the_running_level(frac, rho, want):
+    # one level at most: at rho = 1 it is read only while the held branch weighs
+    assert _live_levels(0.5, 0.5, frac, rho) == want
+
+
+# the live levels at t of a horizon-1 mixture, "run" and "held" naming the
+# running and the held level: the held branch weighs from t > 0 on, and
+# reads the running one at t = T
+LIVE_GRID = [
+    (0.0, 0.0, ["run"]), (0.0, 0.4, ["run"]), (0.0, 1.0, []),
+    (0.3, 0.0, ["run"]), (0.3, 0.4, ["run", "held"]), (0.3, 1.0, ["held"]),
+    (1.0, 0.0, ["run"]), (1.0, 0.4, ["run"]), (1.0, 1.0, ["run"]),
+]
+
+
+@pytest.mark.parametrize("t, rho, want", LIVE_GRID)
+def test_live_levels_of_the_time_grid(t, rho, want):
+    # running level t, held level T = 1, with F = t^(1/2)
+    levels = {"run": t, "held": 1.0}
+    assert _live_levels(t, 1.0, t ** 0.5, rho) == [levels[w] for w in want]
+
+
+def _spy(monkeypatch, module, name, calls):
+    # record the levels (the series' times, or _core_pmf's success levels) of every call
+    real = getattr(module, name)
+
+    def call(*args, **kwargs):
+        calls.append(list(args[1] if name == "_count_series" else args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, call)
+
+
+@pytest.mark.parametrize("t, rho, want", LIVE_GRID)
+def test_tables_and_residuals_sum_the_live_levels_in_one_series_call(monkeypatch, t, rho, want):
+    calls = []
+    _spy(monkeypatch, stfpoisson, "_count_series", calls)
+    _spy(monkeypatch, fnegbin, "_core_pmf", calls)
+    pmf(replace(_P, rho=rho), t, 5)
+    assert calls == [[{"run": t, "held": 1.0}[w] for w in want]]
+    calls.clear()
+    nb = replace(_NB, rho=rho)
+    pmf_negbin_r1(nb, t, 5)
+    assert calls == [[{"run": nb.q(t), "held": nb.p}[w] for w in want]]
+    if t > 0.0:
+        # the residual's one call adds T where rho weighs the horizon table;
+        # the quadrature's stencil call follows where the running branch weighs
+        levels = [{"run": t, "held": 1.0}[w] for w in want]
+        levels += [1.0] * (rho != 0.0 and 1.0 not in levels)
+        for method in ("series", "quadrature"):
+            calls.clear()
+            stfpoisson._governing_residuals(replace(_P, rho=rho), t, range(3), method)
+            assert calls[0] == levels
+            assert len(calls) == 1 + (method == "quadrature" and rho != 1.0)
 
 
 @pytest.mark.parametrize("probs, message", [
