@@ -137,15 +137,19 @@ def _stencils(span: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.nda
     y = _tanh_sinh_nodes(n_nodes)[0]
     sgn = 1.0 if span >= 0.0 else -1.0
     h_nom = abs(span) * _NOMINAL_STEP_REL
+    if h_nom == 0.0:
+        raise QuadratureFailure(f"an interval of length {abs(span)} leaves no finite-difference step")
     w = y * span
     pos = w * sgn          # distance from 0 along the interval
     central = abs(span) - pos >= 2.0 * h_nom
     # pos/64 resolves an s^(mu-1) singularity with ~(1/64)^2/3 relative
     # truncation error while the shrinking step keeps the stencil inside
     h = np.minimum(h_nom, pos / 64.0)
-    h[h <= 0.0] = h_nom  # w == 0 endpoint: fall back, the weight zeroes it
+    h[h <= 0.0] = h_nom  # pos/64 underflows (w ~ 0): fall back, the weight ~y zeroes it
     hw = np.where(central, h, h_nom) * sgn
-    points = np.stack([np.where(central, w + hw, w), w - hw, w - 2.0 * hw], axis=1)
+    # only the fallback's w - h leaves the interval: clip it to the endpoint 0
+    points = np.clip(np.stack([np.where(central, w + hw, w), w - hw, w - 2.0 * hw], axis=1),
+                     min(span, 0.0), max(span, 0.0))
     used = np.ones(points.shape, dtype=bool)
     used[:, 2] = ~central
     return points, used, hw

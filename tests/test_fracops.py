@@ -10,6 +10,7 @@ from fraccount.fracops import (
     PowerSeriesInT,
     _caputo_quadrature,
     _operator_quadrature,
+    _stencils,
     caputo_derivative_quadrature,
     caputo_derivative_series,
     frac_difference,
@@ -174,6 +175,7 @@ def _recorded(f):
     (lambda s: s**1.5, 0.6, 0.8),  # the benchmark's traced probe
     (lambda s: math.sqrt(s) - 0.3 * s, 0.3, 2.3),
     (lambda s: math.exp(-s) * s**0.4, 0.9, 0.05),
+    (lambda s: s**1.5, 0.6, 1e-270),  # the smallest stencil point is 5.3e-321, pos/64 > 0 at every node
 ])
 def test_caputo_quadrature_matches_scalar_core(f, nu, t):
     got, points = _recorded(f)
@@ -187,6 +189,8 @@ def test_caputo_quadrature_matches_scalar_core(f, nu, t):
     (OperatorOAlphaSpec(alpha=0.5, a=1.0, b=1.0), lambda tau: math.log(1.0 + tau) ** 0.9, 1.5),
     # a shrinking map: the span log(a + b*z) is negative
     (OperatorOAlphaSpec(alpha=0.7, a=2.0, b=-1.0), lambda tau: tau * tau - tau, 1.5),
+    # the smallest span above 0: log(1 + z) = 4.4e-16
+    (OperatorOAlphaSpec(alpha=0.5, a=1.0, b=1.0), lambda tau: math.log(1.0 + tau) ** 0.9, 4.5e-16),
 ])
 def test_operator_quadrature_matches_scalar_core(spec, f, z):
     got, points = _recorded(f)
@@ -201,6 +205,21 @@ def test_operator_quadrature_matches_scalar_core(spec, f, z):
     many = _operator_quadrature(spec, lambda taus: calls.append(taus) or [f(x) for x in taus.tolist()], z)
     assert many.hex() == ref.hex()
     assert len(calls) == 1 and calls[0].tolist() == ref_points
+
+
+@pytest.mark.parametrize("span", [1e-300, -1e-300, 1e-310])
+def test_stencils_stay_in_the_interval_where_the_step_underflows(span):
+    # pos/64 underflows at the deepest nodes; the nominal step they fall back
+    # to put w - h outside the interval, so the integrand saw s < 0
+    for n in (129, 258):
+        points, used, _ = _stencils(span, n)
+        assert ((min(span, 0.0) <= points[used]) & (points[used] <= max(span, 0.0))).all()
+
+
+def test_quadrature_refuses_an_interval_with_no_step():
+    # at a subnormal span the nominal step itself underflows to 0
+    with pytest.raises(QuadratureFailure, match="^an interval of length 1e-320 leaves no finite-difference step$"):
+        caputo_derivative_quadrature(lambda s: s, 0.5, 1e-320)
 
 
 @pytest.mark.parametrize("spec, z", [

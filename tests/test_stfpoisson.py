@@ -231,6 +231,15 @@ def test_governing_residual_sums_each_count_series_once(core_calls, method):
         assert residual <= (1e-6 if method == "series" else 1e-3)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.4, 1.0])
+def test_quadrature_residual_at_a_tiny_time_stays_in_the_domain(core_calls, rho):
+    # at t = 1e-300 the deepest stencils' fallback step reached below s = 0: a
+    # bare math domain error, or at rho = 1 a complex power cast to real
+    params = StfpParams(alpha=0.8, nu=0.5, lam=1.0, T=1.0, rho=rho)
+    assert math.isfinite(governing_residual(params, 1e-300, 0, method="quadrature"))
+    assert all(0.0 <= s <= 1e-300 for call in core_calls.per_call[1:] for s, _ in call)
+
+
 def test_count_series_failure_messages_pinned(monkeypatch):
     with pytest.raises(CancellationLoss) as exc:
         pmf(StfpParams(alpha=1.0, nu=1.0, lam=40.0, T=1.0, rho=0.3), 1.0, 3)
