@@ -91,13 +91,12 @@ class TableProfile:
 
     def value(self, t: float, T: float) -> float:
         pts = self.points
-        if t < pts[0][0] or t > pts[-1][0]:
+        if not pts[0][0] <= t <= pts[-1][0]:
             raise InvalidProfile(f"t={t} outside sampled range [{pts[0][0]}, {pts[-1][0]}]")
         for (t0, q0), (t1, q1) in zip(pts, pts[1:]):
             if t <= t1:
                 w = (t - t0) / (t1 - t0)
                 return q0 + w * (q1 - q0)
-        return pts[-1][1]
 
 
 QProfile = Example31Profile | TableProfile
@@ -146,9 +145,12 @@ class NegBinParams:
             prev = q
 
     def q(self, t: float) -> float:
+        """The success level at t; a level below p + _PROFILE_TOL reads as p
+        (as TableProfile reads a level past 1 as 1), so F_negbin <= 1."""
         if not 0.0 <= t <= self.T:
             raise DomainError(f"t={t} outside [0, {self.T}]")
-        return self.q_profile.value(t, self.T)
+        level = self.q_profile.value(t, self.T)
+        return self.p if level - self.p <= _PROFILE_TOL else level
 
 
 def F_negbin(params: NegBinParams, t: float) -> float:

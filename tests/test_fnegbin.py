@@ -141,6 +141,30 @@ def test_table_profile_level_past_one_reads_as_one():
     assert pgf_negbin(params, 0, 3.0) == 1.0
 
 
+def test_level_within_the_tolerance_of_p_reads_as_p(monkeypatch):
+    # a schedule ending 5e-13 below p: q(T) is p, so F(T) = 1 and the held
+    # branch reads the running one, one level summed
+    near = NegBinParams(p=0.3, r=1, alpha=0.8, nu=0.6, rho=0.4, T=1.0,
+                        q_profile=TableProfile(points=((0.0, 1.0), (1.0, 0.3 - 5e-13))))
+    exact = replace(near, q_profile=TableProfile(points=((0.0, 1.0), (1.0, 0.3))))
+    assert near.q(1.0) == 0.3 and F_negbin(near, 1.0) == 1.0
+    levels = []
+    real = fnegbin._core_pmf
+    monkeypatch.setattr(fnegbin, "_core_pmf", lambda lv, *args: levels.append(list(lv)) or real(lv, *args))
+    assert pmf_negbin_r1(near, 1.0, 40).probs == pmf_negbin_r1(exact, 1.0, 40).probs
+    assert levels == [[0.3], [0.3]]
+    # an interior level within the tolerance
+    interior = TableProfile(points=((0.0, 1.0), (0.5, 0.3 + 5e-13), (1.0, 0.3)))
+    assert replace(exact, q_profile=interior).q(0.5) == 0.3
+
+
+def test_table_profile_refuses_a_time_outside_its_samples():
+    prof = TableProfile(points=((0.0, 1.0), (1.0, 0.3)))
+    for t in (-0.5, 1.5, math.nan):
+        with pytest.raises(InvalidProfile, match="outside sampled range"):
+            prof.value(t, 1.0)
+
+
 def test_F_rejects_schedule_not_starting_at_one():
     prof = TableProfile(points=((0.0, 0.9), (1.0, 0.4)))
     params = NegBinParams(p=0.4, r=1, alpha=0.8, nu=0.5, rho=0.0, T=1.0, q_profile=prof)
@@ -376,7 +400,7 @@ def _hex_or_refusal(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-# q(T) = 0.30000000000000004 is one rounding above p: at t = T the held branch is summed apart
+# q(T) = 0.30000000000000004 is one rounding above p and reads as p: at t = T the held branch reads the running one
 ONE_ROUNDING = NegBinParams(p=0.3, r=1, alpha=0.6, nu=0.5, rho=0.0, T=1.0, q_profile=Example31Profile(0.7))
 
 
@@ -385,7 +409,7 @@ ONE_ROUNDING = NegBinParams(p=0.3, r=1, alpha=0.6, nu=0.5, rho=0.0, T=1.0, q_pro
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 def test_pmf_matches_the_per_k_reference_bit_for_bit(K, rho, t):
     params = replace(ONE_ROUNDING, rho=rho)
-    assert params.q(1.0) != params.p
+    assert params.q_profile.value(1.0, 1.0) != params.q(1.0) == params.p
     got = _hex_or_refusal(pmf_negbin_r1, params, t, K)
     assert got == _hex_or_refusal(_reference_pmf, params, t, K)
     assert isinstance(got, list)
