@@ -77,6 +77,11 @@ INVOCATIONS = (
         # two negbin branches over 81 rows, and a weighted table of the benchmark's shape (21 rows, 201 pools)
         ["negbin", "--p", "0.3", "--alpha", "0.6", "--nu", "0.5", "--rho", "0.4", "--t", "0.5", "--kmax", "80"],
         ["weighted", "--lambda", "2", "--rho", "0.3", "--t", "0.5", "--kmax", "20"],
+        # the edges of the branch-level rule at full coupling: the held branch at the
+        # running level (t = T, and q(T) = p exactly), and no branch summed at t = 0
+        ["pgf", "--alpha", "0.8", "--nu", "0.6", "--rho", "1", "--t", "1"],
+        ["negbin", "--p", "0.4", "--alpha", "0.8", "--nu", "0.6", "--rho", "1", "--t", "1", "--kmax", "12"],
+        ["pmf", "--alpha", "0.8", "--nu", "0.6", "--rho", "1", "--t", "0", "--kmax", "5"],
     ]
 )
 
