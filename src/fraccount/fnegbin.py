@@ -197,7 +197,7 @@ def pgf_negbin(params: NegBinParams, t: float, u: float) -> float:
     """
     rho, qt = params.rho, params.q(t)
     frac = F_negbin(params, t) if rho > 0.0 else 0.0
-    bound = min(map(_radius, _live_levels(qt, params.p, frac, rho)), default=math.inf)
+    bound = _radius(min(_live_levels(qt, params.p, frac, rho), default=1.0))  # the radius grows with the level
     if not abs(u) < bound:
         raise DomainError(f"|u|={abs(u)} outside radius {bound}")
     if u == 1.0:

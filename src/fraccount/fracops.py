@@ -147,9 +147,9 @@ def _stencils(span: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.nda
     h = np.minimum(h_nom, pos / 64.0)
     h[h <= 0.0] = h_nom  # pos/64 underflows (w ~ 0): fall back, the weight ~y zeroes it
     hw = np.where(central, h, h_nom) * sgn
-    # only the fallback's w - h leaves the interval: clip it to the endpoint 0
-    points = np.clip(np.stack([np.where(central, w + hw, w), w - hw, w - 2.0 * hw], axis=1),
-                     min(span, 0.0), max(span, 0.0))
+    # only the fallback's w - h leaves the interval, past its endpoint 0: clip it there
+    points = (np.maximum if span >= 0.0 else np.minimum)(
+        np.stack([np.where(central, w + hw, w), w - hw, w - 2.0 * hw], axis=1), 0.0)
     used = np.ones(points.shape, dtype=bool)
     used[:, 2] = ~central
     return points, used, hw

@@ -121,11 +121,11 @@ def _branch_table(cols: dict, running, held, frac: float, rho: float, K: int) ->
 def _branch_transform(transform: Callable, running, held, frac: float, rho: float) -> float:
     """Mixture of the branch transform values, transform(level) called once
     per live level, running first."""
-    values = {level: transform(level) for level in _live_levels(running, held, frac, rho)}
-    out = (1.0 - rho) * values.get(running, 0.0)
+    run = transform(running) if running in _live_levels(running, held, frac, rho) else 0.0
+    out = (1.0 - rho) * run
     if rho != 0.0:
         coupled = rho * (1.0 - frac)
         if rho * frac != 0.0:
-            coupled += rho * frac * values[held]
+            coupled += rho * frac * (run if held == running else transform(held))
         out += coupled
     return out
