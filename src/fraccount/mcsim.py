@@ -13,7 +13,8 @@ the block size nor the thread count.  A block reads pool sizes from a
 2^12-bucket table built once per config, mixes its branch and count words as
 one flat array and orders pools of 2-4 epochs by compare-exchange networks:
 each gives the values a search, a mix and a sort gave, so the bytes are
-unchanged.  Aggregation uses integer sums only.
+unchanged.  Aggregation uses integer sums only.  A batch stores each epoch's rank
+in its sorted pool: N(t) >= k on as many paths as epochs of rank k - 1 fall by t.
 """
 
 from __future__ import annotations
@@ -239,12 +240,14 @@ def negbin_sim_config(params: NegBinParams, seed: int, n_paths: int) -> SimConfi
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Flat storage for many paths: times concatenated path-by-path."""
+    """Flat storage for many paths: times concatenated path-by-path, sorted within each pool as the estimators
+    need, and each epoch's rank there.  Ranks left out are derived from `offsets` once, refusing an unsorted pool."""
 
     horizon: float
     offsets: np.ndarray  # int64, length n_paths + 1
     times: np.ndarray  # float64 in [0, horizon], sorted within each path
     common: np.ndarray  # bool per path
+    ranks: np.ndarray | None = None  # uint8 per epoch, uint16 once pools can reach 256
 
     @property
     def n_paths(self) -> int:
@@ -257,12 +260,21 @@ class PathBatch:
         """N(t) for every path, as exact integers."""
         if t == self.horizon:
             return self.pool_sizes()  # every epoch falls by the horizon
-        return self._path_sums(self._falls_by(t))
+        return self._path_sums(self.times <= self._check_time(t))
 
-    def _falls_by(self, t: float) -> np.ndarray:
+    def _check_time(self, t: float) -> float:
         if not 0.0 <= t <= self.horizon:
             raise DomainError(f"time {t} outside [0, {self.horizon}]")
-        return self.times <= t
+        return t
+
+    @cached_property
+    def _epoch_ranks(self) -> np.ndarray:
+        if self.ranks is not None:
+            return self.ranks
+        ranks = np.arange(len(self.times)) - np.repeat(self.offsets[:-1], self.pool_sizes())
+        if ((ranks[1:] > 0) & ~(self.times[:-1] <= self.times[1:])).any():
+            raise DomainError("epoch times must be sorted within each pool")
+        return ranks.astype(np.min_scalar_type(ranks.max(initial=0)))
 
     def _path_sums(self, per_epoch: np.ndarray) -> np.ndarray:
         # a path's sum is the difference of the prefix sums at its two offsets, taken a block of paths
@@ -278,11 +290,15 @@ class PathBatch:
         return sums
 
     def path(self, i: int) -> PathSample:
-        if not 0 <= i < len(self.common):
-            raise DomainError(f"path index {i} outside [0, {len(self.common)})")
+        _check_index(i, len(self.common))
         lo, hi = self.offsets[i:i + 2].tolist()
         times = tuple(self.times[lo:hi].tolist())
         return PathSample(m=hi - lo, event_times=times, common_flag=bool(self.common[i]))
+
+
+def _check_index(i: int, n: int) -> None:
+    if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 0 <= i < n):
+        raise DomainError(f"path index {i} outside [0, {n})")
 
 
 def _draw_pools(cfg: SimConfig, index: np.ndarray, common: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -302,9 +318,9 @@ def _draw_pools(cfg: SimConfig, index: np.ndarray, common: np.ndarray, ends: np.
 
 
 def _draw_epochs(cfg: SimConfig, key: np.ndarray, common: np.ndarray, ends: np.ndarray, base: int,
-                 times: np.ndarray) -> None:
-    """Sorted epochs of one block of paths into `times`; `ends`, the block's prefix sums of pool sizes
-    from 0, is then moved on by `base` to the batch's offsets."""
+                 times: np.ndarray, ranks: np.ndarray) -> None:
+    """Sorted epochs of one block of paths into `times` and their ranks in their pools into `ranks`;
+    `ends`, the block's prefix sums of pool sizes from 0, is then moved on by `base` to the batch's offsets."""
     starts = np.concatenate([[0], ends])  # not np.zeros, whose calloc may map fresh pages at this size
     ends += base
     # epoch draw words: key + _draw_offset(_CTR_TIMES + slot) for each slot of an independent pool,
@@ -312,6 +328,7 @@ def _draw_epochs(cfg: SimConfig, key: np.ndarray, common: np.ndarray, ends: np.n
     owner = np.cumsum(np.bincount(starts[1:-1], minlength=len(times) + 1)[:len(times)])
     word = np.arange(len(times), dtype=np.uint64)
     word -= starts[owner].view(np.uint64)
+    ranks[...] = word
     word *= ~common[owner]
     word *= _GOLDEN
     word += _draw_offset(_CTR_TIMES)
@@ -366,10 +383,11 @@ def _simulate_indices(cfg: SimConfig, first: int, n: int) -> PathBatch:
         keys = list(run(lambda lo, hi: _draw_pools(cfg, np.arange(first + lo, first + hi, dtype=np.uint64),
                                                    common[lo:hi], starts[lo + 1:hi + 1]), los, his))
         bases = list(accumulate(starts[list(his)].tolist(), initial=0))
-        times = np.empty(bases[-1])
+        times, ranks = np.empty(bases[-1]), np.empty(bases[-1], dtype=np.min_scalar_type(len(cfg.count_cdf) - 1))
         list(run(lambda key, lo, hi, base, end: _draw_epochs(cfg, key, common[lo:hi], starts[lo + 1:hi + 1], base,
-                                                             times[base:end]), keys, los, his, bases, bases[1:]))
-    return PathBatch(horizon=cfg.horizon, offsets=starts, times=times, common=common)
+                                                             times[base:end], ranks[base:end]),
+                 keys, los, his, bases, bases[1:]))
+    return PathBatch(horizon=cfg.horizon, offsets=starts, times=times, common=common, ranks=ranks)
 
 
 def simulate_paths(cfg: SimConfig) -> PathBatch:
@@ -379,9 +397,8 @@ def simulate_paths(cfg: SimConfig) -> PathBatch:
 
 def sample_path(cfg: SimConfig, path_index: int) -> PathSample:
     """Path at one index, bit-identical to the same row of simulate_paths."""
-    if not 0 <= path_index < cfg.n_paths:
-        raise DomainError(f"path index {path_index} outside [0, {cfg.n_paths})")
-    return _simulate_indices(cfg, path_index, 1).path(0)
+    _check_index(path_index, cfg.n_paths)
+    return _simulate_indices(cfg, int(path_index), 1).path(0)
 
 
 def wilson_halfwidth(successes: int, n: int) -> float:
@@ -401,11 +418,14 @@ class EmpiricalPmf:
 
 def empirical_pmf(batch: PathBatch, t: float) -> EmpiricalPmf:
     """Histogram of N(t) across paths with a per-bin uncertainty width."""
-    hist = np.bincount(batch.counts_at(t)).tolist()
-    n = batch.n_paths
-    table = PmfTable.from_probs([c / n for c in hist])
-    hw = tuple(wilson_halfwidth(c, n) for c in hist)
-    return EmpiricalPmf(table=table, halfwidths=hw, n_paths=n)
+    t, ranks, n = batch._check_time(t), batch._epoch_ranks, batch.n_paths
+    tally = np.zeros(2 * int(ranks.max(initial=0)) + 2, dtype=np.int64)
+    for lo in range(0, len(ranks), _BLOCK):
+        key = np.left_shift(ranks[lo:lo + _BLOCK], 1, dtype=np.intp)
+        key |= batch.times[lo:lo + _BLOCK] <= t  # 2 * rank + [epoch <= t]: N(t) >= k on tally[2k - 1] paths
+        tally += np.bincount(key, minlength=len(tally))
+    hist = np.trim_zeros(-np.diff([n, *tally[1::2], 0]), "b").tolist()
+    return EmpiricalPmf(PmfTable.from_probs([c / n for c in hist]), tuple(wilson_halfwidth(c, n) for c in hist), n)
 
 
 @dataclass(frozen=True)
@@ -427,8 +447,8 @@ def empirical_cov(batch: PathBatch, s: float, t: float) -> Estimate:
     # a path's cell key N(s)*w + N(t), w past every pool size, sums w*[e <= s] + [e <= t] over its
     # epochs e; keys are counted densely while that stays a few times the path count, else as distinct
     w = 1 + max(int(np.diff(batch.offsets[lo:lo + _BLOCK + 1]).max()) for lo in range(0, n, _BLOCK))
-    per_epoch = np.multiply(batch._falls_by(s), w, dtype=np.min_scalar_type(w + 1))
-    per_epoch += batch._falls_by(t)
+    per_epoch = np.multiply(batch.times <= batch._check_time(s), w, dtype=np.min_scalar_type(w + 1))
+    per_epoch += batch.times <= batch._check_time(t)
     key = batch._path_sums(per_epoch)
     if int(key.max()) < 4 * n:
         keys = np.flatnonzero(hist := np.bincount(key))
@@ -447,9 +467,14 @@ def empirical_cov(batch: PathBatch, s: float, t: float) -> Estimate:
 
 
 def empirical_joint_11(batch: PathBatch, t: float, horizon: float) -> float:
-    """Fraction of paths with exactly one event by t and one by the horizon."""
-    hits = (batch.counts_at(t) == 1) & (batch.counts_at(horizon) == 1)
-    return np.count_nonzero(hits) / batch.n_paths
+    """Fraction of paths with exactly one event by t and by `horizon`, which may be any time in [0, T]: their
+    rank-0 epoch falls by the earlier time, and the next, their rank-1 epoch if any, not by the later."""
+    early, late = sorted(map(batch._check_time, (t, horizon)))
+    first = (batch._epoch_ranks == 0) & (batch.times <= early)
+    second = (batch._epoch_ranks[1:] == 1) & first[:-1]
+    if late < batch.horizon:
+        second &= batch.times[1:] <= late
+    return int(np.count_nonzero(first) - np.count_nonzero(second)) / batch.n_paths
 
 
 def tv_distance(a: PmfTable | Sequence[float], b: PmfTable | Sequence[float]) -> float:

@@ -82,6 +82,9 @@ INVOCATIONS = (
         ["pgf", "--alpha", "0.8", "--nu", "0.6", "--rho", "1", "--t", "1"],
         ["negbin", "--p", "0.4", "--alpha", "0.8", "--nu", "0.6", "--rho", "1", "--t", "1", "--kmax", "12"],
         ["pmf", "--alpha", "0.8", "--nu", "0.6", "--rho", "1", "--t", "0", "--kmax", "5"],
+        # the estimator at t = 0, where no epoch has fallen, and at full coupling, where every pool is common
+        ["simulate", *COUPLED_SIM[:8], "--t", "0", "--paths", "20000", "--seed", "17"],
+        ["simulate", *COUPLED_SIM[:6], "--rho", "1", "--t", "0.4", "--paths", "20000", "--seed", "19"],
     ]
 )
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -165,6 +166,11 @@ class TestSampling:
             with pytest.raises(DomainError, match=rf"^path index {i} outside \[0, 5\)$"):
                 batch.path(i)
         assert batch.path(4) == sample_path(cfg, 4)
+        # a bool or a float is not an index, even where its value is one; numpy integers are
+        for call, i in ((batch.path, True), (batch.path, 1.0), (lambda i: sample_path(cfg, i), 1.0)):
+            with pytest.raises(DomainError, match=rf"^path index {i} outside \[0, 5\)$"):
+                call(i)
+        assert batch.path(np.int64(4)) == sample_path(cfg, np.uint8(4)) == batch.path(4)
 
     def test_different_seeds_differ(self):
         a = simulate_paths(stfp_sim_config(classical(1.0, 0.0), seed=1, n_paths=300))
@@ -552,6 +558,125 @@ class TestBlocks:
         assert_sorted_within_paths(batch)
         for i in (0, 6, 7, 1_999):
             assert sample_path(cfg, i) == batch.path(i)
+
+
+def pmf_reference(batch: PathBatch, t: float) -> tuple:
+    """empirical_pmf's table and half-widths from the histogram of counts_at(t)."""
+    hist, n = np.bincount(batch.counts_at(t)).tolist(), batch.n_paths
+    return tuple(c / n for c in hist), tuple(wilson_halfwidth(c, n) for c in hist)
+
+
+def joint_reference(batch: PathBatch, t: float, u: float) -> float:
+    return np.count_nonzero((batch.counts_at(t) == 1) & (batch.counts_at(u) == 1)) / batch.n_paths
+
+
+def assert_rank_counts_match(batch: PathBatch, times: tuple) -> None:
+    """empirical_pmf at every time, and empirical_joint_11 at every pair of them, equal their references."""
+    for t in times:
+        emp = empirical_pmf(batch, t)
+        assert (emp.table.probs, emp.halfwidths, emp.n_paths) == (*pmf_reference(batch, t), batch.n_paths)
+    for t, u in itertools.product(times, repeat=2):
+        got = empirical_joint_11(batch, t, u)
+        assert type(got) is float and got == joint_reference(batch, t, u)
+
+
+def derived_ranks(batch: PathBatch) -> np.ndarray:
+    """The ranks a batch built from the same pools, without them, derives."""
+    return PathBatch(horizon=batch.horizon, offsets=batch.offsets, times=batch.times, common=batch.common)._epoch_ranks
+
+
+@functools.cache
+def pinned_batch(name: str) -> PathBatch:
+    return simulate_paths(PINNED_BATCHES[name][0]())
+
+
+def head(batch: PathBatch, n: int) -> PathBatch:
+    """The first n paths of a batch, with their stored ranks."""
+    end = batch.offsets[n]
+    return PathBatch(horizon=batch.horizon, offsets=batch.offsets[:n + 1], times=batch.times[:end],
+                     common=batch.common[:n], ranks=batch.ranks[:end])
+
+
+def long_pool_batch() -> PathBatch:
+    # one pool of 300 epochs among short and empty ones: its ranks pass a byte
+    rng = np.random.default_rng(30)
+    pools = [np.sort(rng.random(v)) for v in (2, 0, 300, 1, 0, 3)] + [np.full(4, 0.5)]
+    return batch_from_pools(pools, np.array([False] * 6 + [True]))
+
+
+class TestRankCounts:
+    """empirical_pmf and empirical_joint_11 count epochs by their rank in the pool; the values are those
+    of the per-path counts."""
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("name", sorted(PINNED_BATCHES))
+    def test_pinned_batches_match_the_counts(self, monkeypatch, name, block):
+        batch = pinned_batch(name)
+        assert batch.ranks.dtype == np.uint8 and np.array_equal(batch.ranks, derived_ranks(batch))
+        monkeypatch.setattr(mcsim, "_BLOCK", block)
+        assert_rank_counts_match(head(batch, 2_000) if block == 1 else batch, (0.0, 0.37, 0.8, 1.0))
+        make, times, offsets, common = PINNED_BATCHES[name]
+        assert (sha256(batch.times), sha256(batch.offsets), sha256(batch.common)) == (times, offsets, common)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_hand_built_batches_match_the_counts(self, monkeypatch, block):
+        monkeypatch.setattr(mcsim, "_BLOCK", block)
+        long_pool = long_pool_batch()
+        assert long_pool._epoch_ranks.dtype == np.uint16 and long_pool._epoch_ranks.max() == 299
+        assert HAND_BATCH._epoch_ranks.tolist() == [0, 1, 0]
+        for batch in (HAND_BATCH, long_pool):
+            assert_rank_counts_match(batch, (0.0, 0.3, 0.7, 0.99, 1.0))
+
+    def test_all_common_batch_matches_the_counts(self):
+        batch = pinned_batch("all_common")
+        assert batch.common.all() and batch.pool_sizes().max() >= 5
+        assert_rank_counts_match(batch, (0.0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_ranks_at_any_block_and_worker_count(self, monkeypatch, workers, block):
+        monkeypatch.setattr(mcsim, "_workers", lambda: workers)
+        monkeypatch.setattr(mcsim, "_BLOCK", block)
+        batch = simulate_paths(negbin_sim_config(NEGBIN_SIM, seed=9, n_paths=5_000 if block == 7 else 20_000))
+        assert batch.ranks.dtype == np.uint8 and np.array_equal(batch.ranks, derived_ranks(batch))
+        assert_rank_counts_match(batch, (0.0, 0.45, 1.0))
+
+    @pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16), (299, np.uint16)])
+    def test_ranks_of_pools_past_a_byte(self, size, dtype):
+        # a pool-size table whose mass is all on its last entry: ranks take two bytes once pools can reach 256
+        cfg = sim_config(n_paths=4, count_cdf=np.r_[np.zeros(size), 1.0])
+        batch = simulate_paths(cfg)
+        assert batch.pool_sizes().tolist() == [size] * 4
+        assert batch.ranks.dtype == dtype and np.array_equal(batch.ranks, derived_ranks(batch))
+        assert_rank_counts_match(batch, (0.0, 0.5, 1.0))
+
+    def test_unsorted_pool_refused(self):
+        batch = batch_from_pools([np.array([0.2]), np.array([0.6, 0.4])], np.zeros(2, dtype=bool))
+        for estimate in (lambda: empirical_pmf(batch, 0.5), lambda: empirical_joint_11(batch, 0.5, 1.0)):
+            with pytest.raises(DomainError, match="^epoch times must be sorted within each pool$"):
+                estimate()
+        assert batch.counts_at(0.5).tolist() == [1, 1]  # the per-path counts need no order
+        # a NaN has no place in a pool's order
+        nan_pool = batch_from_pools([np.array([math.nan, 0.3])], np.zeros(1, dtype=bool))
+        with pytest.raises(DomainError, match="^epoch times must be sorted within each pool$"):
+            empirical_pmf(nan_pool, 0.5)
+
+    def test_times_outside_the_horizon_refused(self):
+        batch = pinned_batch("stfp")
+        for t, u, bad in ((1.5, 0.5, 1.5), (0.5, 1.5, 1.5), (-0.1, 0.5, -0.1), (0.5, math.nan, math.nan),
+                          (math.nan, 2.0, math.nan), (2.0, -1.0, 2.0)):
+            with pytest.raises(DomainError, match=rf"^time {bad} outside \[0, 1.0\]$"):
+                empirical_joint_11(batch, t, u)
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(DomainError, match=rf"^time {bad} outside \[0, 1.0\]$"):
+                empirical_pmf(batch, bad)
+
+    def test_empty_batch(self):
+        batch = batch_from_pools([], np.zeros(0, dtype=bool))
+        with pytest.raises(DomainError, match="needs at least the k=0 entry"):
+            empirical_pmf(batch, 0.5)
+        with pytest.raises(DomainError):
+            empirical_pmf(batch, 1.5)
 
 
 BUCKET = 1 << mcsim._BUCKET_SHIFT
