@@ -290,7 +290,8 @@ class PathBatch:
         return sums
 
     def path(self, i: int) -> PathSample:
-        _check_index(i, len(self.common))
+        if type(i) is not int or not 0 <= i < len(self.common):  # a plain int in range skips the full check
+            _check_index(i, len(self.common))
         lo, hi = self.offsets[i:i + 2].tolist()
         times = tuple(self.times[lo:hi].tolist())
         return PathSample(m=hi - lo, event_times=times, common_flag=bool(self.common[i]))
@@ -420,9 +421,8 @@ def empirical_pmf(batch: PathBatch, t: float) -> EmpiricalPmf:
     """Histogram of N(t) across paths with a per-bin uncertainty width."""
     t, ranks, n = batch._check_time(t), batch._epoch_ranks, batch.n_paths
     tally = np.zeros(2 * int(ranks.max(initial=0)) + 2, dtype=np.int64)
-    for lo in range(0, len(ranks), _BLOCK):
-        key = np.left_shift(ranks[lo:lo + _BLOCK], 1, dtype=np.intp)
-        key |= batch.times[lo:lo + _BLOCK] <= t  # 2 * rank + [epoch <= t]: N(t) >= k on tally[2k - 1] paths
+    for lo in range(0, len(ranks), _BLOCK):  # keys 2 * rank + [epoch <= t]: N(t) >= k on tally[2k - 1] paths
+        key = np.left_shift(ranks[lo:lo + _BLOCK], 1, dtype=np.intp) | (batch.times[lo:lo + _BLOCK] <= t)
         tally += np.bincount(key, minlength=len(tally))
     hist = np.trim_zeros(-np.diff([n, *tally[1::2], 0]), "b").tolist()
     return EmpiricalPmf(PmfTable.from_probs([c / n for c in hist]), tuple(wilson_halfwidth(c, n) for c in hist), n)
@@ -472,7 +472,7 @@ def empirical_joint_11(batch: PathBatch, t: float, horizon: float) -> float:
     early, late = sorted(map(batch._check_time, (t, horizon)))
     first = (batch._epoch_ranks == 0) & (batch.times <= early)
     second = (batch._epoch_ranks[1:] == 1) & first[:-1]
-    if late < batch.horizon:
+    if late < batch.horizon:  # by the horizon every epoch falls
         second &= batch.times[1:] <= late
     return int(np.count_nonzero(first) - np.count_nonzero(second)) / batch.n_paths
 

@@ -627,11 +627,6 @@ class TestRankCounts:
         for batch in (HAND_BATCH, long_pool):
             assert_rank_counts_match(batch, (0.0, 0.3, 0.7, 0.99, 1.0))
 
-    def test_all_common_batch_matches_the_counts(self):
-        batch = pinned_batch("all_common")
-        assert batch.common.all() and batch.pool_sizes().max() >= 5
-        assert_rank_counts_match(batch, (0.0, 0.5, 1.0))
-
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("block", [7, 4096])
     def test_ranks_at_any_block_and_worker_count(self, monkeypatch, workers, block):
