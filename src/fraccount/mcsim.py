@@ -267,14 +267,13 @@ class PathBatch:
             raise DomainError(f"time {t} outside [0, {self.horizon}]")
         return t
 
-    @cached_property
     def _epoch_ranks(self) -> np.ndarray:
-        if self.ranks is not None:
-            return self.ranks
-        ranks = np.arange(len(self.times)) - np.repeat(self.offsets[:-1], self.pool_sizes())
-        if ((ranks[1:] > 0) & ~(self.times[:-1] <= self.times[1:])).any():
-            raise DomainError("epoch times must be sorted within each pool")
-        return ranks.astype(np.min_scalar_type(ranks.max(initial=0)))
+        if self.ranks is None:  # derived once, into the field: a cached attribute would slow every path read
+            ranks = np.arange(len(self.times)) - np.repeat(self.offsets[:-1], self.pool_sizes())
+            if ((ranks[1:] > 0) & ~(self.times[:-1] <= self.times[1:])).any():
+                raise DomainError("epoch times must be sorted within each pool")
+            object.__setattr__(self, "ranks", ranks.astype(np.min_scalar_type(ranks.max(initial=0))))
+        return self.ranks
 
     def _path_sums(self, per_epoch: np.ndarray) -> np.ndarray:
         # a path's sum is the difference of the prefix sums at its two offsets, taken a block of paths
@@ -419,7 +418,7 @@ class EmpiricalPmf:
 
 def empirical_pmf(batch: PathBatch, t: float) -> EmpiricalPmf:
     """Histogram of N(t) across paths with a per-bin uncertainty width."""
-    t, ranks, n = batch._check_time(t), batch._epoch_ranks, batch.n_paths
+    t, ranks, n = batch._check_time(t), batch._epoch_ranks(), batch.n_paths
     tally = np.zeros(2 * int(ranks.max(initial=0)) + 2, dtype=np.int64)
     for lo in range(0, len(ranks), _BLOCK):  # keys 2 * rank + [epoch <= t]: N(t) >= k on tally[2k - 1] paths
         key = np.left_shift(ranks[lo:lo + _BLOCK], 1, dtype=np.intp) | (batch.times[lo:lo + _BLOCK] <= t)
@@ -470,8 +469,9 @@ def empirical_joint_11(batch: PathBatch, t: float, horizon: float) -> float:
     """Fraction of paths with exactly one event by t and by `horizon`, which may be any time in [0, T]: their
     rank-0 epoch falls by the earlier time, and the next, their rank-1 epoch if any, not by the later."""
     early, late = sorted(map(batch._check_time, (t, horizon)))
-    first = (batch._epoch_ranks == 0) & (batch.times <= early)
-    second = (batch._epoch_ranks[1:] == 1) & first[:-1]
+    ranks = batch._epoch_ranks()
+    first = (ranks == 0) & (batch.times <= early)
+    second = (ranks[1:] == 1) & first[:-1]
     if late < batch.horizon:  # by the horizon every epoch falls
         second &= batch.times[1:] <= late
     return int(np.count_nonzero(first) - np.count_nonzero(second)) / batch.n_paths

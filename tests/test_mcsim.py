@@ -582,7 +582,7 @@ def assert_rank_counts_match(batch: PathBatch, times: tuple) -> None:
 
 def derived_ranks(batch: PathBatch) -> np.ndarray:
     """The ranks a batch built from the same pools, without them, derives."""
-    return PathBatch(horizon=batch.horizon, offsets=batch.offsets, times=batch.times, common=batch.common)._epoch_ranks
+    return PathBatch(horizon=batch.horizon, offsets=batch.offsets, times=batch.times, common=batch.common)._epoch_ranks()
 
 
 @functools.cache
@@ -622,8 +622,8 @@ class TestRankCounts:
     def test_hand_built_batches_match_the_counts(self, monkeypatch, block):
         monkeypatch.setattr(mcsim, "_BLOCK", block)
         long_pool = long_pool_batch()
-        assert long_pool._epoch_ranks.dtype == np.uint16 and long_pool._epoch_ranks.max() == 299
-        assert HAND_BATCH._epoch_ranks.tolist() == [0, 1, 0]
+        assert long_pool._epoch_ranks().dtype == np.uint16 and long_pool._epoch_ranks().max() == 299
+        assert HAND_BATCH._epoch_ranks().tolist() == [0, 1, 0]
         for batch in (HAND_BATCH, long_pool):
             assert_rank_counts_match(batch, (0.0, 0.3, 0.7, 0.99, 1.0))
 
@@ -644,6 +644,15 @@ class TestRankCounts:
         assert batch.pool_sizes().tolist() == [size] * 4
         assert batch.ranks.dtype == dtype and np.array_equal(batch.ranks, derived_ranks(batch))
         assert_rank_counts_match(batch, (0.0, 0.5, 1.0))
+
+    def test_ranks_derived_once_into_the_field(self):
+        # a batch built without ranks fills the field on first use, and no attribute beyond the fields
+        batch = long_pool_batch()
+        assert batch.ranks is None
+        empirical_pmf(batch, 0.5)
+        ranks = batch.ranks
+        assert ranks.dtype == np.uint16 and empirical_joint_11(batch, 0.5, 1.0) >= 0.0 and batch.ranks is ranks
+        assert vars(batch).keys() == {"horizon", "offsets", "times", "common", "ranks"}
 
     def test_unsorted_pool_refused(self):
         batch = batch_from_pools([np.array([0.2]), np.array([0.6, 0.4])], np.zeros(2, dtype=bool))
